@@ -27,23 +27,17 @@ from .errors import (
     ResourceError,
     ZetaLabError,
 )
-from .sums import KahanAccumulator, deterministic_sum
+from .sums import KahanAccumulator
 from .primes import (
     PrimeInterval,
     PrimeTable,
     half_square_sum,
     pretentious_cos_sum,
-    prime_block_sum,
-    prime_square_poly,
-    prime_square_value,
-    prime_sum_cos,
     read_prime_cache,
     sieve_primes,
     square_band_interval,
     taper_weight,
     tapered_block_sum,
-    tapered_block_value,
-    tapered_prime_sum,
     write_prime_cache,
 )
 from .zeta import (
@@ -114,5 +108,3 @@ from .moments import (
 from .cli import ExperimentConfig, RunReport, emit_plot_svg, main, run
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

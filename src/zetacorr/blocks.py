@@ -340,12 +340,6 @@ class ShiftPartitionLabel:
     k_star: int
     raw_band_map: dict = field(default_factory=dict)
 
-    @property
-    def block_map_is_increasing(self) -> bool:
-        keys = sorted(self.block_map)
-        vals = [self.block_map[k] for k in keys]
-        return all(a < b for a, b in zip(vals, vals[1:]))
-
 
 def classify_shift_tuple(
     t: float,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ast
 import datetime
+import io
 import json
 import math
 import os
@@ -110,7 +111,8 @@ def eval_alpha_formula(expr: str, t_height: float):
     log/sqrt/exp, and list literals.  Nothing else parses."""
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # the parser refuses over-deep nesting with the latter two
         raise ConfigError(f"bad shift formula {expr!r}: {exc}") from exc
 
     def ev(node):
@@ -143,64 +145,120 @@ def eval_alpha_formula(expr: str, t_height: float):
         raise ConfigError(
             f"disallowed construct {type(node).__name__} in shift formula")
 
-    out = ev(tree)
+    try:
+        return ev(tree)
+    except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
+        # log(0), sqrt(-1), 1/0, exp(1000), T**400, -[1], ...
+        raise ConfigError(f"shift formula {expr!r} fails: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# config fields: one ordered table per subcommand, read by read_config.
+# A parser gets the raw JSON value and the fields parsed before it.
+
+_REQUIRED = object()
+
+
+def _real(val, fields=None) -> float:
+    # bools are JSON true/false, not numbers
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"must be a number, got {val!r}")
+    try:
+        out = float(val)
+    except OverflowError:         # an int beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"must be finite, got {val!r}")
     return out
 
 
-def _require(cfg: dict, key: str, kinds, what: str):
-    if key not in cfg:
-        raise ConfigError(f"{what} config missing required field {key!r}")
-    val = cfg[key]
-    if not isinstance(val, kinds):
-        raise ConfigError(f"{what} config field {key!r} has wrong type")
+def _reals(val, fields=None) -> list:
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError("must be a list of numbers")
+    return [_real(x) for x in val]
+
+
+def _shifts(val, fields) -> list:
+    """A list of numbers, or {"formula": str} evaluated at the height T."""
+    if isinstance(val, dict):
+        if set(val) != {"formula"} or not isinstance(val["formula"], str):
+            raise ConfigError('object form must be {"formula": str}')
+        val = eval_alpha_formula(val["formula"], fields["T"])
+        val = val if isinstance(val, list) else [val]
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError('must be a list of numbers or {"formula": str}')
+    if not val:
+        raise ConfigError("needs at least one value")
+    return _reals(val)
+
+
+def _step(val, fields) -> float:
+    step = _real(val)
+    if not 0.0 < step <= moments.STEP_LIMIT:
+        raise ConfigError(f"must lie in (0, {moments.STEP_LIMIT}]")
+    return step
+
+
+def _int(val, fields=None) -> int:
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"must be an integer, got {val!r}")
     return val
 
 
-def _number(cfg, key, what, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"{what} config missing required field {key!r}")
-        return default
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{what} config field {key!r} must be a number")
-    return float(val)
+def _band_count(val, fields) -> int:
+    if _int(val) < 1:
+        raise ConfigError(f"must be >= 1, got {val}")
+    return val
 
 
-def _vector(cfg, key, what):
-    val = _require(cfg, key, (list, tuple), what)
-    out = []
-    for x in val:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{what} config field {key!r} must hold numbers")
-        out.append(float(x))
-    return out
+def _curve_beta(val, fields) -> float:
+    """One exponent, given as a number or as the same number twice."""
+    if not isinstance(val, (list, tuple)):
+        return _real(val)
+    pair = _reals(val)
+    if len(pair) != 2 or pair[0] != pair[1]:
+        raise ConfigError("must be a number or one value twice")
+    return pair[0]
 
 
-def resolve_alpha(cfg: dict, t_height: float, what: str) -> list:
-    """The shift vector: a numeric list or a {"formula": ...} hook."""
-    if "alpha" not in cfg:
-        raise ConfigError(f"{what} config missing required field 'alpha'")
-    raw = cfg["alpha"]
-    if isinstance(raw, dict):
-        if set(raw) != {"formula"} or not isinstance(raw["formula"], str):
-            raise ConfigError("alpha object form must be {\"formula\": str}")
-        out = eval_alpha_formula(raw["formula"], t_height)
-        out = out if isinstance(out, list) else [out]
-    elif isinstance(raw, (list, tuple)):
-        out = list(raw)
-    else:
-        raise ConfigError("alpha must be a list of numbers or a formula object")
-    vals = []
-    for x in out:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError("alpha entries must be numbers")
-        vals.append(float(x))
-    return vals
+def _abscissa(val, fields) -> str:
+    if val not in ("half", "one"):
+        raise ConfigError("must be half|one")
+    return val
 
 
-def cache_dir() -> str:
-    return os.environ.get("ZETACORR_CACHE_DIR", os.getcwd())
+_T = ("T", _real, _REQUIRED)
+_BETA = ("beta", _reals, _REQUIRED)
+_STEP = ("step", _step, _REQUIRED)
+_RS_TERMS = ("rs_terms", _int, 4)
+
+# (field, parser, default) rows in parse order
+_CONFIG_FIELDS = {
+    "moment": (_T, ("alpha", _shifts, _REQUIRED), _BETA, _STEP, _RS_TERMS),
+    "predict": (_T, ("alpha", _shifts, _REQUIRED), _BETA),
+    "curve": (_T, ("beta", _curve_beta, _REQUIRED),
+              ("deltas", _shifts, _REQUIRED), _STEP, _RS_TERMS),
+    "classify": (_T, _BETA, ("exponent_scale", _real, None),
+                 ("band_count", _band_count, None),
+                 ("abscissa", _abscissa, "half")),
+}
+
+
+def read_config(kind: str, cfg: dict) -> dict:
+    """The fields of a `kind` config file, parsed in table order; an
+    absent or null field takes its default."""
+    fields = {}
+    for key, parse, default in _CONFIG_FIELDS[kind]:
+        if cfg.get(key) is not None:
+            try:
+                fields[key] = parse(cfg[key], fields)
+            except ConfigError as exc:
+                raise ConfigError(f"{kind} config field {key!r}: {exc}") from None
+        elif default is _REQUIRED:
+            raise ConfigError(f"{kind} config missing required field {key!r}")
+        else:
+            fields[key] = default
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +301,6 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
 # artifacts: list of (path, bytes) written by run() on success
 
 
-def _artifact_bytes(content) -> bytes:
-    return content if isinstance(content, bytes) else content.encode("utf-8")
-
-
 def _handle_sieve(config: ExperimentConfig):
     p = config.parameters
     limit = int(p["limit"])
@@ -257,14 +311,12 @@ def _handle_sieve(config: ExperimentConfig):
 
 
 def primes_cache_bytes(table) -> bytes:
-    import io
     buf = io.BytesIO()
     primes.write_prime_cache(table, buf)
     return buf.getvalue()
 
 
 def grid_cache_bytes(grid) -> bytes:
-    import io
     buf = io.BytesIO()
     zeta.cache_write(grid, buf)
     return buf.getvalue()
@@ -286,26 +338,12 @@ def _handle_sample(config: ExperimentConfig):
     return results, [], [], [(p["out"], grid_cache_bytes(grid))]
 
 
-def _classify_config(cfg: dict):
-    t_height = _number(cfg, "T", "classify")
-    beta = _vector(cfg, "beta", "classify")
-    scale = cfg.get("exponent_scale")
-    if scale is not None and (isinstance(scale, bool)
-                              or not isinstance(scale, (int, float))):
-        raise ConfigError("classify config field 'exponent_scale' must be a number")
-    band_count = cfg.get("band_count")
-    if band_count is not None and not isinstance(band_count, int):
-        raise ConfigError("classify config field 'band_count' must be an int")
-    abscissa = cfg.get("abscissa", "half")
-    if abscissa not in ("half", "one"):
-        raise ConfigError("classify config field 'abscissa' must be half|one")
-    return t_height, beta, scale, band_count, abscissa
-
-
 def _handle_classify(config: ExperimentConfig):
     p = config.parameters
-    t_height, beta, scale, band_count, abscissa = _classify_config(p["config"])
-    scheme = blocks.build_scheme(t_height, beta, exponent_scale_override=scale)
+    c = read_config("classify", p["config"])
+    scheme = blocks.build_scheme(
+        c["T"], c["beta"], exponent_scale_override=c["exponent_scale"])
+    band_count = c["band_count"]
     if band_count is None:
         band_count = max(scheme.square_band_count, 6)
     warnings = []
@@ -326,7 +364,7 @@ def _handle_classify(config: ExperimentConfig):
         + [scheme.t_seq[scheme.levels]] * (scheme.levels >= 1)
         + [math.exp(band_count + 1)])
     table = primes.sieve_primes(int(math.ceil(sieve_top)) + 1)
-    engines = blocks.SieveBlockEngines(scheme, table, abscissa=abscissa)
+    engines = blocks.SieveBlockEngines(scheme, table, abscissa=c["abscissa"])
     grid = blocks.classify_grid(t, scheme, engines, band_count=band_count)
 
     bad_counts = [int(np.count_nonzero(grid.bad_index == j))
@@ -342,8 +380,8 @@ def _handle_classify(config: ExperimentConfig):
 
     results = {
         "good_fraction": good_count / count,
-        "bad_fractions": [c / count for c in bad_counts],
-        "square_fractions": [c / count for c in square_counts],
+        "bad_fractions": [n / count for n in bad_counts],
+        "square_fractions": [n / count for n in square_counts],
         "bounds": [blocks.square_measure_bound(l)
                    for l in range(1, band_count + 1)],
         "block_bounds": [blocks.block_measure_bound(scheme, j)
@@ -362,26 +400,13 @@ def _handle_classify(config: ExperimentConfig):
     return results, warnings, [], artifacts
 
 
-def _moment_config(cfg: dict, what: str):
-    t_height = _number(cfg, "T", what)
-    alpha = resolve_alpha(cfg, t_height, what)
-    beta = _vector(cfg, "beta", what)
-    step = _number(cfg, "step", what)
-    rs_terms = cfg.get("rs_terms", 4)
-    if not isinstance(rs_terms, int):
-        raise ConfigError(f"{what} config field 'rs_terms' must be an int")
-    if step <= 0 or step > moments.STEP_LIMIT:
-        raise ConfigError(
-            f"{what} config step must lie in (0, {moments.STEP_LIMIT}]")
-    return t_height, alpha, beta, step, rs_terms
-
-
 def _handle_moment(config: ExperimentConfig):
     p = config.parameters
-    t_height, alpha, beta, step, rs_terms = _moment_config(p["config"], "moment")
-    spec = moments.ShiftSpec(alpha=alpha, beta=beta, t_height=t_height)
+    c = read_config("moment", p["config"])
+    spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     grid, versions = _provision_grid(
-        t_height, alpha, step, rs_terms, config.threads, p.get("cache"))
+        c["T"], c["alpha"], c["step"], c["rs_terms"], config.threads,
+        p.get("cache"))
     report = moments.moment_report(spec, grid)
     results = {
         "moment": report.moment,
@@ -398,20 +423,15 @@ def _handle_moment(config: ExperimentConfig):
 
 
 def _handle_predict(config: ExperimentConfig):
-    p = config.parameters
-    cfg = p["config"]
-    t_height = _number(cfg, "T", "predict")
-    alpha = resolve_alpha(cfg, t_height, "predict")
-    beta = _vector(cfg, "beta", "predict")
-    spec = moments.ShiftSpec(alpha=alpha, beta=beta, t_height=t_height)
-    value = moments.predict_bound(spec)
+    c = read_config("predict", config.parameters["config"])
+    spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     results = {
-        "prediction": value,
-        "T": t_height,
-        "log_power": math.fsum(b * b for b in beta),
+        "prediction": moments.predict_bound(spec),
+        "T": c["T"],
+        "log_power": math.fsum(b * b for b in c["beta"]),
     }
     if spec.m == 2:
-        results["nsw_F"] = moments.nsw_F(alpha[0], alpha[1], t_height)
+        results["nsw_F"] = moments.nsw_F(c["alpha"][0], c["alpha"][1], c["T"])
     return results, [], [], []
 
 
@@ -427,48 +447,13 @@ def curve_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_config(cfg: dict):
-    t_height = _number(cfg, "T", "curve")
-    raw_beta = cfg.get("beta")
-    if isinstance(raw_beta, (list, tuple)):
-        beta = _vector(cfg, "beta", "curve")
-        if len(beta) != 2 or beta[0] != beta[1]:
-            raise ConfigError("curve config beta must be one value, twice")
-        beta_value = beta[0]
-    elif isinstance(raw_beta, (int, float)) and not isinstance(raw_beta, bool):
-        beta_value = float(raw_beta)
-    else:
-        raise ConfigError("curve config field 'beta' must be a number or pair")
-    if "deltas" in cfg:
-        raw = cfg["deltas"]
-        if isinstance(raw, dict):
-            deltas = eval_alpha_formula(
-                raw.get("formula", ""), t_height)
-            deltas = deltas if isinstance(deltas, list) else [deltas]
-        elif isinstance(raw, (list, tuple)):
-            deltas = _vector(cfg, "deltas", "curve")
-        else:
-            raise ConfigError("curve config field 'deltas' must be a list")
-    else:
-        raise ConfigError("curve config missing required field 'deltas'")
-    if not deltas:
-        raise ConfigError("curve config needs at least one delta")
-    step = _number(cfg, "step", "curve")
-    if step <= 0 or step > moments.STEP_LIMIT:
-        raise ConfigError(f"curve config step must lie in (0, {moments.STEP_LIMIT}]")
-    rs_terms = cfg.get("rs_terms", 4)
-    if not isinstance(rs_terms, int):
-        raise ConfigError("curve config field 'rs_terms' must be an int")
-    return t_height, beta_value, deltas, step, rs_terms
-
-
 def _handle_curve(config: ExperimentConfig):
     p = config.parameters
-    t_height, beta_value, deltas, step, rs_terms = _curve_config(p["config"])
-    shifts = [0.0] + list(deltas)
+    c = read_config("curve", p["config"])
     grid, versions = _provision_grid(
-        t_height, shifts, step, rs_terms, config.threads, p.get("cache"))
-    rows = moments.correlation_curve(t_height, beta_value, deltas, grid)
+        c["T"], [0.0] + c["deltas"], c["step"], c["rs_terms"], config.threads,
+        p.get("cache"))
+    rows = moments.correlation_curve(c["T"], c["beta"], c["deltas"], grid)
     results = {
         "rows": [
             {"delta": r.delta, "moment": r.moment, "prediction": r.prediction,
@@ -476,9 +461,9 @@ def _handle_curve(config: ExperimentConfig):
              "step_halving_delta": r.step_halving_delta}
             for r in rows
         ],
-        "T": t_height,
-        "beta": beta_value,
-        "quadrature_step": step,
+        "T": c["T"],
+        "beta": c["beta"],
+        "quadrature_step": c["step"],
     }
     artifacts = [(p["out"], curve_csv(rows))]
     if p.get("plot"):
@@ -488,11 +473,8 @@ def _handle_curve(config: ExperimentConfig):
 
 def _handle_verify(config: ExperimentConfig):
     p = config.parameters
-    driver = _VERIFY_DRIVERS[p["property"]]
-    rng = random.Random(config.seed)
-    results, warnings = driver(p, rng, config.threads)
-    artifacts = []
-    return results, warnings, [], artifacts
+    results = _VERIFY_DRIVERS[p["property"]](p, random.Random(config.seed))
+    return results, [], [], []
 
 
 _HANDLERS = {
@@ -528,7 +510,8 @@ def run(config: ExperimentConfig) -> RunReport:
     report = RunReport(payload=payload, meta=meta)
     for path, content in artifacts:
         with open(path, "wb") as fh:
-            fh.write(_artifact_bytes(content))
+            fh.write(content if isinstance(content, bytes)
+                     else content.encode("utf-8"))
     report_path = config.parameters.get("report")
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -537,17 +520,16 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# verify drivers
+# verify drivers; each maps (parameters, rng) to its results
+
+_LEMMA26_CAP = 3.0      # allowed |prime cosine sum - log|zeta(1 + 1/log X + i delta)||
+_MV_WINDOW = 1e6        # mean values are taken over [T, 2T] with this T
 
 
-def _verify_lemma26(p, rng, threads):
+def _verify_lemma26(p, rng):
     x_cutoff = p.get("x_cutoff", 1e5)
-    delta_max = p.get("delta_max", 50.0)
-    delta_step = p.get("delta_step", 0.05)
-    tol = p.get("deviation_cap", 3.0)
     table = primes.sieve_primes(int(x_cutoff))
-    count = int(math.floor(delta_max / delta_step + 1e-9)) + 1
-    deltas = np.arange(count, dtype=np.float64) * delta_step
+    deltas = np.arange(1001, dtype=np.float64) * 0.05     # 0, 0.05, ..., 50
     lhs = primes.pretentious_cos_sum(table, x_cutoff, deltas)
     offset = 1.0 / math.log(x_cutoff)
     rhs = np.array([
@@ -556,18 +538,17 @@ def _verify_lemma26(p, rng, threads):
     ])
     dev = np.abs(lhs - rhs)
     worst = int(np.argmax(dev))
-    results = {
-        "points": count,
+    return {
+        "points": deltas.size,
         "cutoff": x_cutoff,
         "max_abs_deviation": float(dev[worst]),
         "argmax_delta": float(deltas[worst]),
-        "deviation_cap": tol,
-        "violations": int(np.count_nonzero(dev > tol)),
+        "deviation_cap": _LEMMA26_CAP,
+        "violations": int(np.count_nonzero(dev > _LEMMA26_CAP)),
     }
-    return results, []
 
 
-def _verify_lemma22(p, rng, threads):
+def _verify_lemma22(p, rng):
     trials = p.get("trials", 10_000)
     k_choices = (5.0, 10.0, 19.18)
     bstar_choices = (1.0, 2.0, 3.0)
@@ -582,7 +563,7 @@ def _verify_lemma22(p, rng, threads):
         n_val = dirichlet.lemma22_n_value(p_val, beta, beta_star, k_bound)
         if not dirichlet.lemma22_check(p_val, beta, beta_star, k_bound, n_val):
             violations += 1
-    return {"trials": trials, "violations": violations}, []
+    return {"trials": trials, "violations": violations}
 
 
 def _random_coeff_table(rng, max_terms=1000, max_freq=10_000):
@@ -596,15 +577,14 @@ def _random_coeff_table(rng, max_terms=1000, max_freq=10_000):
         x_cutoff=float(max_freq), max_omega=0)
 
 
-def _verify_lemma23(p, rng, threads):
+def _verify_lemma23(p, rng):
     trials = p.get("trials", 100)
-    t_len = p.get("t_len", 1e6)
     violations = 0
     worst_ratio = 0.0
     for _ in range(trials):
         tab = _random_coeff_table(rng)
-        mv = dirichlet.exact_mv_integral(tab, t_len)
-        diag = dirichlet.mean_value_diagonal(tab, t_len)
+        mv = dirichlet.exact_mv_integral(tab, _MV_WINDOW)
+        diag = dirichlet.mean_value_diagonal(tab, _MV_WINDOW)
         bound = dirichlet.off_diagonal_bound(tab)
         gap = abs(mv - diag)
         if gap > bound * (1 + 1e-9) + 1e-9:
@@ -613,13 +593,12 @@ def _verify_lemma23(p, rng, threads):
             worst_ratio = max(worst_ratio, gap / bound)
     return {
         "trials": trials, "violations": violations,
-        "worst_gap_to_bound": worst_ratio, "t_len": t_len,
-    }, []
+        "worst_gap_to_bound": worst_ratio, "t_len": _MV_WINDOW,
+    }
 
 
-def _verify_lemma24(p, rng, threads):
+def _verify_lemma24(p, rng):
     trials = p.get("trials", 50)
-    t_len = p.get("t_len", 1e6)
     table = primes.sieve_primes(64)
     violations = 0
     worst = 0.0
@@ -634,19 +613,19 @@ def _verify_lemma24(p, rng, threads):
         tab1 = dirichlet.truncated_exp(spec1, table)
         tab2 = dirichlet.truncated_exp(spec2, table)
         length = max(tab1.entries) * max(tab2.entries)
-        lhs, rhs = dirichlet.splitting_check([tab1, tab2], t_len)
+        lhs, rhs = dirichlet.splitting_check([tab1, tab2], _MV_WINDOW)
         gap = abs(lhs - rhs) / rhs
-        allowed = 10.0 * length / t_len
+        allowed = 10.0 * length / _MV_WINDOW
         worst = max(worst, gap / allowed)
         if gap > allowed:
             violations += 1
     return {
         "trials": trials, "violations": violations,
-        "worst_gap_to_allowance": worst, "t_len": t_len,
-    }, []
+        "worst_gap_to_allowance": worst, "t_len": _MV_WINDOW,
+    }
 
 
-def _verify_lemma33(p, rng, threads):
+def _verify_lemma33(p, rng):
     trials = p.get("trials", 1000)
     table = primes.sieve_primes(64)
     interval = primes.PrimeInterval(2.0, 11.0)
@@ -680,10 +659,10 @@ def _verify_lemma33(p, rng, threads):
     return {
         "trials": trials, "violations": violations,
         "worst_formula_gap": worst_formula,
-    }, []
+    }
 
 
-def _verify_prop34(p, rng, threads):
+def _verify_prop34(p, rng):
     trials = p.get("trials", 50)
     table = primes.sieve_primes(256)
     violations = 0
@@ -727,13 +706,12 @@ def _verify_prop34(p, rng, threads):
     return {
         "trials": trials, "violations": violations,
         "worst_diag_to_bound": worst,
-    }, []
+    }
 
 
-def _verify_lemma21(p, rng, threads):
+def _verify_lemma21(p, rng):
     points = p.get("points", 10_000)
     t_height = p.get("t_height", 1e5)
-    rs_terms = p.get("rs_terms", 4)
     table = primes.sieve_primes(int(t_height))
 
     def audit(n):
@@ -742,7 +720,7 @@ def _verify_lemma21(p, rng, threads):
         # grid sensitivity rather than resampling noise
         step = t_height / n
         t = t_height + np.arange(n, dtype=np.float64) * step
-        z = zeta.riemann_siegel_Z(t, rs_terms)
+        z = zeta.riemann_siegel_Z(t, 4)
         with np.errstate(divide="ignore"):
             lhs = np.log(np.abs(z))
         rhs = moments.lemma21_rhs(t, 0.0, t_height, table, t_height=t_height)
@@ -754,7 +732,7 @@ def _verify_lemma21(p, rng, threads):
     # band against that scale so a near-zero maximum is not penalized
     drift_scale = max(1.0, abs(c0), abs(c0_doubled))
     stable = abs(c0_doubled - c0) <= 0.2 * drift_scale
-    results = {
+    return {
         "points": points,
         "t_height": t_height,
         "c0": c0,
@@ -763,7 +741,6 @@ def _verify_lemma21(p, rng, threads):
         "stable": stable,
         "violations": 0 if (c0 <= 10.0 and c0_doubled <= 10.0 and stable) else 1,
     }
-    return results, []
 
 
 _VERIFY_DRIVERS = {

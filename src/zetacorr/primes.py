@@ -6,7 +6,7 @@ decomposition slices the primes.  `primes_between` implements exactly
 that.
 
 The vectorized sums reduce over primes in fixed-size chunks (see
-`sums.SUM_CHUNK`) so results do not depend on how a caller splits the
+`_P_CHUNK`) so results do not depend on how a caller splits the
 evaluation grid across workers.
 """
 
@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     InsufficientSieveError,
 )
-from .sums import SUM_CHUNK
+from .sums import KahanAccumulator
 
 _PRIME_MAGIC = b"ZPRM"
 _PRIME_VERSION = 1
@@ -76,13 +76,6 @@ class PrimeTable:
 
     def in_interval(self, interval: PrimeInterval) -> np.ndarray:
         return self.primes_between(interval.lo, interval.hi)
-
-    def count_below(self, x: float) -> int:
-        """Number of primes <= x."""
-        if x > self.limit:
-            raise InsufficientSieveError(
-                f"table sieved to {self.limit}, count asked at {x}")
-        return int(np.searchsorted(self.primes, x, side="right"))
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -172,17 +165,6 @@ def taper_weight(p: float, x_cutoff: float) -> float:
     return math.log(x_cutoff / p) / math.log(x_cutoff)
 
 
-def reciprocal_prime_sum(table: PrimeTable, x_cutoff: float) -> float:
-    """Sum of 1/p over primes p <= x_cutoff."""
-    ps = table.primes_between(1, x_cutoff).astype(np.float64)
-    if ps.size == 0:
-        return 0.0
-    acc = 0.0
-    for lo in range(0, ps.size, SUM_CHUNK):
-        acc += float(np.add.reduce(1.0 / ps[lo:lo + SUM_CHUNK]))
-    return acc
-
-
 def pretentious_cos_sum(table: PrimeTable, x_cutoff: float, deltas) -> np.ndarray:
     """sum over p <= X of cos(delta * log p) / p, vectorized in delta.
 
@@ -212,19 +194,14 @@ def _chunked_weighted_phase_sum(ps, amp, t_values, out):
     t = np.asarray(t_values, dtype=np.float64)
     for t_lo in range(0, t.size, _T_CHUNK):
         tc = t[t_lo:t_lo + _T_CHUNK]
-        acc = np.zeros(tc.shape, dtype=np.complex128)
-        comp = np.zeros_like(acc)
+        acc = KahanAccumulator(np.zeros(tc.shape, dtype=np.complex128))
         for lo in range(0, ps.size, _P_CHUNK):
             lp = logp[lo:lo + _P_CHUNK]
             am = amp[lo:lo + _P_CHUNK]
             # rows: grid points; columns: primes
             phase = np.multiply.outer(tc, lp)
-            block = np.add.reduce(am * np.exp(-1j * phase), axis=1)
-            y = block - comp
-            tot = acc + y
-            comp = (tot - acc) - y
-            acc = tot
-        out[t_lo:t_lo + _T_CHUNK] += acc
+            acc.add(np.add.reduce(am * np.exp(-1j * phase), axis=1))
+        out[t_lo:t_lo + _T_CHUNK] += acc.total
     return out
 
 
@@ -254,27 +231,6 @@ def tapered_block_sum(
     return _chunked_weighted_phase_sum(ps, amp, t, out)
 
 
-def tapered_prime_sum(
-    table: PrimeTable, x_cutoff: float, s: complex
-) -> complex:
-    """Scalar tapered sum over all primes p <= x_cutoff at one point s."""
-    interval = PrimeInterval(1.0, float(x_cutoff))
-    return tapered_block_value(table, interval, x_cutoff, s)
-
-
-def tapered_block_value(
-    table: PrimeTable,
-    interval: PrimeInterval,
-    x_cutoff: float,
-    s: complex,
-) -> complex:
-    """Scalar tapered prime sum over one interval at one point s."""
-    s = complex(s)
-    out = tapered_block_sum(
-        table, interval, x_cutoff, s.real, np.array([s.imag]))
-    return complex(out[0])
-
-
 def half_square_sum(
     table: PrimeTable,
     interval: PrimeInterval,
@@ -299,33 +255,3 @@ def square_band_interval(band: int) -> PrimeInterval:
     if not (isinstance(band, int) and band >= 1):
         raise DomainError(f"band index must be an int >= 1, got {band}")
     return PrimeInterval(math.exp(band), math.exp(band + 1))
-
-
-def prime_square_value(table: PrimeTable, band: int, s: complex) -> complex:
-    """Scalar square-band sum sum_{e^l < p <= e^(l+1)} p^(-2s) / 2."""
-    s = complex(s)
-    out = half_square_sum(
-        table, square_band_interval(band), s.real, np.array([s.imag]))
-    return complex(out[0])
-
-
-def prime_sum_cos(delta: float, x_cutoff: float, table: PrimeTable) -> float:
-    """Point form of the reciprocal cosine sum: sum cos(delta log p)/p."""
-    return float(pretentious_cos_sum(table, x_cutoff, float(delta)))
-
-
-def prime_block_sum(
-    interval: PrimeInterval, x_cutoff: float, s: complex, table: PrimeTable
-) -> complex:
-    """Point form of the tapered interval sum at one s."""
-    return tapered_block_value(table, interval, x_cutoff, s)
-
-
-def prime_square_poly(band, s: complex, table: PrimeTable) -> complex:
-    """Point form of the square-band sum; `band` may also be a
-    PrimeInterval, covering synthetic (possibly prime-free) bands."""
-    if isinstance(band, PrimeInterval):
-        out = half_square_sum(
-            table, band, complex(s).real, np.array([complex(s).imag]))
-        return complex(out[0])
-    return prime_square_value(table, band, s)

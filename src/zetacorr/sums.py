@@ -1,22 +1,17 @@
-"""Deterministic summation helpers.
+"""Deterministic summation helper.
 
 Accumulation order is part of this package's output contract: reports
-must be byte-identical across worker counts.  Everything here reduces in
-a fixed order -- numpy pairwise inside fixed-size chunks, compensated
-merge of the chunk totals in index order -- so the result depends only
-on the data, never on scheduling.
+must be byte-identical across worker counts.  Callers reduce with numpy
+pairwise sums inside fixed-size chunks and merge the chunk totals in
+index order through `KahanAccumulator`, so the result depends only on
+the data, never on scheduling.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-# chunk length for array reductions; fixed, do not tune per machine
-SUM_CHUNK = 1 << 16
-
 
 class KahanAccumulator:
-    """Compensated accumulator; works for float and complex."""
+    """Compensated accumulator; works for float, complex and numpy arrays."""
 
     __slots__ = ("total", "_c")
 
@@ -29,37 +24,3 @@ class KahanAccumulator:
         t = self.total + y
         self._c = (t - self.total) - y
         self.total = t
-
-    def extend(self, xs):
-        for x in xs:
-            self.add(x)
-        return self
-
-
-def kahan_sum(values) -> float:
-    acc = KahanAccumulator(0.0)
-    acc.extend(values)
-    return acc.total
-
-
-def kahan_sum_complex(values) -> complex:
-    acc = KahanAccumulator(0.0 + 0.0j)
-    acc.extend(values)
-    return acc.total
-
-
-def deterministic_sum(arr: np.ndarray, chunk: int = SUM_CHUNK):
-    """Sum a 1-d array in a scheduling-independent order.
-
-    numpy's pairwise reduction is deterministic for a fixed operand, so
-    chunking at a fixed length and merging the partials with a
-    compensated scalar loop gives one canonical answer for any worker
-    layout that preserves chunk contents.
-    """
-    arr = np.asarray(arr)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    acc = KahanAccumulator(0.0 + 0.0j if np.iscomplexobj(arr) else 0.0)
-    for lo in range(0, arr.size, chunk):
-        acc.add(np.add.reduce(arr[lo:lo + chunk]).item())
-    return acc.total

@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     ResourceError,
 )
+from .sums import KahanAccumulator
 
 _GRID_MAGIC = b"ZGRD"
 _GRID_VERSION = 1
@@ -113,18 +114,13 @@ def _em_eval(s: complex, precision_target: float) -> complex:
 
 def _em_attempt(s: complex, n_terms: int, target: float):
     # partial sum over n < n_terms
-    acc = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
+    acc = KahanAccumulator(0.0 + 0.0j)
     for lo in range(1, n_terms, _EM_CHUNK):
         hi = min(lo + _EM_CHUNK, n_terms)
         n = np.arange(lo, hi, dtype=np.float64)
-        block = complex(np.add.reduce(np.exp(-s * np.log(n))))
-        y = block - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
+        acc.add(complex(np.add.reduce(np.exp(-s * np.log(n)))))
     nf = float(n_terms)
-    val = acc + nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s)
+    val = acc.total + nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s)
     # tail corrections with rising products s(s+1)...(s+2k-2)
     poch = 1.0 + 0.0j
     npow = nf ** (1.0 - s)  # N^(1 - s - 2k + 2) tracked incrementally

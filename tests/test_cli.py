@@ -50,29 +50,39 @@ def test_formula_values():
     "[1][0]",
     "(1).bit_length()",
     "open('/etc/hostname')",
+    "log(0)",
+    "sqrt(-1)",
+    "1/0",
+    "exp(1000)",
+    "T**400",
 ])
 def test_formula_rejections(expr):
     with pytest.raises(ConfigError):
         cli.eval_alpha_formula(expr, 100.0)
 
 
-def test_resolve_alpha_forms():
-    assert cli.resolve_alpha({"alpha": [0, 1.5]}, 100.0, "t") == [0.0, 1.5]
-    got = cli.resolve_alpha(
-        {"alpha": {"formula": "[0, T/50]"}}, 100.0, "t")
-    assert got == [0.0, 2.0]
-    scalar = cli.resolve_alpha({"alpha": {"formula": "T/50"}}, 100.0, "t")
-    assert scalar == [2.0]
-    for bad in (
-        {"alpha": {"formula": 1}},
-        {"alpha": {"formula": "T", "extra": 1}},
-        {"alpha": "T/2"},
-        {"alpha": [1, "x"]},
-        {"alpha": [True]},
-        {},
+def test_shift_field_forms():
+    # predict alpha and curve deltas share one parser
+    for kind, key, base in (
+        ("predict", "alpha", {"T": 100.0, "beta": [1.0]}),
+        ("curve", "deltas", {"T": 100.0, "beta": 1.0, "step": 0.05}),
     ):
-        with pytest.raises(ConfigError):
-            cli.resolve_alpha(bad, 100.0, "t")
+        def shifts(raw):
+            return cli.read_config(kind, {**base, key: raw})[key]
+
+        assert shifts([0, 1.5]) == [0.0, 1.5]
+        assert shifts({"formula": "[0, T/50]"}) == [0.0, 2.0]
+        assert shifts({"formula": "T/50"}) == [2.0]
+        for bad in (
+            {key: {"formula": 1}},
+            {key: {"formula": "T", "extra": 1}},
+            {key: "T/2"},
+            {key: [1, "x"]},
+            {key: [True]},
+            {},
+        ):
+            with pytest.raises(ConfigError):
+                cli.read_config(kind, {**base, **bad})
 
 
 def test_load_config_errors(tmp_path):
@@ -156,6 +166,37 @@ def test_argparse_rejections_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])
     assert exc.value.code == 2
+
+
+_CLASSIFY_ARGS = ["--t0", "1e5", "--t1", "1.0001e5", "--step", "1.0"]
+
+
+@pytest.mark.parametrize("kind,cfg,args", [
+    ("curve", {"T": 100.0, "beta": 1.0, "step": 0.05,
+               "deltas": {"formula": 1}}, ["--out", "curve.csv"]),
+    ("curve", {"T": 100.0, "beta": 1.0, "step": 0.05,
+               "deltas": {"formula": "[[1]]"}}, ["--out", "curve.csv"]),
+    ("curve", {"T": 100.0, "beta": 1.0, "step": 0.05,
+               "deltas": [float("nan")]}, ["--out", "curve.csv"]),
+    ("predict", {"T": 1e4, "alpha": [0, float("nan")], "beta": [1, 1]}, []),
+    ("predict", {"T": 1e4, "alpha": [0, 1], "beta": [1, float("inf")]}, []),
+    ("predict", {"T": float("nan"), "alpha": [0, 1], "beta": [1, 1]}, []),
+    ("classify", {"T": 1e5, "beta": [1, 1], "exponent_scale": float("nan")},
+     _CLASSIFY_ARGS),
+    ("classify", {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5,
+                  "band_count": -3}, _CLASSIFY_ARGS),
+    ("classify", {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5,
+                  "band_count": True}, _CLASSIFY_ARGS),
+])
+def test_config_boundary_exits_2(tmp_path, monkeypatch, capsys, kind, cfg, args):
+    monkeypatch.chdir(tmp_path)
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    rc = cli.main([kind, "--config", path, *args])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "curve.csv").exists()
 
 
 # ---------------------------------------------------------------------------

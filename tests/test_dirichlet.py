@@ -76,8 +76,8 @@ def test_truncated_exp_dual_route(table_small):
     tab = dirichlet.truncated_exp(spec, table_small)
     for _ in range(10):
         s = complex(rng.uniform(0.4, 1.2), rng.uniform(-30.0, 30.0))
-        p_val = spec.beta * primes.tapered_block_value(
-            table_small, spec.interval, spec.x_cutoff, s)
+        p_val = spec.beta * complex(primes.tapered_block_sum(
+            table_small, spec.interval, spec.x_cutoff, s.real, [s.imag])[0])
         direct = dirichlet.truncated_exp_scalar(p_val, spec.degree_cap)
         via_table = dirichlet.evaluate(tab, s)
         assert abs(direct - via_table) <= 1e-12 * max(1.0, abs(direct))

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Regenerate the coefficient tables used by the Hardy Z remainder evaluator.
 
-Writes src/zetacorr/_rs_series.py.  The module it emits contains three blobs:
+Writes src/zetacorr/_rs_series.py.  The module it emits holds one tuple,
+C_SERIES: the series of correction orders 0..4 (C_EXACT) followed by the
+fits for orders 5 and 6 (C_FIT).  The pieces:
 
-  * PSI_SERIES   -- Taylor coefficients about 1/2 of the entire function
+  * psi          -- Taylor coefficients about 1/2 of the entire function
                     psi(p) = cos(2*pi*(p*p - p - 1/16)) / cos(2*pi*p),
                     computed by power-series division in 60-digit arithmetic.
+                    Order 0 of C_EXACT is psi itself.
   * C_EXACT      -- power series (same variable h = p - 1/2) for the first
                     five remainder-correction functions.  These are known
                     closed-form combinations of derivatives of psi with
@@ -182,7 +185,7 @@ def trim(coeffs):
     return coeffs[:keep]
 
 
-def emit(psi, c_exact, c_fit, path):
+def emit(c_exact, c_fit, path):
     def fmt(xs):
         body = ",\n    ".join(repr(float(x)) for x in xs)
         return "(\n    " + body + ",\n)"
@@ -192,11 +195,6 @@ def emit(psi, c_exact, c_fit, path):
         "",
         "Generated by tools/gen_rs_tables.py; do not edit by hand.",
         '"""',
-        "",
-        "# Taylor series about 1/2 of",
-        "# psi(p) = cos(2*pi*(p*p - p - 1/16)) / cos(2*pi*p),",
-        "# variable h = p - 1/2.",
-        "PSI_SERIES = " + fmt(psi),
         "",
         "# Power series in h for correction orders 0..4 (closed-form",
         "# combinations of psi derivatives), then fitted polynomials for",
@@ -235,9 +233,8 @@ def main():
         print(f"  order {j}: fit residual {resid:.3e}")
         c_fit[j] = coeffs
 
-    psi_t = trim(psi)
     c_exact_t = {j: trim(c_exact[j]) for j in c_exact}
-    emit(psi_t, c_exact_t, c_fit, OUT_PATH)
+    emit(c_exact_t, c_fit, OUT_PATH)
 
 
 if __name__ == "__main__":
