@@ -38,13 +38,11 @@ from .primes import (
     square_band_interval,
     taper_weight,
     tapered_block_sum,
-    write_prime_cache,
 )
 from .zeta import (
     OneLinePoint,
     ZetaGrid,
     cache_read,
-    cache_write,
     critical_line_value,
     hardy_theta,
     riemann_siegel_Z,

@@ -5,8 +5,8 @@ Every run produces one JSON report with two top-level parts: `payload`
 (pure function of config + seed + consumed caches, canonically
 serialized, byte-stable across worker counts) and `meta` (wall time,
 timestamps, thread count).  Artifacts (caches, CSV, SVG, report files)
-are written only after the computation finishes, so failed runs leave
-nothing behind.
+are written all together after the computation finishes, or not at
+all, so failed runs leave nothing behind.
 
 Exit codes: 0 success, 2 configuration, 3 cache, 4 domain, 5 resource.
 """
@@ -16,18 +16,17 @@ from __future__ import annotations
 import argparse
 import ast
 import datetime
-import io
 import json
 import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks, dirichlet, moments, primes, zeta
+from . import blocks, cachefile, dirichlet, moments, primes, zeta
 from .errors import (
     CacheFormatError,
     ConfigError,
@@ -52,7 +51,6 @@ class ExperimentConfig:
     parameters: dict
     seed: int
     threads: int
-    output_paths: list = field(default_factory=list)
 
 
 @dataclass
@@ -63,9 +61,7 @@ class RunReport:
     meta: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"payload": self.payload, "meta": self.meta},
-            sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        return canonical_json({"payload": self.payload, "meta": self.meta})
 
 
 def payload_bytes(report: RunReport) -> bytes:
@@ -106,6 +102,11 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _echo(text: str) -> str:
+    """`text` quoted for an error message, cut after 80 characters."""
+    return repr(text[:80] + "\u2026" if len(text) > 80 else text)
+
+
 def eval_alpha_formula(expr: str, t_height: float):
     """Evaluate a shift formula in T: numbers, T, pi, e, arithmetic,
     log/sqrt/exp, and list literals.  Nothing else parses."""
@@ -113,7 +114,7 @@ def eval_alpha_formula(expr: str, t_height: float):
         tree = ast.parse(expr, mode="eval")
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # the parser refuses over-deep nesting with the latter two
-        raise ConfigError(f"bad shift formula {expr!r}: {exc}") from exc
+        raise ConfigError(f"bad shift formula {_echo(expr)}: {exc}") from exc
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -125,7 +126,7 @@ def eval_alpha_formula(expr: str, t_height: float):
                 return float(t_height)
             if node.id in _FORMULA_NAMES:
                 return _FORMULA_NAMES[node.id]
-            raise ConfigError(f"unknown name {node.id!r} in shift formula")
+            raise ConfigError(f"unknown name {_echo(node.id)} in shift formula")
         if isinstance(node, (ast.List, ast.Tuple)):
             return [ev(el) for el in node.elts]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -143,13 +144,13 @@ def eval_alpha_formula(expr: str, t_height: float):
                 and not node.keywords:
             return _FORMULA_FUNCS[node.func.id](ev(node.args[0]))
         raise ConfigError(
-            f"disallowed construct {type(node).__name__} in shift formula")
+            f"disallowed element {type(node).__name__} in shift formula")
 
     try:
         return ev(tree)
     except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
         # log(0), sqrt(-1), 1/0, exp(1000), T**400, -[1], ...
-        raise ConfigError(f"shift formula {expr!r} fails: {exc}") from exc
+        raise ConfigError(f"shift formula {_echo(expr)} fails: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,9 @@ def read_config(kind: str, cfg: dict) -> dict:
 def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
     """Fine grid (at step/2) covering the moment window for all shifts.
 
-    With a cache the file must already match: half the config step and
-    full coverage.  Returns (grid, cache_version_records).
+    With a cache the file must already match: half the config step, the
+    config's RS depth and full coverage.  Returns (grid,
+    cache_version_records).
     """
     fine_step = step / 2.0
     snapped, _ = moments.snap_shifts(alpha, step)
@@ -281,12 +283,15 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
             raise CacheFormatError(
                 f"cache step {grid.step} does not match config step/2 = "
                 f"{fine_step}")
+        if grid.correction_terms != rs_terms:
+            raise CacheFormatError(f"cache RS depth {grid.correction_terms} does "
+                                   f"not match config rs_terms = {rs_terms}")
         if grid.t_start > t_lo or grid.t_stop < t_hi:
             raise CacheFormatError(
                 f"cache span [{grid.t_start}, {grid.t_stop}] does not cover "
                 f"[{t_lo}, {t_hi}]")
         version = [{
-            "path": str(cache_path), "version": zeta._GRID_VERSION,
+            "path": str(cache_path), "version": cachefile.VERSION,
             "count": grid.count, "step": grid.step,
             "rs_terms": grid.correction_terms,
         }]
@@ -305,21 +310,8 @@ def _handle_sieve(config: ExperimentConfig):
     p = config.parameters
     limit = int(p["limit"])
     table = primes.sieve_primes(limit)
-    payload = primes_cache_bytes(table)
     results = {"limit": limit, "count": len(table)}
-    return results, [], [], [(p["out"], payload)]
-
-
-def primes_cache_bytes(table) -> bytes:
-    buf = io.BytesIO()
-    primes.write_prime_cache(table, buf)
-    return buf.getvalue()
-
-
-def grid_cache_bytes(grid) -> bytes:
-    buf = io.BytesIO()
-    zeta.cache_write(grid, buf)
-    return buf.getvalue()
+    return results, [], [], [(p["out"], primes.cache_bytes(table))]
 
 
 def _handle_sample(config: ExperimentConfig):
@@ -335,7 +327,7 @@ def _handle_sample(config: ExperimentConfig):
         "rs_terms": p["rs_terms"], "count": grid.count,
         "modulus_only": p["modulus_only"],
     }
-    return results, [], [], [(p["out"], grid_cache_bytes(grid))]
+    return results, [], [], [(p["out"], zeta.cache_bytes(grid))]
 
 
 def _handle_classify(config: ExperimentConfig):
@@ -435,15 +427,15 @@ def _handle_predict(config: ExperimentConfig):
     return results, [], [], []
 
 
-_CSV_HEADER = "delta,moment,prediction,ratio,nsw_F,step_halving_delta"
+# the curve CSV columns, which are also the keys of the payload rows
+_CURVE_COLUMNS = ("delta", "moment", "prediction", "ratio", "nsw_F",
+                  "step_halving_delta")
 
 
 def curve_csv(rows) -> str:
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(repr(v) for v in (
-            r.delta, r.moment, r.prediction, r.ratio,
-            r.nsw_value, r.step_halving_delta)))
+    """CSV of payload curve rows, values in shortest round-trip form."""
+    lines = [",".join(_CURVE_COLUMNS)]
+    lines += [",".join(repr(row[k]) for k in _CURVE_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -454,18 +446,16 @@ def _handle_curve(config: ExperimentConfig):
         c["T"], [0.0] + c["deltas"], c["step"], c["rs_terms"], config.threads,
         p.get("cache"))
     rows = moments.correlation_curve(c["T"], c["beta"], c["deltas"], grid)
+    table = [dict(zip(_CURVE_COLUMNS, (r.delta, r.moment, r.prediction, r.ratio,
+                                       r.nsw_value, r.step_halving_delta)))
+             for r in rows]
     results = {
-        "rows": [
-            {"delta": r.delta, "moment": r.moment, "prediction": r.prediction,
-             "ratio": r.ratio, "nsw_F": r.nsw_value,
-             "step_halving_delta": r.step_halving_delta}
-            for r in rows
-        ],
+        "rows": table,
         "T": c["T"],
         "beta": c["beta"],
         "quadrature_step": c["step"],
     }
-    artifacts = [(p["out"], curve_csv(rows))]
+    artifacts = [(p["out"], curve_csv(table))]
     if p.get("plot"):
         artifacts.append((p["plot"], emit_plot_svg(rows)))
     return results, [], versions, artifacts
@@ -508,15 +498,35 @@ def run(config: ExperimentConfig) -> RunReport:
         "threads": config.threads,
     }
     report = RunReport(payload=payload, meta=meta)
-    for path, content in artifacts:
-        with open(path, "wb") as fh:
-            fh.write(content if isinstance(content, bytes)
-                     else content.encode("utf-8"))
     report_path = config.parameters.get("report")
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        artifacts = [*artifacts, (report_path, report.to_json())]
+    _write_all(artifacts)
     return report
+
+
+def _write_all(outputs) -> None:
+    """Write each (path, str or bytes) output to a temp file beside its
+    target, then, once every temp file is written, move each onto its
+    target.  An OSError removes the temp files left and becomes a
+    ConfigError, so an unwritable path leaves no output behind."""
+    temps = []
+    try:
+        for i, (path, content) in enumerate(outputs):
+            if os.path.isdir(path):     # else os.replace fails after others moved
+                raise IsADirectoryError(f"{path} is a directory")
+            tmp = f"{path}.{os.getpid()}-{i}.tmp"
+            with open(tmp, "xb") as fh:
+                temps.append(tmp)
+                fh.write(content if isinstance(content, bytes)
+                         else content.encode("utf-8"))
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise ConfigError(f"cannot write outputs: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +534,8 @@ def run(config: ExperimentConfig) -> RunReport:
 
 _LEMMA26_CAP = 3.0      # allowed |prime cosine sum - log|zeta(1 + 1/log X + i delta)||
 _MV_WINDOW = 1e6        # mean values are taken over [T, 2T] with this T
+_COEFF_TERMS_MAX = 1000     # a lemma23 table has 1..this entries
+_COEFF_FREQ_MAX = 10_000    # at distinct frequencies in 1..this
 
 
 def _verify_lemma26(p, rng):
@@ -566,15 +578,15 @@ def _verify_lemma22(p, rng):
     return {"trials": trials, "violations": violations}
 
 
-def _random_coeff_table(rng, max_terms=1000, max_freq=10_000):
-    count = rng.randint(1, max_terms)
-    freqs = rng.sample(range(1, max_freq + 1), count)
+def _random_coeff_table(rng):
+    count = rng.randint(1, _COEFF_TERMS_MAX)
+    freqs = rng.sample(range(1, _COEFF_FREQ_MAX + 1), count)
     entries = {
         n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs
     }
     return dirichlet.CoeffTable(
-        entries=entries, primes=(), interval=primes.PrimeInterval(1.0, max_freq),
-        x_cutoff=float(max_freq), max_omega=0)
+        entries=entries, primes=(), x_cutoff=float(_COEFF_FREQ_MAX), max_omega=0,
+        interval=primes.PrimeInterval(1.0, _COEFF_FREQ_MAX))
 
 
 def _verify_lemma23(p, rng):

@@ -1,4 +1,4 @@
-"""Prime tables, tapered prime sums, and the on-disk prime cache.
+"""Prime tables, tapered prime sums, and the checksummed `ZPRM` prime cache.
 
 Interval convention used throughout the package: a range (lo, hi] is
 open on the left and closed on the right, matching how the block
@@ -13,11 +13,11 @@ evaluation grid across workers.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cachefile
 from .errors import (
     CacheFormatError,
     ConfigError,
@@ -27,7 +27,7 @@ from .errors import (
 from .sums import KahanAccumulator
 
 _PRIME_MAGIC = b"ZPRM"
-_PRIME_VERSION = 1
+_PRIME_HEADER = "<QQ"     # sieve limit, prime count
 _SIEVE_LIMIT_MAX = 1_000_000_000
 _SEGMENT_ODDS = 1 << 21  # odd numbers per sieve segment (~2 MB of flags)
 
@@ -48,9 +48,6 @@ class PrimeInterval:
         if not (self.lo < self.hi):
             raise DomainError(f"empty prime interval ({self.lo}, {self.hi}]")
 
-    def contains(self, p: float) -> bool:
-        return self.lo < p <= self.hi
-
 
 @dataclass
 class PrimeTable:
@@ -61,9 +58,6 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return int(self.primes.size)
-
-    def __iter__(self):
-        return iter(self.primes.tolist())
 
     def primes_between(self, lo: float, hi: float) -> np.ndarray:
         """Primes p with lo < p <= hi, as a read-only view."""
@@ -119,35 +113,16 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes)
 
 
-def write_prime_cache(table: PrimeTable, path) -> None:
-    """Serialize a table to `path` (a filename or a binary file object)."""
-    payload = np.ascontiguousarray(table.primes, dtype="<u8").tobytes()
-    header = _PRIME_MAGIC + struct.pack(
-        "<IQQ", _PRIME_VERSION, table.limit, len(table))
-    if hasattr(path, "write"):
-        path.write(header)
-        path.write(payload)
-        return
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+def cache_bytes(table: PrimeTable) -> bytes:
+    """The table as a `ZPRM` cache file (see `cachefile` for the layout)."""
+    return cachefile.pack(_PRIME_MAGIC, _PRIME_HEADER, (table.limit, len(table)),
+                          table.primes, "<u8")
 
 
 def read_prime_cache(path) -> PrimeTable:
-    if hasattr(path, "read"):
-        blob = path.read()
-    else:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    if len(blob) < 24 or blob[:4] != _PRIME_MAGIC:
-        raise CacheFormatError(f"{path}: not a prime cache")
-    version, limit, count = struct.unpack("<IQQ", blob[4:24])
-    if version != _PRIME_VERSION:
-        raise CacheFormatError(f"{path}: unsupported version {version}")
-    if len(blob) != 24 + 8 * count:
-        raise CacheFormatError(
-            f"{path}: payload length {len(blob) - 24} != 8 * {count}")
-    primes = np.frombuffer(blob, dtype="<u8", offset=24).astype(np.uint64)
+    """A table from a `ZPRM` cache file (a filename or a binary file object)."""
+    (limit, count), primes = cachefile.unpack(
+        path, _PRIME_MAGIC, _PRIME_HEADER, lambda fields: "<u8")
     if count:
         if primes[0] < 2 or primes[-1] > limit:
             raise CacheFormatError(f"{path}: primes outside [2, limit]")

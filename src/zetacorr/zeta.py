@@ -1,6 +1,6 @@
 """Zeta evaluation: truncated-series reference values, the fast
 real-valued evaluator on the critical line, grid sampling, and the
-sample cache.
+`ZGRD` sample cache, which records the grid's Riemann-Siegel depth.
 
 Two independent routes are deliberately kept separate:
 
@@ -17,14 +17,13 @@ tested claim.
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import _rs_series
+from . import _rs_series, cachefile
 from .errors import (
     CacheFormatError,
     ConfigError,
@@ -35,7 +34,7 @@ from .errors import (
 from .sums import KahanAccumulator
 
 _GRID_MAGIC = b"ZGRD"
-_GRID_VERSION = 1
+_GRID_HEADER = "<IIddQ"   # flags, RS depth, t_start, step, sample count
 _FLAG_MODULUS_ONLY = 1
 
 _GRID_CHUNK = 1 << 16     # samples per worker task; fixed for determinism
@@ -261,13 +260,14 @@ def critical_line_value(t: float, correction_terms: int = 2) -> complex:
 
 @dataclass
 class ZetaGrid:
-    """Uniform samples of the critical line: t_k = t_start + k * step."""
+    """Uniform samples of the critical line: t_k = t_start + k * step,
+    evaluated at Riemann-Siegel depth `correction_terms`."""
 
     t_start: float
     step: float
     values: np.ndarray
     modulus_only: bool
-    correction_terms: int | None = None
+    correction_terms: int
 
     @property
     def count(self) -> int:
@@ -360,44 +360,26 @@ def sample_critical_line(
     )
 
 
-def cache_write(grid: ZetaGrid, path) -> None:
-    """Serialize a grid to `path` (a filename or a binary file object)."""
-    flags = _FLAG_MODULUS_ONLY if grid.modulus_only else 0
-    header = _GRID_MAGIC + struct.pack(
-        "<IIddQ", _GRID_VERSION, flags, grid.t_start, grid.step, grid.count)
-    dtype = "<f8" if grid.modulus_only else "<c16"
-    payload = np.ascontiguousarray(grid.values, dtype=dtype).tobytes()
-    if hasattr(path, "write"):
-        path.write(header)
-        path.write(payload)
-        return
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+def _grid_dtype(fields) -> str:
+    return "<f8" if fields[0] & _FLAG_MODULUS_ONLY else "<c16"
+
+
+def cache_bytes(grid: ZetaGrid) -> bytes:
+    """The grid as a `ZGRD` cache file (see `cachefile` for the layout)."""
+    fields = (_FLAG_MODULUS_ONLY if grid.modulus_only else 0,
+              grid.correction_terms, grid.t_start, grid.step, grid.count)
+    return cachefile.pack(_GRID_MAGIC, _GRID_HEADER, fields, grid.values,
+                          _grid_dtype(fields))
 
 
 def cache_read(path) -> ZetaGrid:
-    if hasattr(path, "read"):
-        blob = path.read()
-    else:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    head = 4 + struct.calcsize("<IIddQ")
-    if len(blob) < head or blob[:4] != _GRID_MAGIC:
-        raise CacheFormatError(f"{path}: not a sample-grid cache")
-    version, flags, t_start, step, count = struct.unpack(
-        "<IIddQ", blob[4:head])
-    if version != _GRID_VERSION:
-        raise CacheFormatError(f"{path}: unsupported version {version}")
-    modulus_only = bool(flags & _FLAG_MODULUS_ONLY)
-    item = 8 if modulus_only else 16
-    if len(blob) != head + item * count:
-        raise CacheFormatError(
-            f"{path}: payload length {len(blob) - head} != {item} * {count}")
-    dtype = "<f8" if modulus_only else "<c16"
-    values = np.frombuffer(blob, dtype=dtype, offset=head)
-    values = values.astype(np.float64 if modulus_only else np.complex128)
+    """A grid from a `ZGRD` cache file (a filename or a binary file object)."""
+    fields, values = cachefile.unpack(path, _GRID_MAGIC, _GRID_HEADER, _grid_dtype)
+    flags, terms, t_start, step, _ = fields
     if step <= 0 or not math.isfinite(t_start) or not math.isfinite(step):
         raise CacheFormatError(f"{path}: bad grid geometry")
-    return ZetaGrid(
-        t_start=t_start, step=step, values=values, modulus_only=modulus_only)
+    if terms > MAX_CORRECTION_TERMS:
+        raise CacheFormatError(f"{path}: RS depth {terms} above {MAX_CORRECTION_TERMS}")
+    return ZetaGrid(t_start=t_start, step=step, values=values,
+                    modulus_only=bool(flags & _FLAG_MODULUS_ONLY),
+                    correction_terms=terms)

@@ -55,10 +55,18 @@ def test_formula_values():
     "1/0",
     "exp(1000)",
     "T**400",
+    pytest.param("(" * 30_000 + "1" + ")" * 30_000, id="60k-nested"),
+    pytest.param("x" * 60_000, id="60k-name"),
 ])
-def test_formula_rejections(expr):
+def test_formula_rejections(tmp_path, capsys, expr):
     with pytest.raises(ConfigError):
         cli.eval_alpha_formula(expr, 100.0)
+    cfg = _write_json(tmp_path / "p.json", {"T": 100.0, "beta": [1.0],
+                                            "alpha": {"formula": expr}})
+    assert cli.main(["predict", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 300
 
 
 def test_shift_field_forms():
@@ -151,12 +159,36 @@ def test_cache_mismatch_exits_3(tmp_path, capsys):
                    "--step", "0.0125", "--rs-terms", "6",
                    "--out", str(cache)])
     assert rc == 0
-    cfg = _write_json(tmp_path / "m.json",
-                      {"T": 100.0, "alpha": [0.0], "beta": [1.0],
-                       "step": 0.05})
-    rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
-    assert rc == 3
     capsys.readouterr()
+    for mismatch, extra in (("step", {"step": 0.05, "rs_terms": 6}),
+                            ("RS depth", {"step": 0.025, "rs_terms": 0}),
+                            ("RS depth", {"step": 0.025})):   # default depth 4
+        cfg = _write_json(tmp_path / "m.json",
+                          {"T": 100.0, "alpha": [0.0], "beta": [1.0], **extra})
+        rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
+        assert rc == 3
+        assert mismatch in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,cfg,args", [
+    ("curve", {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05},
+     ["--out", "curve.csv", "--plot", "missing/p.svg"]),
+    ("curve", {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05},
+     ["--out", "curve.csv", "--plot", "."]),
+    ("predict", {"T": 1e4, "alpha": [0.0, 2.0], "beta": [1.0, 1.0]},
+     ["--report", "missing/r.json"]),
+])
+def test_output_path_failure_exits_2(tmp_path, monkeypatch, capsys, kind, cfg,
+                                     args):
+    # one unwritable output: no output is written, no temp file is left
+    monkeypatch.chdir(tmp_path)
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    rc = cli.main([kind, "--config", path, *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("zetacorr: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_argparse_rejections_exit_2(tmp_path):
@@ -222,10 +254,11 @@ def test_sample_then_cached_moment(tmp_path, capsys):
     capsys.readouterr()
     grid = zeta.cache_read(str(cache))
     assert grid.step == 0.0125
+    assert grid.correction_terms == 6
 
     cfg = _write_json(tmp_path / "m.json",
                       {"T": 100.0, "alpha": [0.0], "beta": [1.0],
-                       "step": 0.025})
+                       "step": 0.025, "rs_terms": 6})
     rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
@@ -233,6 +266,8 @@ def test_sample_then_cached_moment(tmp_path, capsys):
     assert abs(res["moment"] - 441.19761150674876) / 441.19761150674876 < 1e-8
     assert res["ratio"] == res["moment"] / res["prediction"]
     assert payload["cache_versions"][0]["step"] == 0.0125
+    assert payload["cache_versions"][0]["rs_terms"] == 6
+    assert payload["cache_versions"][0]["version"] == 2
 
 
 def test_classify_out_file_shape(tmp_path, capsys):

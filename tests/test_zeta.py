@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -175,21 +176,18 @@ def test_grid_range_validation():
 def test_grid_cache_round_trip():
     for modulus_only in (False, True):
         grid = zeta.sample_critical_line(
-            30.0, 31.0, 0.05, modulus_only=modulus_only)
-        buf = io.BytesIO()
-        zeta.cache_write(grid, buf)
-        back = zeta.cache_read(io.BytesIO(buf.getvalue()))
+            30.0, 31.0, 0.05, correction_terms=3, modulus_only=modulus_only)
+        back = zeta.cache_read(io.BytesIO(zeta.cache_bytes(grid)))
         assert back.t_start == grid.t_start
         assert back.step == grid.step
         assert back.modulus_only == grid.modulus_only
+        assert back.correction_terms == 3
         assert np.array_equal(back.values, grid.values)
 
 
 def test_grid_cache_rejects_corruption():
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05)
-    buf = io.BytesIO()
-    zeta.cache_write(grid, buf)
-    blob = buf.getvalue()
+    blob = zeta.cache_bytes(grid)
     with pytest.raises(CacheFormatError):
         zeta.cache_read(io.BytesIO(blob[: len(blob) // 2]))
     with pytest.raises(CacheFormatError):
@@ -197,3 +195,12 @@ def test_grid_cache_rejects_corruption():
     bad_version = blob[:4] + b"\x09\x00\x00\x00" + blob[8:]
     with pytest.raises(CacheFormatError):
         zeta.cache_read(io.BytesIO(bad_version))
+    flipped = bytearray(blob)
+    flipped[60] ^= 0x01                   # one bit of the third sample
+    with pytest.raises(CacheFormatError, match="checksum"):
+        zeta.cache_read(io.BytesIO(bytes(flipped)))
+    # the version-1 layout: no RS depth, no checksum
+    v1 = b"ZGRD" + struct.pack("<IIddQ", 1, 1, grid.t_start, grid.step,
+                               grid.count) + grid.values.tobytes()
+    with pytest.raises(CacheFormatError, match="unsupported version 1"):
+        zeta.cache_read(io.BytesIO(v1))
