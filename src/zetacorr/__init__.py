@@ -101,7 +101,6 @@ from .moments import (
     predict_bound,
     shifted_moment,
     snap_shifts,
-    subsample_grid,
 )
 from .cli import ExperimentConfig, RunReport, emit_plot_svg, main, run
 

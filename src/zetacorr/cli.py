@@ -407,7 +407,7 @@ def _handle_moment(config: ExperimentConfig):
         "quadrature_step": report.quadrature_step,
         "step_halving_delta": report.step_halving_delta,
         "nsw_F": report.nsw_value,
-        "rule": report.rule,
+        "rule": "simpson",
         "snapped_alpha": list(report.snapped_alpha),
         "snap_residuals": list(report.snap_residuals),
     }
@@ -860,7 +860,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--rs-terms", type=int, default=2)
+    p.add_argument("--rs-terms", type=int, default=_RS_TERMS[2],
+                   help="RS correction depth (default: %(default)s, the "
+                        "config rs_terms default)")
     p.add_argument("--complex", action="store_true",
                    help="store full values, not just moduli")
     p.add_argument("--out", required=True)
@@ -899,21 +901,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _float_flag(args, name) -> float:
+    """A float flag's value, put through the config number check."""
+    try:
+        return _real(getattr(args, name))
+    except ConfigError as exc:
+        raise ConfigError(f"--{name.replace('_', '-')} {exc}") from None
+
+
 def _config_from_args(args) -> ExperimentConfig:
     kind = args.command
     params: dict = {"report": args.report}
     if kind == "sieve":
         params.update(limit=args.limit, out=args.out)
     elif kind == "sample":
-        if args.step <= 0:
-            raise ConfigError(f"step must be positive, got {args.step}")
-        params.update(t0=args.t0, t1=args.t1, step=args.step,
+        t0, t1, step = (_float_flag(args, k) for k in ("t0", "t1", "step"))
+        if step <= 0:
+            raise ConfigError(f"step must be positive, got {step}")
+        params.update(t0=t0, t1=t1, step=step,
                       rs_terms=args.rs_terms, out=args.out,
                       modulus_only=not getattr(args, "complex", False))
     elif kind == "classify":
-        params.update(config=load_config(args.config), t0=args.t0,
-                      t1=args.t1, step=args.step, out=args.out)
-        if args.step <= 0 or args.t1 < args.t0:
+        t0, t1, step = (_float_flag(args, k) for k in ("t0", "t1", "step"))
+        params.update(config=load_config(args.config), t0=t0,
+                      t1=t1, step=step, out=args.out)
+        if step <= 0 or t1 < t0:
             raise ConfigError("classify needs step > 0 and t1 >= t0")
     elif kind in ("moment", "predict"):
         params.update(config=load_config(args.config))
@@ -929,10 +941,9 @@ def _config_from_args(args) -> ExperimentConfig:
                 if getattr(args, key) <= 0:
                     raise ConfigError(f"{key} must be positive")
                 params[key] = getattr(args, key)
-        if args.x_cutoff is not None:
-            params["x_cutoff"] = args.x_cutoff
-        if args.t_height is not None:
-            params["t_height"] = args.t_height
+        for key in ("x_cutoff", "t_height"):
+            if getattr(args, key) is not None:
+                params[key] = _float_flag(args, key)
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     return ExperimentConfig(

@@ -4,7 +4,8 @@ The central quantity is the window integral over [T, 2T] of
 prod_k |zeta(1/2 + i(t + alpha_k))|^(2*beta_k), evaluated on a shared
 modulus grid by exact index offsets: each shift is snapped to a grid
 multiple, so one sampling sweep serves every shift and duplicate
-shifts collapse to a single power exactly.
+shifts collapse to a single power exactly.  The rule is composite
+Simpson, ending in one trapezoid cell when the interval count is odd.
 
 Predictions multiply T * (log T)^(sum beta_k^2) by pairwise one-line
 zeta moduli at separation alpha_j - alpha_k, offset 1/log T.  Every
@@ -70,7 +71,6 @@ class MomentReport:
     quadrature_step: float
     step_halving_delta: float
     nsw_value: float | None
-    rule: str
     snapped_alpha: tuple
     snap_residuals: tuple
     warnings: tuple
@@ -104,54 +104,42 @@ def _shift_groups(grid: ZetaGrid, t_lo: float, snapped, beta):
     return sorted(groups.items())
 
 
-def _quadrature(grid: ZetaGrid, groups, n_steps: int, partial: float,
-                rule: str) -> float:
-    """Composite quadrature of prod moduli[base + i]^(2*beta) over
-    nodes i = 0..n_steps, plus an interpolated partial end cell.
+def _quadrature(grid: ZetaGrid, groups, n_steps: int, partial: float) -> float:
+    """Composite Simpson of prod moduli[base + i]^(2*beta) over nodes
+    i = 0..n_steps, plus an interpolated partial end cell.
 
-    Simpson needs an even interval count; an odd count runs Simpson on
-    the first n-1 intervals and a trapezoid on the last.  Chunked with
-    compensated merging, single threaded: bit-deterministic.
+    Simpson weights h/3 * (1, 4, 2, 4, ..., 4, 1) need an even interval
+    count; an odd count ends in one trapezoid cell, weights h/2 on its
+    two nodes.  Callers guarantee n_steps >= 2 and nonempty groups.
+    Chunked with compensated merging, single threaded: bit-deterministic.
     """
-    if rule not in ("simpson", "trapezoid"):
-        raise DomainError(f"unknown quadrature rule {rule!r}")
     h = grid.step
     moduli = grid.moduli()
     n_nodes = n_steps + 1
 
-    simpson_top = n_steps if n_steps % 2 == 0 else n_steps - 1
-    use_simpson = rule == "simpson" and n_steps >= 2
-
     def node_values(i0: int, i1: int) -> np.ndarray:
-        out = None
-        for base, b in groups:
-            seg = np.power(moduli[base + i0:base + i1], 2.0 * b)
-            out = seg if out is None else out * seg
-        if out is None:
-            out = np.ones(i1 - i0, dtype=np.float64)
+        (base, b), *rest = groups
+        out = np.power(moduli[base + i0:base + i1], 2.0 * b)
+        for base, b in rest:
+            out = out * np.power(moduli[base + i0:base + i1], 2.0 * b)
         return out
 
     acc = KahanAccumulator()
     for i0 in range(0, n_nodes, _Q_CHUNK):
         i1 = min(i0 + _Q_CHUNK, n_nodes)
-        vals = node_values(i0, i1)
-        idx = np.arange(i0, i1, dtype=np.int64)
-        if use_simpson:
-            # 1,4,2,4,...,4,1 over 0..simpson_top, then trapezoid tail
-            w = np.where(idx % 2 == 1, 4.0, 2.0) / 3.0
-            w[idx == 0] = 1.0 / 3.0
-            w[idx == simpson_top] = 1.0 / 3.0
-            w[idx > simpson_top] = 0.0
-            if simpson_top < n_steps:      # one trailing trapezoid cell
-                w[idx == simpson_top] += 0.5
-                w[idx == n_steps] = 0.5
-        else:
-            w = np.ones(i1 - i0, dtype=np.float64)
-            w[idx == 0] = 0.5
-            w[idx == n_steps] = 0.5
-            if n_steps == 0:
-                w[idx == 0] = 0.0
-        acc.add(float(np.add.reduce(vals * w)) * h)
+        # chunks start at even nodes (_Q_CHUNK is even), so with an odd
+        # n_steps the last chunk holds both nodes of the trapezoid cell
+        w = np.full(i1 - i0, 2.0 / 3.0)
+        w[1::2] = 4.0 / 3.0
+        if i0 == 0:
+            w[0] = 1.0 / 3.0
+        if i1 == n_nodes:
+            if n_steps % 2:
+                w[-2] = 1.0 / 3.0 + 0.5
+                w[-1] = 0.5
+            else:
+                w[-1] = 1.0 / 3.0
+        acc.add(float(np.add.reduce(node_values(i0, i1) * w)) * h)
     if partial > 0.0:
         f_lo = float(node_values(n_steps, n_steps + 1)[0])
         f_hi = float(node_values(n_steps + 1, n_steps + 2)[0])
@@ -160,27 +148,19 @@ def _quadrature(grid: ZetaGrid, groups, n_steps: int, partial: float,
     return acc.total
 
 
-def shifted_moment(
-    spec: ShiftSpec,
-    grid: ZetaGrid,
-    *,
-    rule: str = "simpson",
-    window_offset: float = 0.0,
-) -> float:
-    """Quadrature of the shifted product over [T, 2T] (+offset).
+def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> float:
+    """Composite Simpson quadrature of the shifted product over [T, 2T].
 
-    Shifts snap to grid multiples; the window start must lie on the
-    grid.  `window_offset` translates the window, which together with
-    translating every shift the opposite way leaves the value exactly
-    unchanged on snapped data.
+    Shifts snap to grid multiples and the window start T must lie on
+    the grid.  The step is at most STEP_LIMIT and T >= 16, so the
+    window spans at least 320 steps.
     """
     if grid.step > STEP_LIMIT + 1e-15:
         raise CoverageError(
             f"grid step {grid.step} exceeds the {STEP_LIMIT} resolution bound")
     t_len = spec.t_height
     snapped, _ = snap_shifts(spec.alpha, grid.step)
-    t_lo = t_len + window_offset
-    groups = _shift_groups(grid, t_lo, snapped, spec.beta)
+    groups = _shift_groups(grid, t_len, snapped, spec.beta)
 
     h = grid.step
     n_steps = int(math.floor(t_len / h + 1e-9))
@@ -192,19 +172,11 @@ def shifted_moment(
         if base < 0 or base + need_top >= grid.count:
             raise CoverageError(
                 f"grid [{grid.t_start}, {grid.t_stop}] cannot cover the "
-                f"window [{t_lo}, {t_lo + t_len}] for all shifts")
+                f"window [{t_len}, {2.0 * t_len}] for all shifts")
     if not groups:
         # all exponents zero: the integrand is identically 1
         return t_len
-    return _quadrature(grid, groups, n_steps, partial, rule)
-
-
-def subsample_grid(grid: ZetaGrid, factor: int = 2) -> ZetaGrid:
-    """Every `factor`-th sample as a coarser grid over the same span."""
-    if factor < 1:
-        raise DomainError(f"subsample factor must be >= 1, got {factor}")
-    return replace(grid, step=grid.step * factor,
-                   values=grid.values[::factor])
+    return _quadrature(grid, groups, n_steps, partial)
 
 
 def predict_bound(spec: ShiftSpec, one_line=zeta_one_line) -> float:
@@ -238,27 +210,19 @@ def nsw_F(alpha1: float, alpha2: float, t_height: float) -> float:
     return math.log(2.0 + d)
 
 
-def moment_report(
-    spec: ShiftSpec,
-    fine_grid: ZetaGrid,
-    *,
-    rule: str = "simpson",
-    window_offset: float = 0.0,
-) -> MomentReport:
+def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid) -> MomentReport:
     """Published moment at step 2*fine_grid.step with its halving delta.
 
     The fine grid is sampled at half the publication step; the
-    published value uses every other sample and the delta is the
-    relative gap to the full-resolution quadrature.
+    published value is the Simpson quadrature on every other sample and
+    the delta is the relative gap to the full-resolution one.
     """
-    pub_grid = subsample_grid(fine_grid, 2)
-    step = pub_grid.step
+    step = 2 * fine_grid.step
+    pub_grid = replace(fine_grid, step=step, values=fine_grid.values[::2])
     snapped, residuals = snap_shifts(spec.alpha, step)
     snapped_spec = replace(spec, alpha=snapped)
-    moment = shifted_moment(
-        snapped_spec, pub_grid, rule=rule, window_offset=window_offset)
-    fine_val = shifted_moment(
-        snapped_spec, fine_grid, rule=rule, window_offset=window_offset)
+    moment = shifted_moment(snapped_spec, pub_grid)
+    fine_val = shifted_moment(snapped_spec, fine_grid)
     scale = max(abs(fine_val), 1e-300)
     halving = abs(moment - fine_val) / scale
 
@@ -276,7 +240,6 @@ def moment_report(
         quadrature_step=step,
         step_halving_delta=halving,
         nsw_value=nsw,
-        rule=rule,
         snapped_alpha=snapped,
         snap_residuals=residuals,
         warnings=tuple(warnings),
@@ -287,7 +250,7 @@ def lemma21_rhs(
     t_values,
     alpha: float,
     x_cutoff: float,
-    engines,
+    table,
     *,
     t_height: float | None = None,
 ):
@@ -296,7 +259,6 @@ def lemma21_rhs(
     up to min(sqrt X, log T), and the ratio log T / log X.  The bounded
     remainder is deliberately not included; audits measure it.
     """
-    table = getattr(engines, "table", engines)
     t = np.asarray(t_values, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -343,8 +305,6 @@ def correlation_curve(
     beta_value: float,
     deltas,
     fine_grid: ZetaGrid,
-    *,
-    rule: str = "simpson",
 ) -> list:
     """Two-shift decorrelation sweep: one row per separation delta,
     with shifts (0, delta) and equal exponents."""
@@ -352,7 +312,7 @@ def correlation_curve(
     for d in deltas:
         spec = ShiftSpec(alpha=(0.0, float(d)), beta=(beta_value, beta_value),
                          t_height=t_height)
-        rep = moment_report(spec, fine_grid, rule=rule)
+        rep = moment_report(spec, fine_grid)
         rows.append(CurveRow(
             delta=float(d),
             moment=rep.moment,

@@ -231,6 +231,30 @@ def test_config_boundary_exits_2(tmp_path, monkeypatch, capsys, kind, cfg, args)
     assert not (tmp_path / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--t0", "1e5", "--t1", "1.0001e5", "--step", "inf"],
+    ["classify", "--t0", "nan", "--t1", "1.0001e5", "--step", "1.0"],
+    ["classify", "--t0", "1e5", "--t1", "inf", "--step", "1.0"],
+    ["verify", "lemma26", "--x-cutoff", "nan"],
+    ["verify", "lemma26", "--x-cutoff", "inf"],
+    ["verify", "lemma21", "--t-height", "nan"],
+    ["sample", "--t0", "nan", "--t1", "204.2", "--step", "0.0125",
+     "--out", "grid.zgrd"],
+])
+def test_nonfinite_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "classify":
+        argv = [*argv, "--config", _write_json(
+            tmp_path / "cfg.json",
+            {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5})]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "grid.zgrd").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifact round trips
 
@@ -268,6 +292,18 @@ def test_sample_then_cached_moment(tmp_path, capsys):
     assert payload["cache_versions"][0]["step"] == 0.0125
     assert payload["cache_versions"][0]["rs_terms"] == 6
     assert payload["cache_versions"][0]["version"] == 2
+
+    # sample and moment with their default RS depths agree on it
+    rc = cli.main(["sample", "--t0", "98", "--t1", "204.2",
+                   "--step", "0.0125", "--out", str(cache)])
+    assert rc == 0
+    capsys.readouterr()
+    cfg = _write_json(tmp_path / "m.json",
+                      {"T": 100, "alpha": [0], "beta": [1], "step": 0.025})
+    rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["cache_versions"][0]["rs_terms"] == 4
 
 
 def test_classify_out_file_shape(tmp_path, capsys):
