@@ -2,10 +2,10 @@
 
 The package splits into five layers:
 
-* `primes`: segmented sieve, cached prime tables, and the tapered
-  prime sums every surrogate object is built from.
+* `primes`: segmented sieve, prime tables, and the tapered prime
+  sums every surrogate object is built from.
 * `zeta`: critical-line evaluation (Riemann-Siegel with correction
-  terms, Euler-Maclaurin cross-check) and binary sample-grid caches.
+  terms, Euler-Maclaurin cross-check) and the binary |zeta| grid cache.
 * `dirichlet`: truncated-exponential coefficient tables, exact
   mean-value integrals, and the inequality checks that justify
   replacing long products by short ones.
@@ -33,7 +33,6 @@ from .primes import (
     PrimeTable,
     half_square_sum,
     pretentious_cos_sum,
-    read_prime_cache,
     sieve_primes,
     square_band_interval,
     taper_weight,
@@ -74,8 +73,6 @@ from .dirichlet import (
 from .blocks import (
     BlockScheme,
     GridClassification,
-    MeasureEstimate,
-    PointClass,
     ShiftPartitionLabel,
     SieveBlockEngines,
     SyntheticBlockEngines,
@@ -83,10 +80,8 @@ from .blocks import (
     block_measure_bound,
     build_scheme,
     classify_grid,
-    classify_point,
     classify_shift_tuple,
     default_exponent_scale,
-    estimate_bad_measure,
     square_measure_bound,
     square_threshold,
 )

@@ -255,17 +255,6 @@ class GridClassification:
         return self.bad_index == 0
 
 
-@dataclass(frozen=True)
-class PointClass:
-    """Classification of a single point."""
-
-    t: float
-    good: bool
-    bad_index: int | None
-    square_index: int
-    gb_vacuous: bool = False
-
-
 def classify_grid(
     t_values,
     scheme: BlockScheme,
@@ -302,24 +291,6 @@ def classify_grid(
         square_index=square,
         band_count=band_count,
         gb_vacuous=scheme.degenerate,
-    )
-
-
-def classify_point(
-    t: float,
-    scheme: BlockScheme,
-    engines,
-    *,
-    band_count: int | None = None,
-) -> PointClass:
-    grid = classify_grid(np.array([t]), scheme, engines, band_count=band_count)
-    j = int(grid.bad_index[0])
-    return PointClass(
-        t=float(t),
-        good=j == 0,
-        bad_index=j if j else None,
-        square_index=int(grid.square_index[0]),
-        gb_vacuous=grid.gb_vacuous,
     )
 
 
@@ -384,17 +355,6 @@ def classify_shift_tuple(
     )
 
 
-@dataclass(frozen=True)
-class MeasureEstimate:
-    """Empirical fraction of a bad/square set, with the published
-    rarity bound (in fraction scale, constant dropped) when one exists."""
-
-    fraction: float
-    bound: float | None
-    hits: int
-    total: int
-
-
 def block_measure_bound(scheme: BlockScheme, j: int) -> float | None:
     """Fraction-scale rarity bound for the first block's bad set."""
     if j == 1:
@@ -408,45 +368,3 @@ def square_measure_bound(band: int) -> float:
     if band < 1:
         raise DomainError(f"band index must be >= 1, got {band}")
     return math.exp(-band * math.exp(0.75 * band))
-
-
-def estimate_bad_measure(
-    scheme: BlockScheme,
-    t_values,
-    engines,
-    which,
-    *,
-    band_count: int | None = None,
-) -> MeasureEstimate:
-    """Empirical fraction of grid points in one bad set.
-
-    `which` is ("B", j) for a block bad set or ("C", l) for a square
-    band set.  The grid must sit inside [T/2, 5T/2].
-    """
-    t = np.asarray(t_values, dtype=np.float64)
-    if t.size == 0:
-        raise DomainError("empty grid")
-    half_t, top = scheme.t_height / 2.0, 2.5 * scheme.t_height
-    if t.min() < half_t or t.max() > top:
-        raise DomainError(
-            f"grid [{t.min()}, {t.max()}] outside [{half_t}, {top}]")
-    kind, index = which
-    index = int(index)
-    if kind == "C" and band_count is None:
-        band_count = max(scheme.square_band_count, index)
-    grid = classify_grid(t, scheme, engines, band_count=band_count)
-    if kind == "B":
-        if not (1 <= index <= scheme.levels):
-            raise DomainError(
-                f"block index {index} outside 1..{scheme.levels}")
-        hits = int(np.count_nonzero(grid.bad_index == index))
-        bound = block_measure_bound(scheme, index)
-    elif kind == "C":
-        if index < 1:
-            raise DomainError(f"band index must be >= 1, got {index}")
-        hits = int(np.count_nonzero(grid.square_index == index))
-        bound = square_measure_bound(index)
-    else:
-        raise DomainError(f"unknown set kind {kind!r}")
-    return MeasureEstimate(
-        fraction=hits / t.size, bound=bound, hits=hits, total=int(t.size))

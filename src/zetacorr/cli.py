@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks, cachefile, dirichlet, moments, primes, zeta
+from . import blocks, dirichlet, moments, primes, zeta
 from .errors import (
     CacheFormatError,
     ConfigError,
@@ -291,7 +291,7 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
                 f"cache span [{grid.t_start}, {grid.t_stop}] does not cover "
                 f"[{t_lo}, {t_hi}]")
         version = [{
-            "path": str(cache_path), "version": cachefile.VERSION,
+            "path": str(cache_path), "version": zeta.CACHE_VERSION,
             "count": grid.count, "step": grid.step,
             "rs_terms": grid.correction_terms,
         }]
@@ -306,26 +306,16 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
 # artifacts: list of (path, bytes) written by run() on success
 
 
-def _handle_sieve(config: ExperimentConfig):
-    p = config.parameters
-    limit = int(p["limit"])
-    table = primes.sieve_primes(limit)
-    results = {"limit": limit, "count": len(table)}
-    return results, [], [], [(p["out"], primes.cache_bytes(table))]
-
-
 def _handle_sample(config: ExperimentConfig):
     p = config.parameters
     grid = zeta.sample_critical_line(
         p["t0"], p["t1"], p["step"],
         correction_terms=p["rs_terms"],
-        modulus_only=p["modulus_only"],
         workers=config.threads,
     )
     results = {
         "t0": p["t0"], "t1": p["t1"], "step": p["step"],
         "rs_terms": p["rs_terms"], "count": grid.count,
-        "modulus_only": p["modulus_only"],
     }
     return results, [], [], [(p["out"], zeta.cache_bytes(grid))]
 
@@ -348,7 +338,7 @@ def _handle_classify(config: ExperimentConfig):
         warnings.append(
             f"grid spacing {step} exceeds the {_CLASSIFY_STEP_NOTE} "
             f"measure-resolution guideline")
-    count = int(math.floor((p["t1"] - p["t0"]) / step + 1e-9)) + 1
+    count = zeta.grid_count(p["t0"], p["t1"], step)
     t = p["t0"] + np.arange(count, dtype=np.float64) * step
 
     sieve_top = max(
@@ -468,7 +458,6 @@ def _handle_verify(config: ExperimentConfig):
 
 
 _HANDLERS = {
-    "sieve": _handle_sieve,
     "sample": _handle_sample,
     "classify": _handle_classify,
     "moment": _handle_moment,
@@ -765,6 +754,10 @@ _VERIFY_DRIVERS = {
     "prop34": _verify_prop34,
 }
 
+# the flags each property reads; `verify` refuses the others
+_VERIFY_FLAGS = {prop: ("trials",) for prop in _VERIFY_DRIVERS}
+_VERIFY_FLAGS.update(lemma21=("points", "t_height"), lemma26=("x_cutoff",))
+
 
 # ---------------------------------------------------------------------------
 # SVG curve plotting
@@ -850,11 +843,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also write the JSON report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", parents=[common],
-                       help="build and cache a prime table")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("sample", parents=[common],
                        help="sample the critical line into a cache")
     p.add_argument("--t0", type=float, required=True)
@@ -863,8 +851,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rs-terms", type=int, default=_RS_TERMS[2],
                    help="RS correction depth (default: %(default)s, the "
                         "config rs_terms default)")
-    p.add_argument("--complex", action="store_true",
-                   help="store full values, not just moduli")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("classify", parents=[common],
@@ -912,15 +898,12 @@ def _float_flag(args, name) -> float:
 def _config_from_args(args) -> ExperimentConfig:
     kind = args.command
     params: dict = {"report": args.report}
-    if kind == "sieve":
-        params.update(limit=args.limit, out=args.out)
-    elif kind == "sample":
+    if kind == "sample":
         t0, t1, step = (_float_flag(args, k) for k in ("t0", "t1", "step"))
         if step <= 0:
             raise ConfigError(f"step must be positive, got {step}")
         params.update(t0=t0, t1=t1, step=step,
-                      rs_terms=args.rs_terms, out=args.out,
-                      modulus_only=not getattr(args, "complex", False))
+                      rs_terms=args.rs_terms, out=args.out)
     elif kind == "classify":
         t0, t1, step = (_float_flag(args, k) for k in ("t0", "t1", "step"))
         params.update(config=load_config(args.config), t0=t0,
@@ -936,14 +919,18 @@ def _config_from_args(args) -> ExperimentConfig:
                       cache=args.cache, plot=args.plot)
     elif kind == "verify":
         params["property"] = args.property
-        for key in ("trials", "points"):
-            if getattr(args, key) is not None:
-                if getattr(args, key) <= 0:
-                    raise ConfigError(f"{key} must be positive")
-                params[key] = getattr(args, key)
-        for key in ("x_cutoff", "t_height"):
-            if getattr(args, key) is not None:
-                params[key] = _float_flag(args, key)
+        for key in ("trials", "points", "x_cutoff", "t_height"):
+            value = getattr(args, key)
+            if value is None:
+                continue
+            if key not in _VERIFY_FLAGS[args.property]:
+                raise ConfigError(f"verify {args.property} does not read "
+                                  f"--{key.replace('_', '-')}")
+            if key in ("x_cutoff", "t_height"):
+                value = _float_flag(args, key)
+            elif value <= 0:
+                raise ConfigError(f"{key} must be positive")
+            params[key] = value
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     return ExperimentConfig(

@@ -114,7 +114,7 @@ def _quadrature(grid: ZetaGrid, groups, n_steps: int, partial: float) -> float:
     Chunked with compensated merging, single threaded: bit-deterministic.
     """
     h = grid.step
-    moduli = grid.moduli()
+    moduli = grid.values
     n_nodes = n_steps + 1
 
     def node_values(i0: int, i1: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Prime tables, tapered prime sums, and the checksummed `ZPRM` prime cache.
+"""Prime tables and the tapered prime sums built on them.
 
 Interval convention used throughout the package: a range (lo, hi] is
 open on the left and closed on the right, matching how the block
@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cachefile
-from .errors import (
-    CacheFormatError,
-    ConfigError,
-    DomainError,
-    InsufficientSieveError,
-)
+from .errors import ConfigError, DomainError, InsufficientSieveError
 from .sums import KahanAccumulator
 
-_PRIME_MAGIC = b"ZPRM"
-_PRIME_HEADER = "<QQ"     # sieve limit, prime count
 _SIEVE_LIMIT_MAX = 1_000_000_000
 _SEGMENT_ODDS = 1 << 21  # odd numbers per sieve segment (~2 MB of flags)
 
@@ -111,24 +103,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
     primes = primes[primes <= limit]
     return PrimeTable(limit=limit, primes=primes)
-
-
-def cache_bytes(table: PrimeTable) -> bytes:
-    """The table as a `ZPRM` cache file (see `cachefile` for the layout)."""
-    return cachefile.pack(_PRIME_MAGIC, _PRIME_HEADER, (table.limit, len(table)),
-                          table.primes, "<u8")
-
-
-def read_prime_cache(path) -> PrimeTable:
-    """A table from a `ZPRM` cache file (a filename or a binary file object)."""
-    (limit, count), primes = cachefile.unpack(
-        path, _PRIME_MAGIC, _PRIME_HEADER, lambda fields: "<u8")
-    if count:
-        if primes[0] < 2 or primes[-1] > limit:
-            raise CacheFormatError(f"{path}: primes outside [2, limit]")
-        if np.any(np.diff(primes.astype(np.int64)) <= 0):
-            raise CacheFormatError(f"{path}: primes not strictly ascending")
-    return PrimeTable(limit=int(limit), primes=primes)
 
 
 def taper_weight(p: float, x_cutoff: float) -> float:

@@ -1,6 +1,7 @@
 """Zeta evaluation: truncated-series reference values, the fast
-real-valued evaluator on the critical line, grid sampling, and the
-`ZGRD` sample cache, which records the grid's Riemann-Siegel depth.
+real-valued evaluator on the critical line, grid sampling of |zeta|,
+and the `ZGRD` cache of such a grid, which records its Riemann-Siegel
+depth.
 
 Two independent routes are deliberately kept separate:
 
@@ -17,13 +18,15 @@ tested claim.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import _rs_series, cachefile
+from . import _rs_series
 from .errors import (
     CacheFormatError,
     ConfigError,
@@ -33,9 +36,14 @@ from .errors import (
 )
 from .sums import KahanAccumulator
 
+# ZGRD cache layout, little-endian: prefix, header, the float64 moduli,
+# and a zlib.crc32 of every byte before it
+CACHE_VERSION = 2
 _GRID_MAGIC = b"ZGRD"
-_GRID_HEADER = "<IIddQ"   # flags, RS depth, t_start, step, sample count
-_FLAG_MODULUS_ONLY = 1
+_PREFIX = struct.Struct("<4sI")       # magic, version
+_HEADER = struct.Struct("<IIddQ")     # flags, RS depth, t_start, step, count
+_CRC = struct.Struct("<I")
+_FLAGS = 1                # bit 0: moduli; set in every grid written
 
 _GRID_CHUNK = 1 << 16     # samples per worker task; fixed for determinism
 _EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
@@ -266,7 +274,6 @@ class ZetaGrid:
     t_start: float
     step: float
     values: np.ndarray
-    modulus_only: bool
     correction_terms: int
 
     @property
@@ -290,21 +297,22 @@ class ZetaGrid:
             raise CoverageError(f"t={t} does not lie on the sample grid")
         return int(k)
 
-    def moduli(self) -> np.ndarray:
-        if self.modulus_only:
-            return self.values
-        return np.abs(self.values)
+
+def grid_count(t_start: float, t_stop: float, step: float) -> int:
+    """Nodes t_start + k * step up to t_stop (+ tiny slack so an exact
+    multiple is kept).  ResourceError when they would exceed the sample
+    cap, or when their count overflows."""
+    steps = (t_stop - t_start) / step + 1e-9
+    if not steps < _COUNT_MAX:        # also inf and nan
+        raise ResourceError(
+            f"grid of {steps:.6g} steps exceeds cap {_COUNT_MAX} samples")
+    return int(math.floor(steps)) + 1
 
 
 def _grid_chunk(args):
-    t_start, step, i0, n, terms, modulus_only = args
+    t_start, step, i0, n, terms = args
     idx = np.arange(i0, i0 + n, dtype=np.float64)
-    t = t_start + idx * step
-    z = _z_kernel(t, terms)
-    if modulus_only:
-        return i0, np.abs(z)
-    th = hardy_theta(t)
-    return i0, z * np.exp(-1j * th)
+    return i0, np.abs(_z_kernel(t_start + idx * step, terms))
 
 
 def sample_critical_line(
@@ -313,10 +321,9 @@ def sample_critical_line(
     step: float,
     *,
     correction_terms: int = 2,
-    modulus_only: bool = True,
     workers: int = 1,
 ) -> ZetaGrid:
-    """Sample |zeta| (or zeta) on a uniform grid over [t_start, t_stop].
+    """Sample |zeta| on a uniform grid over [t_start, t_stop].
 
     The grid always includes t_start and extends to the last node
     <= t_stop (+ tiny slack so an exact multiple is kept).  Output is
@@ -332,17 +339,14 @@ def sample_critical_line(
         raise DomainError(f"step must be in (0, {STEP_MAX}]")
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive int, got {workers}")
-    count = int(math.floor((t_stop - t_start) / step + 1e-9)) + 1
-    if count > _COUNT_MAX:
-        raise ResourceError(f"grid of {count} samples exceeds cap {_COUNT_MAX}")
+    count = grid_count(t_start, t_stop, step)
     # validates correction_terms and the low end of the range
     riemann_siegel_Z(t_start, correction_terms)
 
     chunks = [(t_start, step, i0, min(_GRID_CHUNK, count - i0),
-               correction_terms, modulus_only)
+               correction_terms)
               for i0 in range(0, count, _GRID_CHUNK)]
-    dtype = np.float64 if modulus_only else np.complex128
-    values = np.empty(count, dtype=dtype)
+    values = np.empty(count, dtype=np.float64)
     if workers == 1 or len(chunks) == 1:
         for spec in chunks:
             i0, block = _grid_chunk(spec)
@@ -355,31 +359,53 @@ def sample_critical_line(
         t_start=float(t_start),
         step=float(step),
         values=values,
-        modulus_only=modulus_only,
         correction_terms=correction_terms,
     )
 
 
-def _grid_dtype(fields) -> str:
-    return "<f8" if fields[0] & _FLAG_MODULUS_ONLY else "<c16"
-
-
 def cache_bytes(grid: ZetaGrid) -> bytes:
-    """The grid as a `ZGRD` cache file (see `cachefile` for the layout)."""
-    fields = (_FLAG_MODULUS_ONLY if grid.modulus_only else 0,
-              grid.correction_terms, grid.t_start, grid.step, grid.count)
-    return cachefile.pack(_GRID_MAGIC, _GRID_HEADER, fields, grid.values,
-                          _grid_dtype(fields))
+    """The grid as a `ZGRD` cache file."""
+    head = _PREFIX.pack(_GRID_MAGIC, CACHE_VERSION) + _HEADER.pack(
+        _FLAGS, grid.correction_terms, grid.t_start, grid.step, grid.count)
+    data = np.ascontiguousarray(grid.values, dtype="<f8")
+    return b"".join((head, data, _CRC.pack(zlib.crc32(data, zlib.crc32(head)))))
 
 
 def cache_read(path) -> ZetaGrid:
-    """A grid from a `ZGRD` cache file (a filename or a binary file object)."""
-    fields, values = cachefile.unpack(path, _GRID_MAGIC, _GRID_HEADER, _grid_dtype)
-    flags, terms, t_start, step, _ = fields
+    """A grid from a `ZGRD` cache file (a filename or a binary file
+    object).  Checks the magic, the version, the flags, the sample
+    length and the checksum, in that order, then the geometry and the
+    RS depth."""
+    if hasattr(path, "read"):
+        blob = path.read()
+    else:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    if len(blob) < _PREFIX.size or blob[:4] != _GRID_MAGIC:
+        raise CacheFormatError(f"{path}: not a ZGRD cache")
+    version = _PREFIX.unpack_from(blob)[1]
+    if version != CACHE_VERSION:
+        raise CacheFormatError(f"{path}: unsupported version {version}")
+    head = _PREFIX.size + _HEADER.size
+    if len(blob) < head + _CRC.size:
+        raise CacheFormatError(f"{path}: truncated header")
+    flags, terms, t_start, step, count = _HEADER.unpack_from(blob, _PREFIX.size)
+    if flags != _FLAGS:
+        raise CacheFormatError(
+            f"{path}: flags {flags}, not {_FLAGS}: complex grids and other "
+            "non-modulus grids are not read; sample the grid again")
+    length = len(blob) - head - _CRC.size
+    if length != 8 * count:
+        raise CacheFormatError(f"{path}: payload length {length} != 8 * {count}")
+    (crc,) = _CRC.unpack_from(blob, head + length)
+    if zlib.crc32(memoryview(blob)[:-_CRC.size]) != crc:
+        raise CacheFormatError(f"{path}: checksum mismatch")
     if step <= 0 or not math.isfinite(t_start) or not math.isfinite(step):
         raise CacheFormatError(f"{path}: bad grid geometry")
     if terms > MAX_CORRECTION_TERMS:
         raise CacheFormatError(f"{path}: RS depth {terms} above {MAX_CORRECTION_TERMS}")
+    # copied, so the file's bytes are freed now: held by a view, they kept
+    # heap pages resident that worker processes forked later inherit
+    values = np.frombuffer(blob, dtype="<f8", count=count, offset=head).copy()
     return ZetaGrid(t_start=t_start, step=step, values=values,
-                    modulus_only=bool(flags & _FLAG_MODULUS_ONLY),
                     correction_terms=terms)

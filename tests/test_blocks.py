@@ -175,18 +175,6 @@ def test_degenerate_scheme_classifies_all_good():
     assert grid.good.all()
 
 
-def test_classify_point_matches_grid(table_mega):
-    scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, table_mega)
-    t = np.array([123456.78, 171717.17])
-    grid = blocks.classify_grid(t, scheme, engines, band_count=4)
-    for i, ti in enumerate(t):
-        point = blocks.classify_point(float(ti), scheme, engines,
-                                      band_count=4)
-        assert point.good == bool(grid.bad_index[i] == 0)
-        assert point.square_index == int(grid.square_index[i])
-
-
 def test_shift_tuple_partition(table_mega):
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, table_mega)
@@ -221,29 +209,14 @@ def test_measure_bounds_closed_forms():
     assert blocks.square_measure_bound(1) == math.exp(-math.exp(0.75))
 
 
-def test_estimate_bad_measure_window(table_mega):
-    scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, table_mega)
-    t = np.linspace(1e5, 2e5, 501)
-    est = blocks.estimate_bad_measure(scheme, t, engines, ("C", 4))
-    assert 0.0 <= est.fraction <= 1.0
-    assert est.total == 501
-    assert math.isclose(est.bound, blocks.square_measure_bound(4),
-                        rel_tol=1e-14)
-    est_b = blocks.estimate_bad_measure(scheme, t, engines, ("B", 1))
-    assert est_b.bound == blocks.block_measure_bound(scheme, 1)
-    with pytest.raises(DomainError):
-        bad_t = np.linspace(1e4, 2e5, 100)  # dips below T/2
-        blocks.estimate_bad_measure(scheme, bad_t, engines, ("B", 1))
-
-
 def test_square_fraction_decays_with_band(table_mega):
     # higher bands demand larger square sums, which decay; observed
     # fractions should vanish quickly at desk scale
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, table_mega)
     t = np.linspace(1e5, 2e5, 2001)
-    fr = [blocks.estimate_bad_measure(scheme, t, engines, ("C", l)).fraction
+    fr = [np.count_nonzero(blocks.classify_grid(
+              t, scheme, engines, band_count=l).square_index == l) / t.size
           for l in (3, 4, 5, 6)]
     assert all(a >= b for a, b in zip(fr, fr[1:]))
     assert fr[-1] <= 1e-2

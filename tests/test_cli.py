@@ -3,11 +3,14 @@ formats, and payload determinism."""
 
 import json
 import math
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
+import numpy as np
 import pytest
 
-from zetacorr import cli, moments, primes, zeta
+from zetacorr import cli, moments, zeta
 from zetacorr.errors import ConfigError
 from zetacorr.moments import CurveRow
 
@@ -153,6 +156,27 @@ def test_resource_error_exits_5_without_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--t0", "1e5", "--t1", "1e15", "--step", "1e-3"],
+    ["classify", "--t0", "0", "--t1", "1e300", "--step", "1e-300"],
+    ["sample", "--t0", "10", "--t1", "1e8", "--step", "5e-324",
+     "--out", "grid.zgrd"],
+])
+def test_grid_count_over_cap_exits_5(tmp_path, monkeypatch, capsys, argv):
+    # too many nodes, or a node count that overflows a float
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "classify":
+        argv = [*argv, "--config", _write_json(
+            tmp_path / "cfg.json",
+            {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5})]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "grid.zgrd").exists()
+
+
 def test_cache_mismatch_exits_3(tmp_path, capsys):
     cache = tmp_path / "grid.zgrd"
     rc = cli.main(["sample", "--t0", "98", "--t1", "204.2",
@@ -168,6 +192,29 @@ def test_cache_mismatch_exits_3(tmp_path, capsys):
         rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
         assert rc == 3
         assert mismatch in capsys.readouterr().err
+
+
+def test_complex_grid_exits_3_and_its_commands_are_gone(tmp_path, capsys):
+    # a grid as `sample --complex` wrote it: flags 0, complex128 samples,
+    # a valid checksum, and coverage of the moment window
+    count = 8497                                  # 98 .. 204.2 at 0.0125
+    body = struct.pack("<4sIIIddQ", b"ZGRD", 2, 0, 4, 98.0, 0.0125, count) \
+        + np.ones(count, dtype="<c16").tobytes()
+    cache = tmp_path / "complex.zgrd"
+    cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    cfg = _write_json(tmp_path / "m.json", {"T": 100.0, "alpha": [0.0],
+                                            "beta": [1.0], "step": 0.025})
+    rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "complex grids" in err and err.count("\n") == 1
+    for argv in (["sieve", "--limit", "1000", "--out", "p.zprm"],
+                 ["sample", "--t0", "98", "--t1", "99", "--step", "0.0125",
+                  "--complex", "--out", "g.zgrd"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("kind,cfg,args", [
@@ -257,16 +304,6 @@ def test_nonfinite_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 # ---------------------------------------------------------------------------
 # artifact round trips
-
-
-def test_sieve_cli_roundtrip(tmp_path, capsys):
-    out = tmp_path / "primes.zprm"
-    rc = cli.main(["sieve", "--limit", "1000", "--out", str(out)])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["payload"]["results"]["count"] == 168
-    table = primes.read_prime_cache(str(out))
-    assert len(table) == 168
 
 
 def test_sample_then_cached_moment(tmp_path, capsys):
@@ -422,6 +459,22 @@ def test_verify_cli_and_report(tmp_path, capsys):
     assert payload["seed"] == 7
     assert payload["results"]["violations"] == 0
     assert payload["results"]["trials"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma22", "--trials", "1", "--points", "5"],
+    ["verify", "lemma26", "--x-cutoff", "100", "--trials", "3"],
+    ["verify", "lemma21", "--points", "10", "--x-cutoff", "100"],
+    ["verify", "lemma33", "--trials", "1", "--t-height", "1e5"],
+])
+def test_verify_unread_flag_exits_2(capsys, argv):
+    # each property takes only the flags it reads
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("zetacorr: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_verify_rejects_bad_counts():

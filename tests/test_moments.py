@@ -104,7 +104,7 @@ def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
     w[-1] += 0.5
     w = np.append(w, 0.5)
     base = grid_100_200.index_of(100.0 + h)
-    vals = np.power(grid_100_200.moduli()[base:base + n + 1], 2.0)
+    vals = np.power(grid_100_200.values[base:base + n + 1], 2.0)
     expect = float(np.add.reduce(vals * w)) * h
     assert moments.shifted_moment(spec, grid_100_200) == expect
 

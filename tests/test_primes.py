@@ -1,19 +1,13 @@
-"""Sieve, prime cache, and tapered prime-sum behavior."""
+"""Sieve and tapered prime-sum behavior."""
 
-import io
 import math
 import random
-import struct
 
 import numpy as np
 import pytest
 
 from zetacorr import primes
-from zetacorr.errors import (
-    CacheFormatError,
-    ConfigError,
-    InsufficientSieveError,
-)
+from zetacorr.errors import ConfigError, InsufficientSieveError
 
 
 def _trial_division_count(limit):
@@ -63,41 +57,6 @@ def test_primes_between_exclusive_inclusive(table_small):
     assert list(sel) == [5, 7]
     sel = table_small.primes_between(7.0, 10.0)
     assert list(sel) == []
-
-
-def test_cache_round_trip(table_small):
-    back = primes.read_prime_cache(io.BytesIO(primes.cache_bytes(table_small)))
-    assert back.limit == table_small.limit
-    assert np.array_equal(back.primes, table_small.primes)
-
-
-def test_cache_rejects_corruption(table_small):
-    blob = primes.cache_bytes(table_small)
-    with pytest.raises(CacheFormatError):
-        primes.read_prime_cache(io.BytesIO(blob[:20]))
-    with pytest.raises(CacheFormatError):
-        primes.read_prime_cache(io.BytesIO(b"XXXX" + blob[4:]))
-    bad_version = blob[:4] + b"\xff\x00\x00\x00" + blob[8:]
-    with pytest.raises(CacheFormatError):
-        primes.read_prime_cache(io.BytesIO(bad_version))
-    with pytest.raises(CacheFormatError):
-        primes.read_prime_cache(io.BytesIO(blob + b"\x00" * 8))
-    flipped = bytearray(blob)
-    flipped[-100] ^= 0x80
-    with pytest.raises(CacheFormatError, match="checksum"):
-        primes.read_prime_cache(io.BytesIO(bytes(flipped)))
-    # 7 -> 9: still ascending and inside [2, limit], so only the
-    # checksum tells
-    composite = bytearray(blob)
-    head = 24                             # magic, version, limit, count
-    assert composite[head + 3 * 8] == 7
-    composite[head + 3 * 8] = 9
-    with pytest.raises(CacheFormatError, match="checksum"):
-        primes.read_prime_cache(io.BytesIO(bytes(composite)))
-    v1 = b"ZPRM" + struct.pack("<IQQ", 1, table_small.limit,
-                               len(table_small)) + table_small.primes.tobytes()
-    with pytest.raises(CacheFormatError, match="unsupported version 1"):
-        primes.read_prime_cache(io.BytesIO(v1))
 
 
 def test_taper_weight_endpoints():

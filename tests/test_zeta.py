@@ -133,7 +133,7 @@ def test_grid_shapes_and_coverage():
     grid = zeta.sample_critical_line(100.0, 100.1, 0.05, correction_terms=2)
     assert grid.count == 3
     for k in range(3):
-        assert grid.moduli()[k] == abs(
+        assert grid.values[k] == abs(
             zeta.riemann_siegel_Z(grid.t_at(k), 2))
     single = zeta.sample_critical_line(100.0, 100.0, 0.05)
     assert single.count == 1
@@ -148,12 +148,11 @@ def test_grid_last_sample_covers_t1():
 
 def test_grid_spot_check_against_direct():
     rng = random.Random(0x5A17)
-    grid = zeta.sample_critical_line(
-        1000.0, 1010.0, 0.01, correction_terms=4, modulus_only=True)
+    grid = zeta.sample_critical_line(1000.0, 1010.0, 0.01, correction_terms=4)
     for _ in range(50):
         k = rng.randrange(grid.count)
         direct = abs(zeta.riemann_siegel_Z(grid.t_at(k), 4))
-        assert abs(grid.moduli()[k] - direct) <= 1e-8
+        assert abs(grid.values[k] - direct) <= 1e-8
 
 
 def test_grid_workers_bit_identical():
@@ -174,15 +173,12 @@ def test_grid_range_validation():
 
 
 def test_grid_cache_round_trip():
-    for modulus_only in (False, True):
-        grid = zeta.sample_critical_line(
-            30.0, 31.0, 0.05, correction_terms=3, modulus_only=modulus_only)
-        back = zeta.cache_read(io.BytesIO(zeta.cache_bytes(grid)))
-        assert back.t_start == grid.t_start
-        assert back.step == grid.step
-        assert back.modulus_only == grid.modulus_only
-        assert back.correction_terms == 3
-        assert np.array_equal(back.values, grid.values)
+    grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=3)
+    back = zeta.cache_read(io.BytesIO(zeta.cache_bytes(grid)))
+    assert back.t_start == grid.t_start
+    assert back.step == grid.step
+    assert back.correction_terms == 3
+    assert np.array_equal(back.values, grid.values)
 
 
 def test_grid_cache_rejects_corruption():
