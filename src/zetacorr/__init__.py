@@ -56,9 +56,7 @@ from .dirichlet import (
     coeff_csv,
     diagonal_sum,
     euler_bound,
-    evaluate,
     exact_mv_integral,
-    g_coeff,
     lemma22_check,
     lemma22_n_value,
     mean_value_diagonal,
@@ -68,7 +66,6 @@ from .dirichlet import (
     product_coeffs,
     splitting_check,
     truncated_exp,
-    truncated_exp_scalar,
 )
 from .blocks import (
     BlockScheme,

@@ -453,7 +453,15 @@ def _handle_curve(config: ExperimentConfig):
 
 def _handle_verify(config: ExperimentConfig):
     p = config.parameters
-    results = _VERIFY_DRIVERS[p["property"]](p, random.Random(config.seed))
+    prop = p.get("property")
+    if not isinstance(prop, str) or prop not in _VERIFY_DRIVERS:
+        raise ConfigError(f"unknown verify property {prop!r}; choose from "
+                          f"{', '.join(sorted(_VERIFY_DRIVERS))}")
+    unread = sorted(str(k).replace("_", "-") for k in
+                    set(p) - {"property", "report", *_VERIFY_FLAGS[prop]})
+    if unread:
+        raise ConfigError(f"verify {prop} does not read --" + ", --".join(unread))
+    results = _VERIFY_DRIVERS[prop](p, random.Random(config.seed))
     return results, [], [], []
 
 
@@ -923,9 +931,6 @@ def _config_from_args(args) -> ExperimentConfig:
             value = getattr(args, key)
             if value is None:
                 continue
-            if key not in _VERIFY_FLAGS[args.property]:
-                raise ConfigError(f"verify {args.property} does not read "
-                                  f"--{key.replace('_', '-')}")
             if key in ("x_cutoff", "t_height"):
                 value = _float_flag(args, key)
             elif value <= 0:

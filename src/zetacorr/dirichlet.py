@@ -4,7 +4,9 @@ Tables keep exact integer frequencies (python ints, so prime-power
 products never overflow) with complex coefficients.  Everything
 downstream -- truncated exponentials of prime sums, shifted products,
 exact mean values over a window, diagonal/Euler-product bounds -- works
-on these tables.
+on these tables.  Exponentials and products are computed on arrays
+of frequencies and coefficients, one entry per point of the exponent
+lattice of their primes.
 
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
@@ -29,6 +31,7 @@ _PRODUCT_MAX_DEFAULT = 500_000
 _MEAN_VALUE_MAX = 10_000
 # |log(m/n)| below this is recomputed pairwise from integers
 _NEAR_LOG_EPS = 1e-9
+_PAIR_CHUNK = 1 << 16       # coefficient pairs formed at once in a product
 
 
 @dataclass
@@ -75,94 +78,72 @@ class CoeffTable:
 def truncated_exp(
     spec: TruncSpec,
     table: PrimeTable,
-    prime_coeff=None,
     *,
     max_entries: int = _TABLE_MAX_DEFAULT,
 ) -> CoeffTable:
     """Coefficient table of sum_{d <= cap} (beta * P)^d / d!.
 
     P is the tapered prime sum over spec.interval with cutoff
-    spec.x_cutoff; `prime_coeff(p)` overrides the default taper weight
-    as the coefficient of p^(-s) in P.  The resulting coefficients are
-    supported on integers composed of the interval's primes with at
-    most spec.degree_cap prime factors counted with multiplicity.
+    spec.x_cutoff, with weight w_p = taper(p).  The coefficient at
+    prod p^(r_p) is prod (beta w_p)^(r_p) / r_p!, over the interval's
+    primes with sum r_p <= spec.degree_cap.
     """
     ps = [int(p) for p in table.in_interval(spec.interval)]
-    if prime_coeff is None:
-        weights = [taper_weight(p, spec.x_cutoff) for p in ps]
-    else:
-        weights = [complex(prime_coeff(p)) for p in ps]
-    entries = {1: 1.0 + 0.0j}
-    # depth-first over exponent patterns; per-prime factor for exponent
-    # r is (beta * w_p)^r / r!
-    def descend(idx, budget, freq, coeff):
-        if len(entries) > max_entries:
-            raise ResourceError(
-                f"coefficient table exceeds {max_entries} entries")
-        for i in range(idx, len(ps)):
-            p, w = ps[i], weights[i]
-            beta_w = spec.beta * w
-            if beta_w == 0:
-                continue
-            f, c, r = freq, coeff, 0
-            while r < budget:
-                r += 1
-                f = f * p
-                c = c * beta_w / r
-                entries[f] = entries.get(f, 0.0 + 0.0j) + c
-                if len(entries) > max_entries:
-                    raise ResourceError(
-                        f"coefficient table exceeds {max_entries} entries")
-                descend(i + 1, budget - r, f, c)
-        return None
-
-    if spec.degree_cap > 0:
-        descend(0, spec.degree_cap, 1, 1.0 + 0.0j)
+    live = [(p, spec.beta * taper_weight(p, spec.x_cutoff)) for p in ps]
+    live = [(p, beta_w) for p, beta_w in live if beta_w != 0]
+    cap = spec.degree_cap
+    size = math.comb(len(live) + cap, cap)
+    if size > max_entries:
+        raise ResourceError(f"coefficient table exceeds {max_entries} entries")
+    wide = cap * math.log2(max(ps, default=2)) >= 62
+    ns = np.ones(size, dtype=object if wide else np.int64)
+    degree = np.zeros(size, dtype=np.int64)
+    coeffs = np.ones(size)
+    # each prime extends every entry so far that has room; r factors of
+    # p take the entry's coefficient through c -> c * beta w_p / k for
+    # k = 1..r in turn
+    end = 1
+    for p, beta_w in live:
+        src = np.arange(end)
+        for k in range(1, cap + 1):
+            src = src[degree[src] < cap]
+            new = np.arange(end, end + len(src))
+            degree[new] = degree[src] + 1
+            ns[new] = ns[src] * p
+            coeffs[new] = coeffs[src] * beta_w / k
+            src, end = new, end + len(new)
     return CoeffTable(
-        entries=entries,
+        entries=dict(zip(ns.tolist(), coeffs.astype(np.complex128).tolist())),
         primes=tuple(ps),
         interval=spec.interval,
         x_cutoff=spec.x_cutoff,
-        max_omega=spec.degree_cap,
+        max_omega=cap,
     )
 
 
-def truncated_exp_scalar(w: complex, cap: int) -> complex:
-    """sum_{d <= cap} w^d / d!, ascending."""
-    if cap < 0:
-        raise DomainError("cap must be >= 0")
-    acc = KahanAccumulator(0.0 + 0.0j)
-    term = 1.0 + 0.0j
-    acc.add(term)
-    for d in range(1, cap + 1):
-        term = term * w / d
-        acc.add(term)
-    return acc.total
+def _convolve(a, b, max_entries: int):
+    """Product of two tables given as (frequencies, coefficients) arrays.
 
-
-def g_coeff(n: int, x_cutoff: float) -> float:
-    """Multiplicative taper coefficient: prod over p^r || n of
-    taper(p)^r / r!.
-
-    Trial-division factorization; fine for the smooth integers that
-    index coefficient tables.
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"index must be an int >= 1, got {n}")
-    out = 1.0
-    rem = n
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            r = 0
-            while rem % p == 0:
-                rem //= p
-                r += 1
-            out *= taper_weight(p, x_cutoff) ** r / math.factorial(r)
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        out *= taper_weight(rem, x_cutoff)
-    return out
+    Each pair multiplies frequencies and coefficients, and the pairs
+    are summed per frequency `_PAIR_CHUNK` at a time, in row-major pair
+    order, onto the sums of the chunks before.  More than `max_entries`
+    frequencies is refused as soon as they appear."""
+    (ns_a, coeffs_a), (ns_b, coeffs_b) = a, b
+    if int(ns_a.max(initial=1)) * int(ns_b.max(initial=1)) >= 1 << 63:
+        ns_a, ns_b = ns_a.astype(object), ns_b.astype(object)
+    ns = np.zeros(0, dtype=ns_a.dtype)
+    sums = np.zeros(0, dtype=np.complex128)
+    step = max(1, _PAIR_CHUNK // max(1, len(ns_b)))
+    for i in range(0, len(ns_a), step):
+        keys = np.concatenate([ns, (ns_a[i:i + step, None] * ns_b).ravel()])
+        pair = np.concatenate([sums, (coeffs_a[i:i + step, None] * coeffs_b).ravel()])
+        ns, slots = np.unique(keys, return_inverse=True)
+        if len(ns) > max_entries:
+            raise ResourceError(f"product table exceeds {max_entries} entries")
+        sums = np.empty(len(ns), dtype=np.complex128)
+        sums.real = np.bincount(slots, pair.real, len(ns))
+        sums.imag = np.bincount(slots, pair.imag, len(ns))
+    return ns, sums
 
 
 def product_coeffs(
@@ -194,28 +175,20 @@ def product_coeffs(
     ]
     if not factors:
         raise DomainError("need at least one factor table")
-    acc = {1: 1.0 + 0.0j}
-    for tab, alpha in factors:
-        twisted = {}
-        for n, c in tab.entries.items():
-            if alpha != 0.0:
-                c = c * complex(
-                    math.cos(alpha * math.log(n)), -math.sin(alpha * math.log(n)))
-            twisted[n] = c
-        nxt = {}
-        for n1, c1 in acc.items():
-            for n2, c2 in twisted.items():
-                key = n1 * n2
-                nxt[key] = nxt.get(key, 0.0 + 0.0j) + c1 * c2
-            if len(nxt) > max_entries:
-                raise ResourceError(
-                    f"product table exceeds {max_entries} entries")
-        acc = nxt
     lo = min(t.interval.lo for t, _ in factors)
     hi = max(t.interval.hi for t, _ in factors)
     primes = tuple(sorted({p for t, _ in factors for p in t.primes}))
+    acc = (np.ones(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
+    for tab, alpha in factors:
+        ns = np.array(list(tab.entries), dtype=np.int64
+                      if max(tab.entries, default=1) < 1 << 63 else object)
+        coeffs = np.array(list(tab.entries.values()), dtype=np.complex128)
+        if alpha != 0.0:
+            angle = alpha * _frequency_logs(tab.entries)
+            coeffs = coeffs * (np.cos(angle) - 1j * np.sin(angle))
+        acc = _convolve(acc, (ns, coeffs), max_entries)
     return CoeffTable(
-        entries=acc,
+        entries=dict(zip(acc[0].tolist(), acc[1].tolist())),
         primes=primes,
         interval=PrimeInterval(lo, hi),
         x_cutoff=max(t.x_cutoff for t, _ in factors),
@@ -230,17 +203,6 @@ def coeff_csv(table: CoeffTable) -> str:
         c = complex(table.entries[n])
         lines.append(f"{n},{c.real!r},{c.imag!r}")
     return "\n".join(lines) + "\n"
-
-
-def evaluate(table: CoeffTable, s: complex) -> complex:
-    """sum c(n) * n^(-s) over the table, ascending in n."""
-    acc = KahanAccumulator(0.0 + 0.0j)
-    for n in table.sorted_frequencies():
-        ln = math.log(n)
-        acc.add(table.entries[n] * complex(
-            math.exp(-s.real * ln) * math.cos(s.imag * ln),
-            -math.exp(-s.real * ln) * math.sin(s.imag * ln)))
-    return acc.total
 
 
 def _frequency_logs(ns):
@@ -411,11 +373,23 @@ def prime_power_coeff(p: int, r: int, shifts, betas, x_cutoff: float) -> complex
 
 
 def _lemma22_dps(beta_star: float, k_bound: float) -> int:
-    # The margin e^(-10 K beta*) needs 10 K beta* / ln 10 digits, and
-    # the series loses up to 4 K beta* / ln 10 more to cancellation
-    # when beta * Re P is strongly negative (peak term e^(beta |P|)
-    # against a result of size e^(beta Re P)).  Budget both.
+    # The margin e^(-10 K beta*) needs 10 K beta* / ln 10 digits.  The
+    # ascending series would lose up to 4 K beta* / ln 10 more to
+    # cancellation when beta * Re P is strongly negative (peak term
+    # e^(beta |P|) against a result of size e^(beta Re P)); the tail
+    # form of `lemma22_n_value` does not, so that budget is headroom.
     return 50 + int(math.ceil(14.0 * k_bound * beta_star / math.log(10.0)))
+
+
+def _lemma22_domain(p_value, beta, beta_star, k_bound) -> None:
+    if beta < 0 or beta_star < max(beta, 1.0):
+        raise DomainError("need 0 <= beta <= beta_star and beta_star >= 1")
+    if k_bound <= 0:
+        raise DomainError(f"block bound must be positive, got {k_bound}")
+    if abs(complex(p_value)) > 2.0 * k_bound * (1 + 1e-12):
+        raise DomainError(
+            f"|P| = {abs(complex(p_value))} exceeds the claimed disc radius "
+            f"2K = {2 * k_bound}; the inequality is not asserted there")
 
 
 def lemma22_n_value(
@@ -427,15 +401,24 @@ def lemma22_n_value(
     The domination margin sits exponentially far below double
     resolution, so the series partner of `lemma22_check` has to be
     carried at matching precision; this returns an mpmath complex.
+    It is formed as e^w minus the series tail, w = beta * P, which
+    takes none of the ascending series' cap terms and none of its
+    cancellation: on the claimed disc |w| <= 2 K beta* < (cap + 2) / 10,
+    so each tail term is under a tenth of the one before, and they are
+    summed until one no longer changes the result.  Raises the
+    DomainErrors of `lemma22_check`.
     """
+    _lemma22_domain(p_value, beta, beta_star, k_bound)
     cap = int(math.floor(20.0 * beta_star * k_bound))
     with mp.workdps(_lemma22_dps(beta_star, k_bound)):
         w = mp.mpc(p_value) * beta
-        term = mp.mpc(1)
-        total = mp.mpc(1)
-        for d in range(1, cap + 1):
+        total = mp.exp(w)
+        d = cap + 1
+        term = w ** d / mp.factorial(d)
+        while total - term != total:
+            total -= term
+            d += 1
             term = term * w / d
-            total += term
         return total
 
 
@@ -456,14 +439,7 @@ def lemma22_check(
     extended precision; `n_value` should come from `lemma22_n_value` or
     carry comparable precision, since the margin is far below 1e-16.
     """
-    if beta < 0 or beta_star < max(beta, 1.0):
-        raise DomainError("need 0 <= beta <= beta_star and beta_star >= 1")
-    if k_bound <= 0:
-        raise DomainError(f"block bound must be positive, got {k_bound}")
-    if abs(complex(p_value)) > 2.0 * k_bound * (1 + 1e-12):
-        raise DomainError(
-            f"|P| = {abs(complex(p_value))} exceeds the claimed disc radius "
-            f"2K = {2 * k_bound}; the inequality is not asserted there")
+    _lemma22_domain(p_value, beta, beta_star, k_bound)
     with mp.workdps(_lemma22_dps(beta_star, k_bound)):
         n_mag = abs(mp.mpc(n_value))
         if n_mag == 0:

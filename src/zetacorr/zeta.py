@@ -244,6 +244,13 @@ def riemann_siegel_Z(t, correction_terms: int = 2):
     rounding there).  Depth 6 is the cap; beyond it the fitted
     remainder tables stop improving.  Default depth 2 keeps sweeps
     cheap at ~2.5e-5 worst-case near t = 20, far finer at height.
+
+    A second term grows with t and does not shrink with R: theta(t)
+    and the phases t log n are formed in float64, and their rounding,
+    about t * 1e-16 rad, passes into Z.  Against mpmath.siegelz at the
+    float64 node, the worst of 20 nodes drawn from [t, 2t] was 3.1e-8
+    at t = 1e6 and 3.8e-6 at t = 1e8, at depths 2 and 4 alike; another
+    20 nodes gave 4.5e-9 and 9.3e-7.
     """
     if not isinstance(correction_terms, int) or isinstance(correction_terms, bool):
         raise ConfigError("correction_terms must be an int")

@@ -477,6 +477,23 @@ def test_verify_unread_flag_exits_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("params", [
+    {"property": "lemma99"},
+    {"property": "lemma22", "trials": 1, "points": 5},
+    {"property": "lemma21", "trials": 3},
+    {"property": "lemma26", "trials": 3},
+    {"property": "lemma33", "trials": 1, "t_height": 1e5},
+])
+def test_run_refuses_unread_verify_parameters(params):
+    # a library caller gets the command line's refusal, not a KeyError
+    # or a payload recording a key the property never read
+    cfg = cli.ExperimentConfig(kind="verify", parameters={"report": None, **params},
+                               seed=1, threads=1)
+    with pytest.raises(ConfigError) as err:
+        cli.run(cfg)
+    assert err.value.exit_code == 2
+
+
 def test_verify_rejects_bad_counts():
     with pytest.raises(SystemExit):
         cli.main(["verify", "nonsense"])

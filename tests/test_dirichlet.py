@@ -3,11 +3,13 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from zetacorr import dirichlet, primes
 from zetacorr.errors import DomainError, ResourceError
+from zetacorr.sums import KahanAccumulator
 
 
 def _spec(lo, hi, x_cutoff, beta, cap):
@@ -16,27 +18,60 @@ def _spec(lo, hi, x_cutoff, beta, cap):
         float(beta), int(cap))
 
 
-def test_truncated_exp_scalar_is_partial_exp():
-    rng = random.Random(0xE4B)
-    for _ in range(30):
-        w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        cap = rng.randint(0, 12)
-        got = dirichlet.truncated_exp_scalar(w, cap)
-        tail = abs(w) ** (cap + 1) / math.factorial(cap + 1) * math.exp(abs(w))
-        assert abs(got - complex(np.exp(w))) <= tail + 1e-15
+def g_coeff(n: int, x_cutoff: float) -> float:
+    """Oracle for table coefficients: prod over p^r || n of
+    taper(p)^r / r!, with n factored by trial division."""
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"index must be an int >= 1, got {n}")
+    out = 1.0
+    rem = n
+    p = 2
+    while p * p <= rem:
+        if rem % p == 0:
+            r = 0
+            while rem % p == 0:
+                rem //= p
+                r += 1
+            out *= primes.taper_weight(p, x_cutoff) ** r / math.factorial(r)
+        p += 1 if p == 2 else 2
+    if rem > 1:
+        out *= primes.taper_weight(rem, x_cutoff)
+    return out
+
+
+def truncated_exp_scalar(w: complex, cap: int) -> complex:
+    """Oracle for table evaluation: sum_{d <= cap} w^d / d!, ascending."""
+    acc = KahanAccumulator(0.0 + 0.0j)
+    term = 1.0 + 0.0j
+    acc.add(term)
+    for d in range(1, cap + 1):
+        term = term * w / d
+        acc.add(term)
+    return acc.total
+
+
+def evaluate(table, s: complex) -> complex:
+    """Oracle for a table's value: sum c(n) * n^(-s), ascending in n."""
+    acc = KahanAccumulator(0.0 + 0.0j)
+    for n in table.sorted_frequencies():
+        ln = math.log(n)
+        acc.add(table.entries[n] * complex(
+            math.exp(-s.real * ln) * math.cos(s.imag * ln),
+            -math.exp(-s.real * ln) * math.sin(s.imag * ln)))
+    return acc.total
 
 
 def test_g_coeff_examples():
     # multiplicative weights: g(1)=1; X=p^2 gives taper 1/2, and the
     # square then carries (1/2)^2/2! = 1/8
-    assert dirichlet.g_coeff(1, 9.0) == 1.0
-    assert math.isclose(dirichlet.g_coeff(3, 9.0), 0.5, rel_tol=1e-15)
-    assert math.isclose(dirichlet.g_coeff(9, 9.0), 0.125, rel_tol=1e-15)
+    assert g_coeff(1, 9.0) == 1.0
+    assert math.isclose(g_coeff(3, 9.0), 0.5, rel_tol=1e-15)
+    assert math.isclose(g_coeff(9, 9.0), 0.125, rel_tol=1e-15)
 
 
 def test_g_coeff_general_multiplicativity():
     x = 1000.0
-    got = dirichlet.g_coeff(2 * 2 * 3 * 5, x)
+    got = g_coeff(2 * 2 * 3 * 5, x)
     want = (primes.taper_weight(2, x) ** 2 / 2.0
             * primes.taper_weight(3, x)
             * primes.taper_weight(5, x))
@@ -45,9 +80,9 @@ def test_g_coeff_general_multiplicativity():
 
 def test_g_coeff_validation():
     with pytest.raises(DomainError):
-        dirichlet.g_coeff(0, 10.0)
+        g_coeff(0, 10.0)
     with pytest.raises(DomainError):
-        dirichlet.g_coeff(22, 10.0)  # contains prime 11 > cutoff
+        g_coeff(22, 10.0)  # contains prime 11 > cutoff
 
 
 def test_truncated_exp_coefficient_identity(table_small):
@@ -63,7 +98,7 @@ def test_truncated_exp_coefficient_identity(table_small):
                 omega += 1
                 m //= d
             d += 1
-        want = spec.beta ** omega * dirichlet.g_coeff(n, spec.x_cutoff)
+        want = spec.beta ** omega * g_coeff(n, spec.x_cutoff)
         worst = max(worst, abs(c - want))
     assert worst <= 1e-13
 
@@ -78,8 +113,8 @@ def test_truncated_exp_dual_route(table_small):
         s = complex(rng.uniform(0.4, 1.2), rng.uniform(-30.0, 30.0))
         p_val = spec.beta * complex(primes.tapered_block_sum(
             table_small, spec.interval, spec.x_cutoff, s.real, [s.imag])[0])
-        direct = dirichlet.truncated_exp_scalar(p_val, spec.degree_cap)
-        via_table = dirichlet.evaluate(tab, s)
+        direct = truncated_exp_scalar(p_val, spec.degree_cap)
+        via_table = evaluate(tab, s)
         assert abs(direct - via_table) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -115,6 +150,86 @@ def test_product_coeffs_prime_formula(table_small):
         for p in (3, 5, 7, 11):
             want = dirichlet.prime_power_coeff(p, 1, alphas, betas, 150.0)
             assert abs(prod.coeff(p) - want) <= 1e-12
+
+
+def _truncated_exp_reference(spec, table):
+    """The per-entry recursion that built tables before the lattice."""
+    ps = [int(p) for p in table.in_interval(spec.interval)]
+    entries = {1: 1.0 + 0.0j}
+
+    def descend(idx, budget, freq, coeff):
+        for i in range(idx, len(ps)):
+            beta_w = spec.beta * primes.taper_weight(ps[i], spec.x_cutoff)
+            if beta_w == 0:
+                continue
+            f, c = freq, coeff
+            for r in range(1, budget + 1):
+                f, c = f * ps[i], c * beta_w / r
+                entries[f] = c
+                descend(i + 1, budget - r, f, c)
+
+    descend(0, spec.degree_cap, 1, 1.0 + 0.0j)
+    return entries
+
+
+def _product_reference(factors):
+    """The per-pair dict convolution of twisted tables."""
+    acc = {1: 1.0 + 0.0j}
+    for tab, alpha in factors:
+        nxt = {}
+        for n1, c1 in acc.items():
+            for n2, c2 in tab.entries.items():
+                twist = complex(math.cos(alpha * math.log(n2)),
+                                -math.sin(alpha * math.log(n2)))
+                nxt[n1 * n2] = nxt.get(n1 * n2, 0j) + c1 * (c2 * twist)
+        acc = nxt
+    return acc
+
+
+def test_lattice_tables_match_the_per_entry_reference(table_small, monkeypatch):
+    # exponentials keep the recursion's bits; products sum in another
+    # order, so they agree to a few ulps of the largest coefficient.
+    # Each chunk of pairs is summed onto the cells before it, so chunks
+    # of 7 pairs give the bits of one chunk.
+    rng = random.Random(0x1A7)
+    cases = [[(_spec(2, 60, 3600, 1.0, 1), 0.0), (_spec(60, 100, 10_000, 0.7, 1), 0.0)]]
+    for _ in range(6):
+        cases.append([(_spec(2, 11, 150, rng.uniform(0, 2), 3), rng.uniform(-4, 4))
+                      for _ in range(rng.randint(1, 3))])
+    for factors in cases:
+        tables = [(dirichlet.truncated_exp(s, table_small), a) for s, a in factors]
+        for (spec, _), (tab, _) in zip(factors, tables):
+            assert tab.entries == _truncated_exp_reference(spec, table_small)
+        prod = dirichlet.product_coeffs(tables)
+        want = _product_reference(tables)
+        assert prod.entries.keys() == want.keys()
+        scale = 64 * np.finfo(np.float64).eps * max(abs(c) for c in want.values())
+        assert all(abs(prod.entries[n] - c) <= scale for n, c in want.items())
+        with monkeypatch.context() as m:
+            m.setattr(dirichlet, "_PAIR_CHUNK", 7)
+            assert dirichlet.product_coeffs(tables).entries == prod.entries
+
+
+def test_wide_cap_one_table(table_mega):
+    # 9591 primes and 9592 entries: one entry per prime, and no dense
+    # exponent array over the interval's primes
+    spec = _spec(2, 100_000, 200_000, 0.5, 1)
+    tab = dirichlet.truncated_exp(spec, table_mega)
+    ps = [int(p) for p in table_mega.in_interval(spec.interval)]
+    assert len(ps) == 9591 and len(tab) == 9592
+    assert tab.entries == {1: 1.0 + 0.0j, **{
+        p: 0.5 * primes.taper_weight(p, 200_000.0) + 0.0j for p in ps}}
+
+
+def test_product_coeffs_entry_budget(table_small, monkeypatch):
+    # two cap-3 factors over the four primes of (2, 11] give all 210
+    # products of at most 6 of them; the budget is exact, in any chunking
+    factors = [(_spec(2, 11, 150, 1.2, 3), 0.4), (_spec(2, 11, 150, 0.8, 3), -1.1)]
+    for chunk in (1 << 16, 7):
+        monkeypatch.setattr(dirichlet, "_PAIR_CHUNK", chunk)
+        assert len(dirichlet.product_coeffs(factors, table_small, max_entries=210)) == 210
+        with pytest.raises(ResourceError):
+            dirichlet.product_coeffs(factors, table_small, max_entries=209)
 
 
 def test_product_coeffs_permutation_invariant(table_small):
@@ -305,12 +420,62 @@ def test_inverse_bound_degenerate_inputs():
 
 
 def test_inverse_bound_rejects_outside_disc():
-    with pytest.raises(DomainError):
-        dirichlet.lemma22_check(11.0 + 0.0j, 1.0, 1.0, 5.0, 1.0 + 0.0j)
-    with pytest.raises(DomainError):
-        dirichlet.lemma22_check(1.0 + 0.0j, 2.0, 1.0, 5.0, 1.0 + 0.0j)
-    with pytest.raises(DomainError):
-        dirichlet.lemma22_check(1.0 + 0.0j, 0.5, 0.5, 5.0, 1.0 + 0.0j)
+    for check in (
+            lambda p, b, bs, k: dirichlet.lemma22_check(p, b, bs, k, 1.0 + 0.0j),
+            dirichlet.lemma22_n_value):
+        with pytest.raises(DomainError):
+            check(11.0 + 0.0j, 1.0, 1.0, 5.0)
+        with pytest.raises(DomainError):
+            check(1.0 + 0.0j, 2.0, 1.0, 5.0)
+        with pytest.raises(DomainError):
+            check(1.0 + 0.0j, 0.5, 0.5, 5.0)
+
+
+def _lemma22_draws(count, seed):
+    """Draws from `_verify_lemma22`'s distribution, then P = 0, beta = 0,
+    and the disc edge |P| = 2K at theta = pi with beta = beta*, the
+    draw where the series tail is largest, for every (K, beta*)."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        k_bound = rng.choice((5.0, 10.0, 19.18))
+        b_star = rng.choice((1.0, 2.0, 3.0))
+        beta = rng.uniform(0.0, b_star)
+        radius = 2.0 * k_bound * math.sqrt(rng.random())
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        draws.append((complex(radius * math.cos(theta), radius * math.sin(theta)),
+                      beta, b_star, k_bound))
+    for k_bound in (5.0, 10.0, 19.18):
+        for b_star in (1.0, 2.0, 3.0):
+            draws += [(0.0 + 0.0j, b_star, b_star, k_bound),
+                      (complex(k_bound, -k_bound), 0.0, b_star, k_bound),
+                      (complex(-2.0 * k_bound, 0.0), b_star, b_star, k_bound)]
+    return draws
+
+
+def _ascending_n_value(p_val, beta, b_star, k_bound):
+    """Oracle for N: the ascending series sum_{d <= cap} w^d / d!."""
+    with mpmath.workdps(dirichlet._lemma22_dps(b_star, k_bound)):
+        w = mpmath.mpc(p_val) * beta
+        term = total = mpmath.mpc(1)
+        for d in range(1, math.floor(20.0 * b_star * k_bound) + 1):
+            term = term * w / d
+            total += term
+        return total
+
+
+def test_inverse_bound_n_value_matches_ascending_series():
+    # the series loses up to 4 K beta* / ln 10 of the working digits to
+    # cancellation, which leaves it 45 digits below the margin
+    # eps = e^(-10 K beta*); agreement to 40 digits below eps is checked
+    for draw in _lemma22_draws(120, 0x22C):
+        _, _, b_star, k_bound = draw
+        got, want = dirichlet.lemma22_n_value(*draw), _ascending_n_value(*draw)
+        with mpmath.workdps(dirichlet._lemma22_dps(b_star, k_bound)):
+            eps = mpmath.exp(-10.0 * k_bound * b_star)
+            assert abs(got - want) <= 1e-40 * eps * abs(want), draw
+        assert dirichlet.lemma22_check(*draw, got), draw
+        assert dirichlet.lemma22_check(*draw, want), draw
 
 
 def _sparse_factor(rng, interval, freqs):
