@@ -15,7 +15,7 @@ The package splits into five layers:
   prediction, and decorrelation curves against separation.
 
 `cli` ties the layers into reproducible experiments with canonical
-JSON reports.
+JSON reports; `verify` holds the seeded drivers of its lemma checks.
 """
 
 from .errors import (
@@ -42,7 +42,6 @@ from .zeta import (
     OneLinePoint,
     ZetaGrid,
     cache_read,
-    critical_line_value,
     hardy_theta,
     riemann_siegel_Z,
     sample_critical_line,
@@ -53,7 +52,6 @@ from .dirichlet import (
     CoeffTable,
     SplittingCheck,
     TruncSpec,
-    coeff_csv,
     diagonal_sum,
     euler_bound,
     exact_mv_integral,
@@ -72,7 +70,6 @@ from .blocks import (
     GridClassification,
     ShiftPartitionLabel,
     SieveBlockEngines,
-    SyntheticBlockEngines,
     beta_star,
     block_measure_bound,
     build_scheme,

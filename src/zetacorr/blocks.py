@@ -214,27 +214,6 @@ class SieveBlockEngines:
             self.table, square_band_interval(band), 0.5, t_values)
 
 
-class SyntheticBlockEngines:
-    """Injectable evaluators for exercising classifier logic in tests.
-
-    `block_fn(j, s, t_values)` and `square_fn(band, t_values)` return
-    arrays shaped like t_values.
-    """
-
-    def __init__(self, scheme: BlockScheme, block_fn=None, square_fn=None):
-        self.scheme = scheme
-        self._block_fn = block_fn or (
-            lambda j, s, t: np.zeros(np.shape(t), dtype=np.complex128))
-        self._square_fn = square_fn or (
-            lambda band, t: np.zeros(np.shape(t), dtype=np.complex128))
-
-    def block_sum(self, j, s, t_values):
-        return np.asarray(self._block_fn(j, s, np.asarray(t_values)))
-
-    def square_sum(self, band, t_values):
-        return np.asarray(self._square_fn(band, np.asarray(t_values)))
-
-
 @dataclass
 class GridClassification:
     """Vector classification of a t grid.

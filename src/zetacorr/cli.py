@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks, dirichlet, moments, primes, zeta
+from . import blocks, moments, primes, verify, zeta
 from .errors import (
     CacheFormatError,
     ConfigError,
@@ -154,8 +154,9 @@ def eval_alpha_formula(expr: str, t_height: float):
 
 
 # ---------------------------------------------------------------------------
-# config fields: one ordered table per subcommand, read by read_config.
-# A parser gets the raw JSON value and the fields parsed before it.
+# parameter rows, read by read_config: config files, command-line flags
+# and `run` dicts all pass them.  A parser gets the raw value and the
+# fields parsed before it.
 
 _REQUIRED = object()
 
@@ -200,15 +201,36 @@ def _step(val, fields) -> float:
     return step
 
 
-def _int(val, fields=None) -> int:
+def _positive(val, fields) -> float:
+    out = _real(val)
+    if out <= 0.0:
+        raise ConfigError(f"must be positive, got {out}")
+    return out
+
+
+def _t1(val, fields) -> float:
+    t1 = _real(val)
+    if t1 < fields["t0"]:
+        raise ConfigError(f"must be >= t0 = {fields['t0']}, got {t1}")
+    return t1
+
+
+def _int(val) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"must be an integer, got {val!r}")
     return val
 
 
-def _band_count(val, fields) -> int:
-    if _int(val) < 1:
+def _count(val, fields=None) -> int:
+    # finite as a float, like every number here
+    if _real(_int(val)) < 1:
         raise ConfigError(f"must be >= 1, got {val}")
+    return val
+
+
+def _rs_terms(val, fields=None) -> int:
+    if not 0 <= _int(val) <= zeta.MAX_CORRECTION_TERMS:
+        raise ConfigError(f"must lie in 0..{zeta.MAX_CORRECTION_TERMS}, got {val}")
     return val
 
 
@@ -231,32 +253,52 @@ def _abscissa(val, fields) -> str:
 _T = ("T", _real, _REQUIRED)
 _BETA = ("beta", _reals, _REQUIRED)
 _STEP = ("step", _step, _REQUIRED)
-_RS_TERMS = ("rs_terms", _int, 4)
+_RS_TERMS = ("rs_terms", _rs_terms, 4)
+_T0 = ("t0", _real, _REQUIRED)
+_GRID_STEP = ("step", _positive, _REQUIRED)
 
-# (field, parser, default) rows in parse order
+# (field, parser, default) rows in parse order: the fields of a config file
 _CONFIG_FIELDS = {
     "moment": (_T, ("alpha", _shifts, _REQUIRED), _BETA, _STEP, _RS_TERMS),
     "predict": (_T, ("alpha", _shifts, _REQUIRED), _BETA),
     "curve": (_T, ("beta", _curve_beta, _REQUIRED),
               ("deltas", _shifts, _REQUIRED), _STEP, _RS_TERMS),
     "classify": (_T, _BETA, ("exponent_scale", _real, None),
-                 ("band_count", _band_count, None),
+                 ("band_count", _count, None),
                  ("abscissa", _abscissa, "half")),
 }
 
+# the grid flags of `sample` and `classify`
+_FLAG_FIELDS = {
+    "sample": (_T0, ("t1", _real, _REQUIRED), _GRID_STEP, _RS_TERMS),
+    "classify": (_T0, ("t1", _t1, _REQUIRED), _GRID_STEP),
+}
 
-def read_config(kind: str, cfg: dict) -> dict:
-    """The fields of a `kind` config file, parsed in table order; an
-    absent or null field takes its default."""
+# property -> (driver, rows); `verify` refuses every other key
+_VERIFY = {
+    "lemma21": (verify.lemma21, (("points", _count, 10_000),
+                                 ("t_height", _real, 1e5))),
+    "lemma22": (verify.lemma22, (("trials", _count, 10_000),)),
+    "lemma23": (verify.lemma23, (("trials", _count, 100),)),
+    "lemma24": (verify.lemma24, (("trials", _count, 50),)),
+    "lemma26": (verify.lemma26, (("x_cutoff", _real, 1e5),)),
+    "lemma33": (verify.lemma33, (("trials", _count, 1000),)),
+    "prop34": (verify.prop34, (("trials", _count, 50),)),
+}
+
+
+def read_config(rows, values: dict, what: str) -> dict:
+    """`values` parsed through `rows` in order; an absent or null field
+    takes its default.  Errors name a field as `what` then its key."""
     fields = {}
-    for key, parse, default in _CONFIG_FIELDS[kind]:
-        if cfg.get(key) is not None:
+    for key, parse, default in rows:
+        if values.get(key) is not None:
             try:
-                fields[key] = parse(cfg[key], fields)
+                fields[key] = parse(values[key], fields)
             except ConfigError as exc:
-                raise ConfigError(f"{kind} config field {key!r}: {exc}") from None
+                raise ConfigError(f"{what} {key!r}: {exc}") from None
         elif default is _REQUIRED:
-            raise ConfigError(f"{kind} config missing required field {key!r}")
+            raise ConfigError(f"{what} {key!r} is required")
         else:
             fields[key] = default
     return fields
@@ -308,21 +350,24 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
 
 def _handle_sample(config: ExperimentConfig):
     p = config.parameters
+    f = read_config(_FLAG_FIELDS["sample"], p, "sample parameter")
     grid = zeta.sample_critical_line(
-        p["t0"], p["t1"], p["step"],
-        correction_terms=p["rs_terms"],
+        f["t0"], f["t1"], f["step"],
+        correction_terms=f["rs_terms"],
         workers=config.threads,
     )
     results = {
-        "t0": p["t0"], "t1": p["t1"], "step": p["step"],
-        "rs_terms": p["rs_terms"], "count": grid.count,
+        "t0": f["t0"], "t1": f["t1"], "step": f["step"],
+        "rs_terms": f["rs_terms"], "count": grid.count,
     }
     return results, [], [], [(p["out"], zeta.cache_bytes(grid))]
 
 
 def _handle_classify(config: ExperimentConfig):
     p = config.parameters
-    c = read_config("classify", p["config"])
+    f = read_config(_FLAG_FIELDS["classify"], p, "classify parameter")
+    c = read_config(_CONFIG_FIELDS["classify"], p["config"],
+                    "classify config field")
     scheme = blocks.build_scheme(
         c["T"], c["beta"], exponent_scale_override=c["exponent_scale"])
     band_count = c["band_count"]
@@ -333,13 +378,13 @@ def _handle_classify(config: ExperimentConfig):
         warnings.append(
             "scheme is degenerate (no blocks at this height and scale); "
             "good/bad classification is vacuous")
-    step = p["step"]
+    step = f["step"]
     if step > _CLASSIFY_STEP_NOTE:
         warnings.append(
             f"grid spacing {step} exceeds the {_CLASSIFY_STEP_NOTE} "
             f"measure-resolution guideline")
-    count = zeta.grid_count(p["t0"], p["t1"], step)
-    t = p["t0"] + np.arange(count, dtype=np.float64) * step
+    count = zeta.grid_count(f["t0"], f["t1"], step)
+    t = f["t0"] + np.arange(count, dtype=np.float64) * step
 
     sieve_top = max(
         [64.0]
@@ -384,7 +429,7 @@ def _handle_classify(config: ExperimentConfig):
 
 def _handle_moment(config: ExperimentConfig):
     p = config.parameters
-    c = read_config("moment", p["config"])
+    c = read_config(_CONFIG_FIELDS["moment"], p["config"], "moment config field")
     spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     grid, versions = _provision_grid(
         c["T"], c["alpha"], c["step"], c["rs_terms"], config.threads,
@@ -405,7 +450,8 @@ def _handle_moment(config: ExperimentConfig):
 
 
 def _handle_predict(config: ExperimentConfig):
-    c = read_config("predict", config.parameters["config"])
+    c = read_config(_CONFIG_FIELDS["predict"], config.parameters["config"],
+                    "predict config field")
     spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     results = {
         "prediction": moments.predict_bound(spec),
@@ -431,7 +477,7 @@ def curve_csv(rows) -> str:
 
 def _handle_curve(config: ExperimentConfig):
     p = config.parameters
-    c = read_config("curve", p["config"])
+    c = read_config(_CONFIG_FIELDS["curve"], p["config"], "curve config field")
     grid, versions = _provision_grid(
         c["T"], [0.0] + c["deltas"], c["step"], c["rs_terms"], config.threads,
         p.get("cache"))
@@ -454,15 +500,16 @@ def _handle_curve(config: ExperimentConfig):
 def _handle_verify(config: ExperimentConfig):
     p = config.parameters
     prop = p.get("property")
-    if not isinstance(prop, str) or prop not in _VERIFY_DRIVERS:
+    if not isinstance(prop, str) or prop not in _VERIFY:
         raise ConfigError(f"unknown verify property {prop!r}; choose from "
-                          f"{', '.join(sorted(_VERIFY_DRIVERS))}")
+                          f"{', '.join(sorted(_VERIFY))}")
+    driver, rows = _VERIFY[prop]
     unread = sorted(str(k).replace("_", "-") for k in
-                    set(p) - {"property", "report", *_VERIFY_FLAGS[prop]})
+                    set(p) - {"property", "report", *(key for key, _, _ in rows)})
     if unread:
         raise ConfigError(f"verify {prop} does not read --" + ", --".join(unread))
-    results = _VERIFY_DRIVERS[prop](p, random.Random(config.seed))
-    return results, [], [], []
+    fields = read_config(rows, p, f"verify {prop} parameter")
+    return driver(random.Random(config.seed), **fields), [], [], []
 
 
 _HANDLERS = {
@@ -476,7 +523,8 @@ _HANDLERS = {
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Dispatch a validated config, then write artifacts and the report."""
+    """Dispatch a run request, then write artifacts and the report.  Each
+    handler parses the parameters it reads through their rows."""
     started = time.monotonic()
     results, warnings, cache_versions, artifacts = _HANDLERS[config.kind](config)
     payload = _pyify({
@@ -524,247 +572,6 @@ def _write_all(outputs) -> None:
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise ConfigError(f"cannot write outputs: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# verify drivers; each maps (parameters, rng) to its results
-
-_LEMMA26_CAP = 3.0      # allowed |prime cosine sum - log|zeta(1 + 1/log X + i delta)||
-_MV_WINDOW = 1e6        # mean values are taken over [T, 2T] with this T
-_COEFF_TERMS_MAX = 1000     # a lemma23 table has 1..this entries
-_COEFF_FREQ_MAX = 10_000    # at distinct frequencies in 1..this
-
-
-def _verify_lemma26(p, rng):
-    x_cutoff = p.get("x_cutoff", 1e5)
-    table = primes.sieve_primes(int(x_cutoff))
-    deltas = np.arange(1001, dtype=np.float64) * 0.05     # 0, 0.05, ..., 50
-    lhs = primes.pretentious_cos_sum(table, x_cutoff, deltas)
-    offset = 1.0 / math.log(x_cutoff)
-    rhs = np.array([
-        math.log(zeta.zeta_one_line(float(d), offset).modulus)
-        for d in deltas
-    ])
-    dev = np.abs(lhs - rhs)
-    worst = int(np.argmax(dev))
-    return {
-        "points": deltas.size,
-        "cutoff": x_cutoff,
-        "max_abs_deviation": float(dev[worst]),
-        "argmax_delta": float(deltas[worst]),
-        "deviation_cap": _LEMMA26_CAP,
-        "violations": int(np.count_nonzero(dev > _LEMMA26_CAP)),
-    }
-
-
-def _verify_lemma22(p, rng):
-    trials = p.get("trials", 10_000)
-    k_choices = (5.0, 10.0, 19.18)
-    bstar_choices = (1.0, 2.0, 3.0)
-    violations = 0
-    for _ in range(trials):
-        k_bound = rng.choice(k_choices)
-        beta_star = rng.choice(bstar_choices)
-        beta = rng.uniform(0.0, beta_star)
-        radius = 2.0 * k_bound * math.sqrt(rng.random())
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        p_val = complex(radius * math.cos(theta), radius * math.sin(theta))
-        n_val = dirichlet.lemma22_n_value(p_val, beta, beta_star, k_bound)
-        if not dirichlet.lemma22_check(p_val, beta, beta_star, k_bound, n_val):
-            violations += 1
-    return {"trials": trials, "violations": violations}
-
-
-def _random_coeff_table(rng):
-    count = rng.randint(1, _COEFF_TERMS_MAX)
-    freqs = rng.sample(range(1, _COEFF_FREQ_MAX + 1), count)
-    entries = {
-        n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs
-    }
-    return dirichlet.CoeffTable(
-        entries=entries, primes=(), x_cutoff=float(_COEFF_FREQ_MAX), max_omega=0,
-        interval=primes.PrimeInterval(1.0, _COEFF_FREQ_MAX))
-
-
-def _verify_lemma23(p, rng):
-    trials = p.get("trials", 100)
-    violations = 0
-    worst_ratio = 0.0
-    for _ in range(trials):
-        tab = _random_coeff_table(rng)
-        mv = dirichlet.exact_mv_integral(tab, _MV_WINDOW)
-        diag = dirichlet.mean_value_diagonal(tab, _MV_WINDOW)
-        bound = dirichlet.off_diagonal_bound(tab)
-        gap = abs(mv - diag)
-        if gap > bound * (1 + 1e-9) + 1e-9:
-            violations += 1
-        if bound > 0:
-            worst_ratio = max(worst_ratio, gap / bound)
-    return {
-        "trials": trials, "violations": violations,
-        "worst_gap_to_bound": worst_ratio, "t_len": _MV_WINDOW,
-    }
-
-
-def _verify_lemma24(p, rng):
-    trials = p.get("trials", 50)
-    table = primes.sieve_primes(64)
-    violations = 0
-    worst = 0.0
-    for _ in range(trials):
-        cut = rng.choice([5.0, 7.0])
-        top = rng.choice([17.0, 19.0])
-        cap1 = rng.choice([1, 2])
-        spec1 = dirichlet.TruncSpec(
-            primes.PrimeInterval(2.0, cut), 64.0, rng.uniform(0.3, 2.0), cap1)
-        spec2 = dirichlet.TruncSpec(
-            primes.PrimeInterval(cut, top), 64.0, rng.uniform(0.3, 2.0), 1)
-        tab1 = dirichlet.truncated_exp(spec1, table)
-        tab2 = dirichlet.truncated_exp(spec2, table)
-        length = max(tab1.entries) * max(tab2.entries)
-        lhs, rhs = dirichlet.splitting_check([tab1, tab2], _MV_WINDOW)
-        gap = abs(lhs - rhs) / rhs
-        allowed = 10.0 * length / _MV_WINDOW
-        worst = max(worst, gap / allowed)
-        if gap > allowed:
-            violations += 1
-    return {
-        "trials": trials, "violations": violations,
-        "worst_gap_to_allowance": worst, "t_len": _MV_WINDOW,
-    }
-
-
-def _verify_lemma33(p, rng):
-    trials = p.get("trials", 1000)
-    table = primes.sieve_primes(64)
-    interval = primes.PrimeInterval(2.0, 11.0)
-    x_cutoff = 200.0
-    violations = 0
-    worst_formula = 0.0
-    for _ in range(trials):
-        m = rng.randint(1, 3)
-        alphas = [rng.uniform(-5.0, 5.0) for _ in range(m)]
-        betas = [rng.uniform(0.0, 2.0) for _ in range(m)]
-        factors = []
-        for a, b in zip(alphas, betas):
-            spec = dirichlet.TruncSpec(interval, x_cutoff, b, 6)
-            factors.append((spec, a))
-        prod = dirichlet.product_coeffs(factors, table)
-        beta_star = math.fsum(max(1.0, b) for b in betas)
-        for prime in prod.primes:
-            expect = dirichlet.prime_power_coeff(
-                prime, 1, alphas, betas, x_cutoff)
-            gap = abs(prod.coeff(prime) - expect)
-            worst_formula = max(worst_formula, gap)
-            if gap > 1e-12:
-                violations += 1
-            f = prime
-            for r in range(1, 7):
-                if r > 1:
-                    f *= prime
-                cap = beta_star ** r * m ** r / math.factorial(r)
-                if abs(prod.coeff(f)) > cap * (1 + 1e-12):
-                    violations += 1
-    return {
-        "trials": trials, "violations": violations,
-        "worst_formula_gap": worst_formula,
-    }
-
-
-def _verify_prop34(p, rng):
-    trials = p.get("trials", 50)
-    table = primes.sieve_primes(256)
-    violations = 0
-    worst = 0.0
-    for i in range(trials):
-        sigma0 = rng.uniform(0.5, 1.2)
-        if i % 2 == 0:
-            lo = rng.choice([2.0, 3.0, 5.0])
-            hi = rng.choice([20.0, 40.0, 60.0])
-            spec = dirichlet.TruncSpec(
-                primes.PrimeInterval(lo, hi), 256.0,
-                rng.uniform(0.0, 2.0), rng.randint(1, 4))
-            tab = dirichlet.truncated_exp(spec, table)
-        else:
-            # synthetic multiplicative table over a few primes
-            ps = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4))
-            ps.sort()
-            cap = rng.randint(1, 3)
-            prime_vals = {
-                q: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for q in ps
-            }
-            entries = {1: 1.0 + 0.0j}
-            def extend(idx, freq, coeff, room):
-                for k in range(idx, len(ps)):
-                    q = ps[k]
-                    f, c = freq, coeff
-                    for _r in range(room):
-                        f, c = f * q, c * prime_vals[q]
-                        entries[f] = c
-                        extend(k + 1, f, c, room - _r - 1)
-            extend(0, 1, 1.0 + 0.0j, cap)
-            tab = dirichlet.CoeffTable(
-                entries=entries, primes=tuple(ps),
-                interval=primes.PrimeInterval(ps[0] - 0.5, ps[-1] + 0.5),
-                x_cutoff=256.0, max_omega=cap)
-        diag = dirichlet.diagonal_sum(tab, sigma0)
-        bound = dirichlet.euler_bound(tab, sigma0)
-        if diag > bound * (1 + 1e-12):
-            violations += 1
-        worst = max(worst, diag / bound)
-    return {
-        "trials": trials, "violations": violations,
-        "worst_diag_to_bound": worst,
-    }
-
-
-def _verify_lemma21(p, rng):
-    points = p.get("points", 10_000)
-    t_height = p.get("t_height", 1e5)
-    table = primes.sieve_primes(int(t_height))
-
-    def audit(n):
-        # left-endpoint grid so that doubling n nests the sample: the
-        # refined maximum can only creep up, and the creep measures
-        # grid sensitivity rather than resampling noise
-        step = t_height / n
-        t = t_height + np.arange(n, dtype=np.float64) * step
-        z = zeta.riemann_siegel_Z(t, 4)
-        with np.errstate(divide="ignore"):
-            lhs = np.log(np.abs(z))
-        rhs = moments.lemma21_rhs(t, 0.0, t_height, table, t_height=t_height)
-        return float(np.max(lhs - rhs))
-
-    c0 = audit(points)
-    c0_doubled = audit(2 * points)
-    # the constant lives on a unit-to-ten scale; judge the 20% drift
-    # band against that scale so a near-zero maximum is not penalized
-    drift_scale = max(1.0, abs(c0), abs(c0_doubled))
-    stable = abs(c0_doubled - c0) <= 0.2 * drift_scale
-    return {
-        "points": points,
-        "t_height": t_height,
-        "c0": c0,
-        "c0_doubled": c0_doubled,
-        "drift": abs(c0_doubled - c0),
-        "stable": stable,
-        "violations": 0 if (c0 <= 10.0 and c0_doubled <= 10.0 and stable) else 1,
-    }
-
-
-_VERIFY_DRIVERS = {
-    "lemma21": _verify_lemma21,
-    "lemma22": _verify_lemma22,
-    "lemma23": _verify_lemma23,
-    "lemma24": _verify_lemma24,
-    "lemma26": _verify_lemma26,
-    "lemma33": _verify_lemma33,
-    "prop34": _verify_prop34,
-}
-
-# the flags each property reads; `verify` refuses the others
-_VERIFY_FLAGS = {prop: ("trials",) for prop in _VERIFY_DRIVERS}
-_VERIFY_FLAGS.update(lemma21=("points", "t_height"), lemma26=("x_cutoff",))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +694,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="randomized property drivers")
-    p.add_argument("property", choices=sorted(_VERIFY_DRIVERS))
+    p.add_argument("property", choices=sorted(_VERIFY))
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--x-cutoff", type=float, default=None)
@@ -895,51 +702,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _float_flag(args, name) -> float:
-    """A float flag's value, put through the config number check."""
-    try:
-        return _real(getattr(args, name))
-    except ConfigError as exc:
-        raise ConfigError(f"--{name.replace('_', '-')} {exc}") from None
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    kind = args.command
-    params: dict = {"report": args.report}
-    if kind == "sample":
-        t0, t1, step = (_float_flag(args, k) for k in ("t0", "t1", "step"))
-        if step <= 0:
-            raise ConfigError(f"step must be positive, got {step}")
-        params.update(t0=t0, t1=t1, step=step,
-                      rs_terms=args.rs_terms, out=args.out)
-    elif kind == "classify":
-        t0, t1, step = (_float_flag(args, k) for k in ("t0", "t1", "step"))
-        params.update(config=load_config(args.config), t0=t0,
-                      t1=t1, step=step, out=args.out)
-        if step <= 0 or t1 < t0:
-            raise ConfigError("classify needs step > 0 and t1 >= t0")
-    elif kind in ("moment", "predict"):
-        params.update(config=load_config(args.config))
-        if kind == "moment":
-            params["cache"] = args.cache
-    elif kind == "curve":
-        params.update(config=load_config(args.config), out=args.out,
-                      cache=args.cache, plot=args.plot)
-    elif kind == "verify":
-        params["property"] = args.property
-        for key in ("trials", "points", "x_cutoff", "t_height"):
-            value = getattr(args, key)
-            if value is None:
-                continue
-            if key in ("x_cutoff", "t_height"):
-                value = _float_flag(args, key)
-            elif value <= 0:
-                raise ConfigError(f"{key} must be positive")
-            params[key] = value
+    """The run request of parsed argv: every flag given, `report` always,
+    and the `--config` file loaded.  The handlers check the values."""
+    params = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "seed", "threads")}
+    params["report"] = args.report
+    if "config" in params:
+        params["config"] = load_config(params["config"])
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     return ExperimentConfig(
-        kind=kind, parameters=params, seed=args.seed, threads=args.threads)
+        kind=args.command, parameters=params, seed=args.seed,
+        threads=args.threads)
 
 
 def main(argv=None) -> int:

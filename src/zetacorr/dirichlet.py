@@ -196,15 +196,6 @@ def product_coeffs(
     )
 
 
-def coeff_csv(table: CoeffTable) -> str:
-    """Export a coefficient table as CSV rows (n, re, im), ascending."""
-    lines = ["n,re,im"]
-    for n in table.sorted_frequencies():
-        c = complex(table.entries[n])
-        lines.append(f"{n},{c.real!r},{c.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _frequency_logs(ns):
     # math.log takes arbitrary-size ints; per-entry loop keeps that exact
     return np.array([math.log(n) for n in ns], dtype=np.float64)

@@ -266,13 +266,6 @@ def riemann_siegel_Z(t, correction_terms: int = 2):
     return float(out[0]) if scalar else out
 
 
-def critical_line_value(t: float, correction_terms: int = 2) -> complex:
-    """zeta(1/2 + it) = Z(t) * exp(-i * theta(t))."""
-    z = riemann_siegel_Z(t, correction_terms)
-    th = float(hardy_theta(np.asarray([t]))[0])
-    return complex(z * math.cos(th), -z * math.sin(th))
-
-
 @dataclass
 class ZetaGrid:
     """Uniform samples of the critical line: t_k = t_start + k * step,

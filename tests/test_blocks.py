@@ -89,6 +89,27 @@ def test_square_threshold_decay():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+class SyntheticBlockEngines:
+    """Injectable evaluators for exercising classifier logic.
+
+    `block_fn(j, s, t_values)` and `square_fn(band, t_values)` return
+    arrays shaped like t_values.
+    """
+
+    def __init__(self, scheme, block_fn=None, square_fn=None):
+        self.scheme = scheme
+        self._block_fn = block_fn or (
+            lambda j, s, t: np.zeros(np.shape(t), dtype=np.complex128))
+        self._square_fn = square_fn or (
+            lambda band, t: np.zeros(np.shape(t), dtype=np.complex128))
+
+    def block_sum(self, j, s, t_values):
+        return np.asarray(self._block_fn(j, s, np.asarray(t_values)))
+
+    def square_sum(self, band, t_values):
+        return np.asarray(self._square_fn(band, np.asarray(t_values)))
+
+
 def _synthetic(scheme, block_values, square_values):
     # block_values[j] and square_values[l] are constants per scale
     def block_fn(j, s, t):
@@ -99,7 +120,7 @@ def _synthetic(scheme, block_values, square_values):
         return np.full(np.shape(t), square_values.get(band, 0.0),
                        dtype=np.complex128)
 
-    return blocks.SyntheticBlockEngines(
+    return SyntheticBlockEngines(
         scheme, block_fn=block_fn, square_fn=square_fn)
 
 
@@ -168,7 +189,7 @@ def test_classify_nesting_from_raw_engine_values(table_mega):
 
 def test_degenerate_scheme_classifies_all_good():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0))
-    engines = blocks.SyntheticBlockEngines(scheme)
+    engines = SyntheticBlockEngines(scheme)
     t = np.linspace(1e5, 2e5, 11)
     grid = blocks.classify_grid(t, scheme, engines)
     assert grid.gb_vacuous

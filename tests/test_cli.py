@@ -3,12 +3,16 @@ formats, and payload determinism."""
 
 import json
 import math
+import pathlib
+import re
 import struct
 import xml.etree.ElementTree as ET
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetacorr import cli, moments, zeta
 from zetacorr.errors import ConfigError
@@ -78,8 +82,10 @@ def test_shift_field_forms():
         ("predict", "alpha", {"T": 100.0, "beta": [1.0]}),
         ("curve", "deltas", {"T": 100.0, "beta": 1.0, "step": 0.05}),
     ):
+        rows = cli._CONFIG_FIELDS[kind]
+
         def shifts(raw):
-            return cli.read_config(kind, {**base, key: raw})[key]
+            return cli.read_config(rows, {**base, key: raw}, kind)[key]
 
         assert shifts([0, 1.5]) == [0.0, 1.5]
         assert shifts({"formula": "[0, T/50]"}) == [0.0, 2.0]
@@ -93,7 +99,7 @@ def test_shift_field_forms():
             {},
         ):
             with pytest.raises(ConfigError):
-                cli.read_config(kind, {**base, **bad})
+                cli.read_config(rows, {**base, **bad}, kind)
 
 
 def test_load_config_errors(tmp_path):
@@ -499,3 +505,138 @@ def test_verify_rejects_bad_counts():
         cli.main(["verify", "nonsense"])
     rc = cli.main(["verify", "lemma33", "--trials", "0"])
     assert rc == 2
+
+
+def _run(kind, **params):
+    return cli.run(cli.ExperimentConfig(
+        kind=kind, parameters={"report": None, **params}, seed=1, threads=1))
+
+
+_CLASSIFY_CONFIG = {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5}
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("verify", {"property": "lemma22", "trials": -3}),
+    ("verify", {"property": "lemma22", "trials": 2.5}),
+    ("verify", {"property": "lemma22", "trials": "3"}),
+    ("verify", {"property": "lemma22", "trials": True}),
+    ("verify", {"property": "lemma26", "x_cutoff": "1e4"}),
+    ("verify", {"property": "lemma21", "points": 0}),
+    ("classify", {"config": _CLASSIFY_CONFIG, "t0": 1e5, "t1": 1.0001e5,
+                  "step": 0.0}),
+    ("classify", {"config": _CLASSIFY_CONFIG, "t0": 1e5, "t1": 1.0001e5,
+                  "step": -1.0}),
+    ("classify", {"config": _CLASSIFY_CONFIG, "t0": 1e5, "t1": 0.9e5,
+                  "step": 1.0}),
+])
+def test_run_checks_parameter_values(kind, params):
+    # `run` parses its dict through the rows that flags and config
+    # files pass, so a library caller gets the same exit 2
+    with pytest.raises(ConfigError) as err:
+        _run(kind, **params)
+    assert err.value.exit_code == 2
+
+
+def test_null_parameter_takes_its_default():
+    payload = _run("verify", property="prop34", trials=None).payload
+    assert payload["results"]["trials"] == 50
+    assert payload["config"]["trials"] is None
+
+
+def test_oversized_lemma21_audit_exits_5(capsys):
+    # the doubled audit would sample 2e10 nodes: refused before any array
+    rc = cli.main(["verify", "lemma21", "--points", "10000000000",
+                   "--t-height", "1e3"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the parameter rows: fuzzed, and documented in README
+
+
+_VALID_CONFIGS = {
+    "moment": {"T": 100.0, "alpha": [0.0], "beta": [1.0], "step": 0.025},
+    "predict": {"T": 1e4, "alpha": [0.0], "beta": [1.0]},
+    "curve": {"T": 100.0, "beta": 1.0, "deltas": [0.0], "step": 0.05},
+    "classify": _CLASSIFY_CONFIG,
+}
+_VALID_FLAGS = {
+    "sample": {"t0": 98.0, "t1": 99.0, "step": 0.0125, "rs_terms": 4},
+    "classify": {"config": _CLASSIFY_CONFIG, "t0": 1e5, "t1": 1.0001e5,
+                 "step": 1.0},
+}
+_MISSING = object()
+_MALFORMED = (math.nan, math.inf, -math.inf, True, False, "1", [[1.0]],
+              10 ** 400)
+# values malformed only for some parsers
+_MALFORMED_FOR = {cli._count: (0, -3), cli._positive: (0.0, -1.0),
+                  cli._step: (0.0, -1.0), cli._rs_terms: (-1, 7),
+                  cli._t1: (1e5 - 1.0,)}
+_ROWS = ([("config", kind, row) for kind, rows in cli._CONFIG_FIELDS.items()
+          for row in rows]
+         + [("flags", kind, row) for kind, rows in cli._FLAG_FIELDS.items()
+            for row in rows]
+         + [("verify", prop, row) for prop, (_, rows) in cli._VERIFY.items()
+            for row in rows])
+
+
+@st.composite
+def _malformed_input(draw):
+    where, kind, (key, parse, default) = draw(st.sampled_from(_ROWS))
+    bad = (*_MALFORMED, *_MALFORMED_FOR.get(parse, ()))
+    if default is cli._REQUIRED:
+        bad += (_MISSING,)
+    return where, kind, key, draw(st.sampled_from(bad))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_input())
+def test_malformed_parameters_exit_2(case):
+    # every value drawn is malformed, so nothing runs past the parse
+    where, kind, key, value = case
+    base = {"config": _VALID_CONFIGS, "flags": _VALID_FLAGS,
+            "verify": {}}[where].get(kind, {})
+    params = {k: v for k, v in base.items() if k != key}
+    if value is not _MISSING:
+        params[key] = value
+    with pytest.raises(ConfigError):
+        if where == "config":
+            cli.read_config(cli._CONFIG_FIELDS[kind], params, kind)
+        elif where == "flags":
+            _run(kind, **params)
+        else:
+            _run("verify", property=kind, **params)
+
+
+def _readme_rows():
+    """README's "Config fields" table as {subcommand: [(field, default)]},
+    `-` for a required field and a JSON default otherwise."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| subcommand | fields (default) |", 1)[1]
+    out = {}
+    for line in table.split("\n")[2:]:
+        if not line.startswith("|"):
+            break
+        label, fields = (cell.strip() for cell in line.strip("|").split("|"))
+        out[label.replace("`", "")] = [
+            (name, "-" if rest == "-" else json.loads(
+                rest[1:-1].replace("`", "").split(":")[0]))
+            for name, rest in (re.fullmatch(r"`(\w+)` (.+)", piece).groups()
+                               for piece in re.split(r", (?=`)", fields))]
+    return out
+
+
+def test_readme_config_table_matches_the_rows():
+    expect = {}
+    for tables, label in ((cli._CONFIG_FIELDS, "{}"),
+                          (cli._FLAG_FIELDS, "{} flags"),
+                          ({p: rows for p, (_, rows) in cli._VERIFY.items()},
+                           "verify {}")):
+        for kind, rows in tables.items():
+            expect[label.format(kind)] = [
+                (key, "-" if default is cli._REQUIRED else default)
+                for key, _, default in rows]
+    assert _readme_rows() == expect

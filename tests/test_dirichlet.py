@@ -379,17 +379,6 @@ def test_euler_bound_log_linearization(table_small):
     assert abs(math.log(bound) - linear) <= 0.20 * linear
 
 
-def test_coeff_csv_round_trip(table_small):
-    tab = dirichlet.truncated_exp(_spec(2, 10, 100, 1.2, 2), table_small)
-    text = dirichlet.coeff_csv(tab)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,re,im"
-    assert len(lines) == len(tab.entries) + 1
-    for line in lines[1:]:
-        n, re, im = line.split(",")
-        assert complex(float(re), float(im)) == tab.coeff(int(n))
-
-
 def test_euler_bound_brute_c2_default(table_small):
     spec = _spec(2, 23, 600, 1.1, 3)
     tab = dirichlet.truncated_exp(spec, table_small)
@@ -432,7 +421,7 @@ def test_inverse_bound_rejects_outside_disc():
 
 
 def _lemma22_draws(count, seed):
-    """Draws from `_verify_lemma22`'s distribution, then P = 0, beta = 0,
+    """Draws from `verify.lemma22`'s distribution, then P = 0, beta = 0,
     and the disc edge |P| = 2K at theta = pi with beta = beta*, the
     draw where the series tail is largest, for every (K, beta*)."""
     rng = random.Random(seed)
