@@ -3,7 +3,7 @@ and report emission.
 
 Every run produces one JSON report with two top-level parts: `payload`
 (pure function of config + seed + consumed caches, canonically
-serialized, byte-stable across worker counts) and `meta` (wall time,
+serialized, byte-stable across thread counts) and `meta` (wall time,
 timestamps, thread count).  Artifacts (caches, CSV, SVG, report files)
 are written all together after the computation finishes, or not at
 all, so failed runs leave nothing behind.
@@ -228,6 +228,14 @@ def _count(val, fields=None) -> int:
     return val
 
 
+def _band_count(val, fields=None) -> int:
+    # classify sieves to e^(band_count + 1): the sieve's limit caps it
+    top = int(math.log(primes.SIEVE_LIMIT_MAX - 2)) - 1
+    if _count(val) > top:
+        raise ConfigError(f"must be <= {top}, where the sieve stops, got {val}")
+    return val
+
+
 def _rs_terms(val, fields=None) -> int:
     if not 0 <= _int(val) <= zeta.MAX_CORRECTION_TERMS:
         raise ConfigError(f"must lie in 0..{zeta.MAX_CORRECTION_TERMS}, got {val}")
@@ -250,12 +258,19 @@ def _abscissa(val, fields) -> str:
     return val
 
 
+def _path(val, fields=None):
+    if not isinstance(val, (str, os.PathLike)):
+        raise ConfigError(f"must be a path, got {type(val).__name__}")
+    return val
+
+
 _T = ("T", _real, _REQUIRED)
 _BETA = ("beta", _reals, _REQUIRED)
 _STEP = ("step", _step, _REQUIRED)
 _RS_TERMS = ("rs_terms", _rs_terms, 4)
 _T0 = ("t0", _real, _REQUIRED)
 _GRID_STEP = ("step", _positive, _REQUIRED)
+_OUT = ("out", _path, _REQUIRED)       # a path, so not in README's table
 
 # (field, parser, default) rows in parse order: the fields of a config file
 _CONFIG_FIELDS = {
@@ -264,7 +279,7 @@ _CONFIG_FIELDS = {
     "curve": (_T, ("beta", _curve_beta, _REQUIRED),
               ("deltas", _shifts, _REQUIRED), _STEP, _RS_TERMS),
     "classify": (_T, _BETA, ("exponent_scale", _real, None),
-                 ("band_count", _count, None),
+                 ("band_count", _band_count, None),
                  ("abscissa", _abscissa, "half")),
 }
 
@@ -290,6 +305,8 @@ _VERIFY = {
 def read_config(rows, values: dict, what: str) -> dict:
     """`values` parsed through `rows` in order; an absent or null field
     takes its default.  Errors name a field as `what` then its key."""
+    if not isinstance(values, dict):     # a `run` dict's absent `config`, say
+        raise ConfigError(f"{what}s need a JSON object, got {values!r:.60}")
     fields = {}
     for key, parse, default in rows:
         if values.get(key) is not None:
@@ -350,7 +367,7 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
 
 def _handle_sample(config: ExperimentConfig):
     p = config.parameters
-    f = read_config(_FLAG_FIELDS["sample"], p, "sample parameter")
+    f = read_config(_FLAG_FIELDS["sample"] + (_OUT,), p, "sample parameter")
     grid = zeta.sample_critical_line(
         f["t0"], f["t1"], f["step"],
         correction_terms=f["rs_terms"],
@@ -360,13 +377,13 @@ def _handle_sample(config: ExperimentConfig):
         "t0": f["t0"], "t1": f["t1"], "step": f["step"],
         "rs_terms": f["rs_terms"], "count": grid.count,
     }
-    return results, [], [], [(p["out"], zeta.cache_bytes(grid))]
+    return results, [], [], [(f["out"], zeta.cache_bytes(grid))]
 
 
 def _handle_classify(config: ExperimentConfig):
     p = config.parameters
     f = read_config(_FLAG_FIELDS["classify"], p, "classify parameter")
-    c = read_config(_CONFIG_FIELDS["classify"], p["config"],
+    c = read_config(_CONFIG_FIELDS["classify"], p.get("config"),
                     "classify config field")
     scheme = blocks.build_scheme(
         c["T"], c["beta"], exponent_scale_override=c["exponent_scale"])
@@ -429,7 +446,7 @@ def _handle_classify(config: ExperimentConfig):
 
 def _handle_moment(config: ExperimentConfig):
     p = config.parameters
-    c = read_config(_CONFIG_FIELDS["moment"], p["config"], "moment config field")
+    c = read_config(_CONFIG_FIELDS["moment"], p.get("config"), "moment config field")
     spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     grid, versions = _provision_grid(
         c["T"], c["alpha"], c["step"], c["rs_terms"], config.threads,
@@ -450,7 +467,7 @@ def _handle_moment(config: ExperimentConfig):
 
 
 def _handle_predict(config: ExperimentConfig):
-    c = read_config(_CONFIG_FIELDS["predict"], config.parameters["config"],
+    c = read_config(_CONFIG_FIELDS["predict"], config.parameters.get("config"),
                     "predict config field")
     spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     results = {
@@ -477,7 +494,8 @@ def curve_csv(rows) -> str:
 
 def _handle_curve(config: ExperimentConfig):
     p = config.parameters
-    c = read_config(_CONFIG_FIELDS["curve"], p["config"], "curve config field")
+    c = read_config(_CONFIG_FIELDS["curve"], p.get("config"), "curve config field")
+    out = read_config((_OUT,), p, "curve parameter")["out"]
     grid, versions = _provision_grid(
         c["T"], [0.0] + c["deltas"], c["step"], c["rs_terms"], config.threads,
         p.get("cache"))
@@ -491,7 +509,7 @@ def _handle_curve(config: ExperimentConfig):
         "beta": c["beta"],
         "quadrature_step": c["step"],
     }
-    artifacts = [(p["out"], curve_csv(table))]
+    artifacts = [(out, curve_csv(table))]
     if p.get("plot"):
         artifacts.append((p["plot"], emit_plot_svg(rows)))
     return results, [], versions, artifacts
@@ -651,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "critical line.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker count (default: available cores)")
+                        help="sampling threads in one process (default: cores)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in, and driving, the run")
     common.add_argument("--report", default=None,

@@ -7,7 +7,7 @@ that.
 
 The vectorized sums reduce over primes in fixed-size chunks (see
 `_P_CHUNK`) so results do not depend on how a caller splits the
-evaluation grid across workers.
+evaluation grid across threads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, InsufficientSieveError
 from .sums import KahanAccumulator
 
-_SIEVE_LIMIT_MAX = 1_000_000_000
+SIEVE_LIMIT_MAX = 1_000_000_000
 _SEGMENT_ODDS = 1 << 21  # odd numbers per sieve segment (~2 MB of flags)
 
 # prime-axis chunk for the vectorized sums; fixed for determinism
@@ -67,9 +67,9 @@ class PrimeTable:
 def sieve_primes(limit: int) -> PrimeTable:
     """Segmented sieve of all primes <= limit."""
     limit = int(limit)
-    if limit < 2 or limit > _SIEVE_LIMIT_MAX:
+    if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise ConfigError(
-            f"sieve limit must lie in [2, {_SIEVE_LIMIT_MAX}], got {limit}")
+            f"sieve limit must lie in [2, {SIEVE_LIMIT_MAX}], got {limit}")
 
     root = int(math.isqrt(limit))
     # base sieve over odds up to root

@@ -1,7 +1,7 @@
 """Deterministic summation helper.
 
 Accumulation order is part of this package's output contract: reports
-must be byte-identical across worker counts.  Callers reduce with numpy
+must be byte-identical across thread counts.  Callers reduce with numpy
 pairwise sums inside fixed-size chunks and merge the chunk totals in
 index order through `KahanAccumulator`, so the result depends only on
 the data, never on scheduling.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +45,7 @@ _HEADER = struct.Struct("<IIddQ")     # flags, RS depth, t_start, step, count
 _CRC = struct.Struct("<I")
 _FLAGS = 1                # bit 0: moduli; set in every grid written
 
-_GRID_CHUNK = 1 << 16     # samples per worker task; fixed for determinism
+_GRID_CHUNK = 1 << 16     # samples per sampler task; fixed for determinism
 _EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
 _EM_MAX_K = 28            # tail-correction depth before doubling N
 _EM_MAX_N = 1 << 29
@@ -309,12 +309,6 @@ def grid_count(t_start: float, t_stop: float, step: float) -> int:
     return int(math.floor(steps)) + 1
 
 
-def _grid_chunk(args):
-    t_start, step, i0, n, terms = args
-    idx = np.arange(i0, i0 + n, dtype=np.float64)
-    return i0, np.abs(_z_kernel(t_start + idx * step, terms))
-
-
 def sample_critical_line(
     t_start: float,
     t_stop: float,
@@ -326,10 +320,10 @@ def sample_critical_line(
     """Sample |zeta| on a uniform grid over [t_start, t_stop].
 
     The grid always includes t_start and extends to the last node
-    <= t_stop (+ tiny slack so an exact multiple is kept).  Output is
-    byte-identical for any worker count: the work is cut into
-    fixed-size index chunks and each chunk's arithmetic is independent
-    of the layout.
+    <= t_stop (+ tiny slack so an exact multiple is kept).  Up to
+    `workers` threads of this process (numpy releases the GIL) fill
+    fixed-size index chunks in place; a chunk's arithmetic does not
+    depend on the layout, so output is byte-identical for any count.
     """
     if not (T_MIN <= t_start <= t_stop <= T_MAX):
         raise DomainError(
@@ -343,18 +337,16 @@ def sample_critical_line(
     # validates correction_terms and the low end of the range
     riemann_siegel_Z(t_start, correction_terms)
 
-    chunks = [(t_start, step, i0, min(_GRID_CHUNK, count - i0),
-               correction_terms)
-              for i0 in range(0, count, _GRID_CHUNK)]
     values = np.empty(count, dtype=np.float64)
-    if workers == 1 or len(chunks) == 1:
-        for spec in chunks:
-            i0, block = _grid_chunk(spec)
-            values[i0:i0 + block.size] = block
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i0, block in pool.map(_grid_chunk, chunks, chunksize=1):
-                values[i0:i0 + block.size] = block
+
+    def fill(i0: int) -> None:
+        i1 = min(i0 + _GRID_CHUNK, count)
+        t = t_start + np.arange(i0, i1, dtype=np.float64) * step
+        values[i0:i1] = np.abs(_z_kernel(t, correction_terms))
+
+    starts = range(0, count, _GRID_CHUNK)
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        list(pool.map(fill, starts))      # list() re-raises a task's error
     return ZetaGrid(
         t_start=float(t_start),
         step=float(step),
@@ -404,8 +396,6 @@ def cache_read(path) -> ZetaGrid:
         raise CacheFormatError(f"{path}: bad grid geometry")
     if terms > MAX_CORRECTION_TERMS:
         raise CacheFormatError(f"{path}: RS depth {terms} above {MAX_CORRECTION_TERMS}")
-    # copied, so the file's bytes are freed now: held by a view, they kept
-    # heap pages resident that worker processes forked later inherit
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=head).copy()
+    values = np.frombuffer(blob, dtype="<f8", count=count, offset=head)
     return ZetaGrid(t_start=t_start, step=step, values=values,
                     correction_terms=terms)

@@ -537,6 +537,26 @@ def test_run_checks_parameter_values(kind, params):
     assert err.value.exit_code == 2
 
 
+@pytest.mark.parametrize("band_count", [20, 40, 1000])
+def test_band_count_past_the_sieve_exits_2(band_count):
+    # classify sieves to e^(band_count + 1); 20 already passes the sieve's
+    # 1e9 limit, and 1000 overflowed math.exp
+    with pytest.raises(ConfigError, match=r"'band_count': must be <= 19\b") as err:
+        _run("classify", config={**_CLASSIFY_CONFIG, "band_count": band_count},
+             t0=1e5, t1=1.0001e5, step=1.0)
+    assert err.value.exit_code == 2
+
+
+def test_band_count_past_the_sieve_from_a_config_file(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "c.json",
+                      {**_CLASSIFY_CONFIG, "band_count": 1000})
+    rc = cli.main(["classify", "--config", cfg, *_CLASSIFY_ARGS])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+    assert "band_count" in err and "19" in err
+
+
 def test_null_parameter_takes_its_default():
     payload = _run("verify", property="prop34", trials=None).payload
     assert payload["results"]["trials"] == 50
@@ -571,7 +591,8 @@ _MISSING = object()
 _MALFORMED = (math.nan, math.inf, -math.inf, True, False, "1", [[1.0]],
               10 ** 400)
 # values malformed only for some parsers
-_MALFORMED_FOR = {cli._count: (0, -3), cli._positive: (0.0, -1.0),
+_MALFORMED_FOR = {cli._count: (0, -3), cli._band_count: (0, -3, 20),
+                  cli._positive: (0.0, -1.0),
                   cli._step: (0.0, -1.0), cli._rs_terms: (-1, 7),
                   cli._t1: (1e5 - 1.0,)}
 _ROWS = ([("config", kind, row) for kind, rows in cli._CONFIG_FIELDS.items()
@@ -608,6 +629,28 @@ def test_malformed_parameters_exit_2(case):
             _run(kind, **params)
         else:
             _run("verify", property=kind, **params)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("classify", {"config": [1, 2], "t0": 1e5, "t1": 1.0001e5, "step": 1.0}),
+    ("moment", {"config": [1, 2]}),
+    ("predict", {"config": [1, 2]}),
+    ("curve", {"config": [1, 2], "out": "curve.csv"}),
+    ("classify", {"t0": 1e5, "t1": 1.0001e5, "step": 1.0}),
+    ("moment", {}),
+    ("predict", {}),
+    ("curve", {"out": "curve.csv"}),
+    ("sample", _VALID_FLAGS["sample"]),
+    ("sample", {**_VALID_FLAGS["sample"], "out": 3}),
+    ("curve", {"config": _VALID_CONFIGS["curve"]}),
+])
+def test_run_needs_a_config_object_and_an_out_path(tmp_path, monkeypatch,
+                                                   kind, params):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        _run(kind, **params)
+    assert err.value.exit_code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def _readme_rows():

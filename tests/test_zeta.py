@@ -1,14 +1,16 @@
 """Critical-line evaluators, the one-line helper, and grid caches."""
 
+import importlib.util
 import io
 import math
+import pathlib
 import random
 import struct
 
 import numpy as np
 import pytest
 
-from zetacorr import zeta
+from zetacorr import _rs_series, zeta
 from zetacorr.errors import CacheFormatError, ConfigError, DomainError
 
 
@@ -159,6 +161,44 @@ def test_grid_workers_bit_identical():
     a = zeta.sample_critical_line(200.0, 260.0, 0.01, workers=1)
     b = zeta.sample_critical_line(200.0, 260.0, 0.01, workers=3)
     assert np.array_equal(a.values, b.values)
+    # 80 001 nodes: two chunks, so more than one thread runs
+    one = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=1)
+    assert one.count == 80_001 > zeta._GRID_CHUNK
+    for workers in (2, 3):
+        got = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
+        assert got.values.tobytes() == one.values.tobytes()
+
+
+def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
+    one = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=1)
+
+    def no_fork():
+        raise AssertionError("sampling forked a process")
+
+    monkeypatch.setattr("os.fork", no_fork)
+    two = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=2)
+    assert two.values.tobytes() == one.values.tobytes()
+
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size and runs every task in the caller."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(zeta, "ThreadPoolExecutor", InlinePool)
+    zeta.sample_critical_line(200.0, 260.0, 0.01, workers=10 ** 6)
+    assert sizes == [1]
 
 
 def test_grid_range_validation():
@@ -200,3 +240,17 @@ def test_grid_cache_rejects_corruption():
                                grid.count) + grid.values.tobytes()
     with pytest.raises(CacheFormatError, match="unsupported version 1"):
         zeta.cache_read(io.BytesIO(v1))
+
+
+def test_rs_series_matches_its_generator(tmp_path, capsys):
+    # the shipped tables are exactly what the generator's emit step writes
+    root = pathlib.Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "gen_rs_tables", root / "tools" / "gen_rs_tables.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    series = _rs_series.C_SERIES
+    out = tmp_path / "_rs_series.py"
+    gen.emit(dict(enumerate(series[:5])), {5: series[5], 6: series[6]}, out)
+    shipped = root / "src" / "zetacorr" / "_rs_series.py"
+    assert out.read_bytes() == shipped.read_bytes()
