@@ -39,7 +39,6 @@ from .primes import (
     tapered_block_sum,
 )
 from .zeta import (
-    OneLinePoint,
     ZetaGrid,
     cache_read,
     hardy_theta,
@@ -80,7 +79,6 @@ from .blocks import (
     square_threshold,
 )
 from .moments import (
-    CurveRow,
     MomentReport,
     ShiftSpec,
     correlation_curve,

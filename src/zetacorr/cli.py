@@ -22,7 +22,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import blocks, moments, primes, verify, zeta
 from .errors import (
     CacheFormatError,
     ConfigError,
+    CoverageError,
     DomainError,
     ZetaLabError,
 )
@@ -156,7 +157,7 @@ def eval_alpha_formula(expr: str, t_height: float):
 # ---------------------------------------------------------------------------
 # parameter rows, read by read_config: config files, command-line flags
 # and `run` dicts all pass them.  A parser gets the raw value and the
-# fields parsed before it.
+# fields parsed before it.  Each flag is one row (see _COMMANDS).
 
 _REQUIRED = object()
 
@@ -270,7 +271,10 @@ _STEP = ("step", _step, _REQUIRED)
 _RS_TERMS = ("rs_terms", _rs_terms, 4)
 _T0 = ("t0", _real, _REQUIRED)
 _GRID_STEP = ("step", _positive, _REQUIRED)
-_OUT = ("out", _path, _REQUIRED)       # a path, so not in README's table
+# paths, so not in README's table
+_OUT = ("out", _path, _REQUIRED)
+_CACHE = ("cache", _path, None)
+_REPORT = ("report", _path, None)      # every subcommand's
 
 # (field, parser, default) rows in parse order: the fields of a config file
 _CONFIG_FIELDS = {
@@ -281,12 +285,6 @@ _CONFIG_FIELDS = {
     "classify": (_T, _BETA, ("exponent_scale", _real, None),
                  ("band_count", _band_count, None),
                  ("abscissa", _abscissa, "half")),
-}
-
-# the grid flags of `sample` and `classify`
-_FLAG_FIELDS = {
-    "sample": (_T0, ("t1", _real, _REQUIRED), _GRID_STEP, _RS_TERMS),
-    "classify": (_T0, ("t1", _t1, _REQUIRED), _GRID_STEP),
 }
 
 # property -> (driver, rows); `verify` refuses every other key
@@ -329,8 +327,8 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
     """Fine grid (at step/2) covering the moment window for all shifts.
 
     With a cache the file must already match: half the config step, the
-    config's RS depth and full coverage.  Returns (grid,
-    cache_version_records).
+    config's RS depth, full coverage, and T on every other node from its
+    start.  Returns (grid, cache_version_records).
     """
     fine_step = step / 2.0
     snapped, _ = moments.snap_shifts(alpha, step)
@@ -349,6 +347,13 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
             raise CacheFormatError(
                 f"cache span [{grid.t_start}, {grid.t_stop}] does not cover "
                 f"[{t_lo}, {t_hi}]")
+        try:    # the published moment runs on every other node from t_start
+            replace(grid, step=2 * grid.step,
+                    values=grid.values[::2]).index_of(t_height)
+        except CoverageError:
+            raise CacheFormatError(
+                f"cache {cache_path}: T = {t_height} is not a node of its "
+                f"grid at step {2 * grid.step} from {grid.t_start}") from None
         version = [{
             "path": str(cache_path), "version": zeta.CACHE_VERSION,
             "count": grid.count, "step": grid.step,
@@ -361,13 +366,12 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (results, warnings, cache_versions, artifacts)
+# handlers take the request and its flags, parsed through their rows;
+# each returns (results, warnings, cache_versions, artifacts)
 # artifacts: list of (path, bytes) written by run() on success
 
 
-def _handle_sample(config: ExperimentConfig):
-    p = config.parameters
-    f = read_config(_FLAG_FIELDS["sample"] + (_OUT,), p, "sample parameter")
+def _handle_sample(config: ExperimentConfig, f: dict):
     grid = zeta.sample_critical_line(
         f["t0"], f["t1"], f["step"],
         correction_terms=f["rs_terms"],
@@ -380,10 +384,8 @@ def _handle_sample(config: ExperimentConfig):
     return results, [], [], [(f["out"], zeta.cache_bytes(grid))]
 
 
-def _handle_classify(config: ExperimentConfig):
-    p = config.parameters
-    f = read_config(_FLAG_FIELDS["classify"], p, "classify parameter")
-    c = read_config(_CONFIG_FIELDS["classify"], p.get("config"),
+def _handle_classify(config: ExperimentConfig, f: dict):
+    c = read_config(_CONFIG_FIELDS["classify"], config.parameters.get("config"),
                     "classify config field")
     scheme = blocks.build_scheme(
         c["T"], c["beta"], exponent_scale_override=c["exponent_scale"])
@@ -439,18 +441,17 @@ def _handle_classify(config: ExperimentConfig):
     flat["seed"] = config.seed
     flat["warnings"] = warnings
     artifacts = []
-    if p.get("out"):
-        artifacts.append((p["out"], canonical_json(_pyify(flat))))
+    if f["out"]:
+        artifacts.append((f["out"], canonical_json(_pyify(flat))))
     return results, warnings, [], artifacts
 
 
-def _handle_moment(config: ExperimentConfig):
-    p = config.parameters
-    c = read_config(_CONFIG_FIELDS["moment"], p.get("config"), "moment config field")
+def _handle_moment(config: ExperimentConfig, f: dict):
+    c = read_config(_CONFIG_FIELDS["moment"], config.parameters.get("config"),
+                    "moment config field")
     spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
     grid, versions = _provision_grid(
-        c["T"], c["alpha"], c["step"], c["rs_terms"], config.threads,
-        p.get("cache"))
+        c["T"], c["alpha"], c["step"], c["rs_terms"], config.threads, f["cache"])
     report = moments.moment_report(spec, grid)
     results = {
         "moment": report.moment,
@@ -466,7 +467,7 @@ def _handle_moment(config: ExperimentConfig):
     return results, list(report.warnings), versions, []
 
 
-def _handle_predict(config: ExperimentConfig):
+def _handle_predict(config: ExperimentConfig, f: dict):
     c = read_config(_CONFIG_FIELDS["predict"], config.parameters.get("config"),
                     "predict config field")
     spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
@@ -492,30 +493,29 @@ def curve_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_curve(config: ExperimentConfig):
-    p = config.parameters
-    c = read_config(_CONFIG_FIELDS["curve"], p.get("config"), "curve config field")
-    out = read_config((_OUT,), p, "curve parameter")["out"]
+def _handle_curve(config: ExperimentConfig, f: dict):
+    c = read_config(_CONFIG_FIELDS["curve"], config.parameters.get("config"),
+                    "curve config field")
     grid, versions = _provision_grid(
         c["T"], [0.0] + c["deltas"], c["step"], c["rs_terms"], config.threads,
-        p.get("cache"))
-    rows = moments.correlation_curve(c["T"], c["beta"], c["deltas"], grid)
-    table = [dict(zip(_CURVE_COLUMNS, (r.delta, r.moment, r.prediction, r.ratio,
-                                       r.nsw_value, r.step_halving_delta)))
-             for r in rows]
+        f["cache"])
+    reports = moments.correlation_curve(c["T"], c["beta"], c["deltas"], grid)
+    rows = [dict(zip(_CURVE_COLUMNS, (d, r.moment, r.prediction, r.ratio,
+                                      r.nsw_value, r.step_halving_delta)))
+            for d, r in zip(c["deltas"], reports)]
     results = {
-        "rows": table,
+        "rows": rows,
         "T": c["T"],
         "beta": c["beta"],
         "quadrature_step": c["step"],
     }
-    artifacts = [(out, curve_csv(table))]
-    if p.get("plot"):
-        artifacts.append((p["plot"], emit_plot_svg(rows)))
+    artifacts = [(f["out"], curve_csv(rows))]
+    if f["plot"]:
+        artifacts.append((f["plot"], emit_plot_svg(rows)))
     return results, [], versions, artifacts
 
 
-def _handle_verify(config: ExperimentConfig):
+def _handle_verify(config: ExperimentConfig, f: dict):
     p = config.parameters
     prop = p.get("property")
     if not isinstance(prop, str) or prop not in _VERIFY:
@@ -530,21 +530,35 @@ def _handle_verify(config: ExperimentConfig):
     return driver(random.Random(config.seed), **fields), [], [], []
 
 
-_HANDLERS = {
-    "sample": _handle_sample,
-    "classify": _handle_classify,
-    "moment": _handle_moment,
-    "predict": _handle_predict,
-    "curve": _handle_curve,
-    "verify": _handle_verify,
+# subcommand -> (handler, help, flag rows in parse order).  A row is both
+# a `--key-with-dashes` flag and a key of a `run` dict; the subcommands in
+# _CONFIG_FIELDS also take `--config`, and `verify` its property.
+_COMMANDS = {
+    "sample": (_handle_sample, "sample the critical line into a cache",
+               (_REPORT, _T0, ("t1", _real, _REQUIRED), _GRID_STEP, _RS_TERMS,
+                _OUT)),
+    "classify": (_handle_classify, "classify a t grid into good/bad/square sets",
+                 (_REPORT, _T0, ("t1", _t1, _REQUIRED), _GRID_STEP,
+                  ("out", _path, None))),
+    "moment": (_handle_moment, "one shifted moment with prediction and ratio",
+               (_REPORT, _CACHE)),
+    "predict": (_handle_predict, "the size prediction alone", (_REPORT,)),
+    "curve": (_handle_curve, "correlation decay sweep over separations",
+              (_REPORT, _CACHE, _OUT, ("plot", _path, None))),
+    # the union of the properties' rows; each property applies its defaults
+    "verify": (_handle_verify, "randomized property drivers",
+               (_REPORT, *{key: (key, parse, None) for _, rows in _VERIFY.values()
+                           for key, parse, _ in rows}.values())),
 }
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Dispatch a run request, then write artifacts and the report.  Each
-    handler parses the parameters it reads through their rows."""
+    """Parse a run request's flags through their rows, dispatch it, then
+    write artifacts and the report.  Handlers parse config files."""
     started = time.monotonic()
-    results, warnings, cache_versions, artifacts = _HANDLERS[config.kind](config)
+    handler, _, rows = _COMMANDS[config.kind]
+    flags = read_config(rows, config.parameters, f"{config.kind} parameter")
+    results, warnings, cache_versions, artifacts = handler(config, flags)
     payload = _pyify({
         "kind": config.kind,
         "config": config.parameters.get("config", {
@@ -561,9 +575,8 @@ def run(config: ExperimentConfig) -> RunReport:
         "threads": config.threads,
     }
     report = RunReport(payload=payload, meta=meta)
-    report_path = config.parameters.get("report")
-    if report_path:
-        artifacts = [*artifacts, (report_path, report.to_json())]
+    if flags["report"]:
+        artifacts = [*artifacts, (flags["report"], report.to_json())]
     _write_all(artifacts)
     return report
 
@@ -604,18 +617,17 @@ def _svg_coords(vals, lo, hi, out_lo, out_hi):
 
 
 def emit_plot_svg(rows) -> str:
-    """Self-contained two-panel SVG: ratio vs delta on top, moment vs
-    delta (log scale) below.  Every marker carries the row's values in
-    data attributes, exactly as printed to the CSV."""
+    """Self-contained two-panel SVG of payload curve rows: ratio vs delta
+    on top, moment vs delta (log scale) below.  Every marker carries the
+    row's values in data attributes, exactly as printed to the CSV."""
     rows = list(rows)
     if not rows:
         raise DomainError("cannot plot an empty curve table")
-    for r in rows:
-        if r.moment <= 0:
-            raise DomainError("log-scale moment panel needs positive moments")
-    deltas = [r.delta for r in rows]
-    ratios = [r.ratio for r in rows]
-    logm = [math.log10(r.moment) for r in rows]
+    if any(r["moment"] <= 0 for r in rows):
+        raise DomainError("log-scale moment panel needs positive moments")
+    deltas = [r["delta"] for r in rows]
+    ratios = [r["ratio"] for r in rows]
+    logm = [math.log10(r["moment"]) for r in rows]
 
     width, height, margin = 800.0, 600.0, 60.0
     panel_h = (height - 3 * margin) / 2.0
@@ -647,13 +659,13 @@ def emit_plot_svg(rows) -> str:
     for i, r in enumerate(rows):
         parts.append(
             f'<circle cx="{x[i]:.3f}" cy="{y1[i]:.3f}" r="3" fill="#1f6feb" '
-            f'data-delta="{r.delta!r}" data-ratio="{r.ratio!r}" '
-            f'data-nsw-f="{r.nsw_value!r}"/>')
+            f'data-delta="{r["delta"]!r}" data-ratio="{r["ratio"]!r}" '
+            f'data-nsw-f="{r["nsw_F"]!r}"/>')
         parts.append(
             f'<circle cx="{x[i]:.3f}" cy="{y2[i]:.3f}" r="3" fill="#d1242f" '
-            f'data-delta="{r.delta!r}" data-moment="{r.moment!r}" '
-            f'data-prediction="{r.prediction!r}" '
-            f'data-step-halving-delta="{r.step_halving_delta!r}"/>')
+            f'data-delta="{r["delta"]!r}" data-moment="{r["moment"]!r}" '
+            f'data-prediction="{r["prediction"]!r}" '
+            f'data-step-halving-delta="{r["step_halving_delta"]!r}"/>')
     parts.append("</svg>")
     return "\n".join(p for p in parts if p) + "\n"
 
@@ -662,7 +674,13 @@ def emit_plot_svg(rows) -> str:
 # argument parsing / entry point
 
 
+# argparse types by row parser; a flag's JSON echo keeps its type
+_FLAG_TYPES = {_path: str, _count: int, _rs_terms: int}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per `_COMMANDS` entry, one flag per row: required
+    when the row is, else with the row's default."""
     parser = argparse.ArgumentParser(
         prog="zetacorr",
         description="Numerical laboratory for shifted moments on the "
@@ -672,51 +690,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="sampling threads in one process (default: cores)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in, and driving, the run")
-    common.add_argument("--report", default=None,
-                        help="also write the JSON report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", parents=[common],
-                       help="sample the critical line into a cache")
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--rs-terms", type=int, default=_RS_TERMS[2],
-                   help="RS correction depth (default: %(default)s, the "
-                        "config rs_terms default)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="classify a t grid into good/bad/square sets")
-    p.add_argument("--config", required=True)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("moment", parents=[common],
-                       help="one shifted moment with prediction and ratio")
-    p.add_argument("--config", required=True)
-    p.add_argument("--cache", default=None)
-
-    p = sub.add_parser("predict", parents=[common],
-                       help="the size prediction alone")
-    p.add_argument("--config", required=True)
-
-    p = sub.add_parser("curve", parents=[common],
-                       help="correlation decay sweep over separations")
-    p.add_argument("--config", required=True)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--plot", default=None)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="randomized property drivers")
-    p.add_argument("property", choices=sorted(_VERIFY))
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--x-cutoff", type=float, default=None)
-    p.add_argument("--t-height", type=float, default=None)
+    for kind, (_, text, rows) in _COMMANDS.items():
+        p = sub.add_parser(kind, parents=[common], help=text)
+        if kind in _CONFIG_FIELDS:
+            p.add_argument("--config", required=True)
+        if kind == "verify":
+            p.add_argument("property", choices=sorted(_VERIFY))
+        for key, parse, default in rows:
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=_FLAG_TYPES.get(parse, float),
+                           required=default is _REQUIRED,
+                           default=None if default is _REQUIRED else default,
+                           help=None if default in (None, _REQUIRED)
+                           else "default: %(default)s")
     return parser
 
 

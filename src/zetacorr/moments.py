@@ -190,8 +190,7 @@ def predict_bound(spec: ShiftSpec, one_line=zeta_one_line) -> float:
             w = 2.0 * spec.beta[j] * spec.beta[k]
             if w == 0.0:
                 continue
-            point = one_line(spec.alpha[j] - spec.alpha[k], offset)
-            value *= point.modulus ** w
+            value *= abs(one_line(spec.alpha[j] - spec.alpha[k], offset)) ** w
     return value
 
 
@@ -288,37 +287,15 @@ def lemma21_rhs(
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class CurveRow:
-    """One correlation-curve sample at separation delta."""
-
-    delta: float
-    moment: float
-    prediction: float
-    ratio: float
-    nsw_value: float
-    step_halving_delta: float
-
-
 def correlation_curve(
     t_height: float,
     beta_value: float,
     deltas,
     fine_grid: ZetaGrid,
 ) -> list:
-    """Two-shift decorrelation sweep: one row per separation delta,
-    with shifts (0, delta) and equal exponents."""
-    rows = []
-    for d in deltas:
-        spec = ShiftSpec(alpha=(0.0, float(d)), beta=(beta_value, beta_value),
-                         t_height=t_height)
-        rep = moment_report(spec, fine_grid)
-        rows.append(CurveRow(
-            delta=float(d),
-            moment=rep.moment,
-            prediction=rep.prediction,
-            ratio=rep.ratio,
-            nsw_value=rep.nsw_value,
-            step_halving_delta=rep.step_halving_delta,
-        ))
-    return rows
+    """Two-shift decorrelation sweep: one `MomentReport` per separation
+    delta, with shifts (0, delta) and equal exponents."""
+    return [moment_report(ShiftSpec(alpha=(0.0, float(d)),
+                                    beta=(beta_value, beta_value),
+                                    t_height=t_height), fine_grid)
+            for d in deltas]

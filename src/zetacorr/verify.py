@@ -26,7 +26,7 @@ def lemma26(rng, x_cutoff):
     lhs = primes.pretentious_cos_sum(table, x_cutoff, deltas)
     offset = 1.0 / math.log(x_cutoff)
     rhs = np.array([
-        math.log(zeta.zeta_one_line(float(d), offset).modulus)
+        math.log(abs(zeta.zeta_one_line(float(d), offset)))
         for d in deltas
     ])
     dev = np.abs(lhs - rhs)

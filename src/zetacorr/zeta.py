@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import _rs_series
@@ -62,27 +63,9 @@ _EM_IMAG_MAX = 1.0e5
 _THETA_C = (1.0 / 48, 7.0 / 5760, 31.0 / 80640, 127.0 / 430080,
             511.0 / 1216512)
 
-
-def _bernoulli_over_factorial(count: int) -> list[float]:
-    """B(2k)/(2k)! for k = 1..count, computed exactly then rounded."""
-    top = 2 * count
-    bern = [Fraction(0)] * (top + 1)
-    bern[0] = Fraction(1)
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * bern[j]
-        bern[m] = -acc / (m + 1)
-    out = []
-    fact = Fraction(1)
-    for n in range(1, top + 1):
-        fact *= n
-        if n % 2 == 0:
-            out.append(float(bern[n] / fact))
-    return out
-
-
-_B_RATIO = _bernoulli_over_factorial(_EM_MAX_K + 2)
+# B(2k)/(2k)! for k = 1.._EM_MAX_K + 2, exact rationals rounded once
+_B_RATIO = [float(Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k))
+            for k in range(1, _EM_MAX_K + 3)]
 
 
 def zeta_euler_maclaurin(s: complex, *, precision_target: float = 1e-12) -> complex:
@@ -150,20 +133,7 @@ def _em_attempt(s: complex, n_terms: int, target: float):
     return None
 
 
-@dataclass(frozen=True)
-class OneLinePoint:
-    """A zeta value just right of the 1-line, tagged with its abscissa."""
-
-    delta: float
-    sigma_offset: float
-    value: complex
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
-
-def zeta_one_line(delta: float, sigma_offset: float) -> OneLinePoint:
+def zeta_one_line(delta: float, sigma_offset: float) -> complex:
     """zeta(1 + sigma_offset + i*delta), the correlation-factor abscissa."""
     if not (0.0 < sigma_offset <= 1.0):
         raise DomainError(f"sigma_offset must be in (0, 1], got {sigma_offset}")
@@ -171,9 +141,7 @@ def zeta_one_line(delta: float, sigma_offset: float) -> OneLinePoint:
         raise DomainError(f"|delta| = {abs(delta)} exceeds 1e7")
     # wider imaginary range than the reference wrapper: on the 1-line
     # the tail corrections stay benign, so the direct core is safe
-    value = _em_eval(complex(1.0 + sigma_offset, delta), 1e-12)
-    return OneLinePoint(delta=float(delta), sigma_offset=float(sigma_offset),
-                        value=value)
+    return _em_eval(complex(1.0 + sigma_offset, delta), 1e-12)
 
 
 def hardy_theta(t):
@@ -371,8 +339,11 @@ def cache_read(path) -> ZetaGrid:
     if hasattr(path, "read"):
         blob = path.read()
     else:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:      # a missing file or a directory, say
+            raise ConfigError(f"cannot read cache {path}: {exc}") from exc
     if len(blob) < _PREFIX.size or blob[:4] != _GRID_MAGIC:
         raise CacheFormatError(f"{path}: not a ZGRD cache")
     version = _PREFIX.unpack_from(blob)[1]

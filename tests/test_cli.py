@@ -1,11 +1,16 @@
 """Command line harness: config validation, exit codes, artifact
 formats, and payload determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import pathlib
 import re
 import struct
+import tempfile
 import xml.etree.ElementTree as ET
 import zlib
 
@@ -16,12 +21,23 @@ from hypothesis import strategies as st
 
 from zetacorr import cli, moments, zeta
 from zetacorr.errors import ConfigError
-from zetacorr.moments import CurveRow
 
 
 def _write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def _fresh_dir():
+    """Run the block in a new, empty working directory."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield pathlib.Path(tmp)
+        finally:
+            os.chdir(old)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +237,37 @@ def test_complex_grid_exits_3_and_its_commands_are_gone(tmp_path, capsys):
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("t0", ["98.00625", "98.0125"])
+@pytest.mark.parametrize("kind", ["moment", "curve"])
+def test_cache_off_the_publication_nodes_exits_3(tmp_path, monkeypatch, capsys,
+                                                 kind, t0):
+    # step, depth and span all match, but T = 100 falls between the every
+    # other cache node from t0 that the published quadrature reads
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample", "--t0", t0, "--t1", "204.2", "--step", "0.0125",
+                     "--out", "grid.zgrd"]) == 0
+    capsys.readouterr()
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {**_VALID_CONFIGS[kind], "step": 0.025})
+    rc = cli.main([kind, "--config", cfg, "--cache", "grid.zgrd",
+                   *(["--out", "curve.csv"] if kind == "curve" else [])])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "grid.zgrd" in err and "not a node" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "grid.zgrd"]
+
+
+@pytest.mark.parametrize("cache", ["absent.zgrd", "."])
+def test_unreadable_cache_exits_2(tmp_path, monkeypatch, capsys, cache):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_json(tmp_path / "cfg.json", {"T": 100.0, "alpha": [0.0],
+                                              "beta": [1.0], "step": 0.025})
+    rc = cli.main(["moment", "--config", cfg, "--cache", cache])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("zetacorr: cannot read cache") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind,cfg,args", [
@@ -434,9 +481,8 @@ def test_curve_csv_and_svg(tmp_path, capsys):
 
 
 def _fake_row(delta=1.0, moment=10.0):
-    return CurveRow(delta=delta, moment=moment, prediction=20.0,
-                    ratio=moment / 20.0, nsw_value=1.1,
-                    step_halving_delta=1e-9)
+    return {"delta": delta, "moment": moment, "prediction": 20.0,
+            "ratio": moment / 20.0, "nsw_F": 1.1, "step_halving_delta": 1e-9}
 
 
 def test_svg_degenerate_inputs():
@@ -582,10 +628,15 @@ _VALID_CONFIGS = {
     "curve": {"T": 100.0, "beta": 1.0, "deltas": [0.0], "step": 0.05},
     "classify": _CLASSIFY_CONFIG,
 }
-_VALID_FLAGS = {
-    "sample": {"t0": 98.0, "t1": 99.0, "step": 0.0125, "rs_terms": 4},
+# a valid `run` dict of each subcommand but verify
+_VALID_RUNS = {
+    "sample": {"t0": 98.0, "t1": 99.0, "step": 0.0125, "rs_terms": 4,
+               "out": "grid.zgrd"},
     "classify": {"config": _CLASSIFY_CONFIG, "t0": 1e5, "t1": 1.0001e5,
                  "step": 1.0},
+    "moment": {"config": _VALID_CONFIGS["moment"]},
+    "predict": {"config": _VALID_CONFIGS["predict"]},
+    "curve": {"config": _VALID_CONFIGS["curve"], "out": "curve.csv"},
 }
 _MISSING = object()
 _MALFORMED = (math.nan, math.inf, -math.inf, True, False, "1", [[1.0]],
@@ -597,8 +648,8 @@ _MALFORMED_FOR = {cli._count: (0, -3), cli._band_count: (0, -3, 20),
                   cli._t1: (1e5 - 1.0,)}
 _ROWS = ([("config", kind, row) for kind, rows in cli._CONFIG_FIELDS.items()
           for row in rows]
-         + [("flags", kind, row) for kind, rows in cli._FLAG_FIELDS.items()
-            for row in rows]
+         + [("flags", kind, row) for kind, (_, _, rows) in cli._COMMANDS.items()
+            if kind != "verify" for row in rows]
          + [("verify", prop, row) for prop, (_, rows) in cli._VERIFY.items()
             for row in rows])
 
@@ -607,6 +658,8 @@ _ROWS = ([("config", kind, row) for kind, rows in cli._CONFIG_FIELDS.items()
 def _malformed_input(draw):
     where, kind, (key, parse, default) = draw(st.sampled_from(_ROWS))
     bad = (*_MALFORMED, *_MALFORMED_FOR.get(parse, ()))
+    if parse is cli._path:          # any string is a path
+        bad = tuple(v for v in bad if not isinstance(v, str))
     if default is cli._REQUIRED:
         bad += (_MISSING,)
     return where, kind, key, draw(st.sampled_from(bad))
@@ -617,18 +670,20 @@ def _malformed_input(draw):
 def test_malformed_parameters_exit_2(case):
     # every value drawn is malformed, so nothing runs past the parse
     where, kind, key, value = case
-    base = {"config": _VALID_CONFIGS, "flags": _VALID_FLAGS,
+    base = {"config": _VALID_CONFIGS, "flags": _VALID_RUNS,
             "verify": {}}[where].get(kind, {})
     params = {k: v for k, v in base.items() if k != key}
     if value is not _MISSING:
         params[key] = value
-    with pytest.raises(ConfigError):
-        if where == "config":
-            cli.read_config(cli._CONFIG_FIELDS[kind], params, kind)
-        elif where == "flags":
-            _run(kind, **params)
-        else:
-            _run("verify", property=kind, **params)
+    with _fresh_dir() as tmp:
+        with pytest.raises(ConfigError):
+            if where == "config":
+                cli.read_config(cli._CONFIG_FIELDS[kind], params, kind)
+            elif where == "flags":
+                _run(kind, **params)
+            else:
+                _run("verify", property=kind, **params)
+        assert not list(tmp.iterdir())
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -640,9 +695,13 @@ def test_malformed_parameters_exit_2(case):
     ("moment", {}),
     ("predict", {}),
     ("curve", {"out": "curve.csv"}),
-    ("sample", _VALID_FLAGS["sample"]),
-    ("sample", {**_VALID_FLAGS["sample"], "out": 3}),
+    ("sample", {k: v for k, v in _VALID_RUNS["sample"].items() if k != "out"}),
+    ("sample", {**_VALID_RUNS["sample"], "out": 3}),
     ("curve", {"config": _VALID_CONFIGS["curve"]}),
+    # the other path keys are paths too, checked before anything runs
+    ("curve", {**_VALID_RUNS["curve"], "plot": 5}),
+    ("predict", {**_VALID_RUNS["predict"], "report": 7}),
+    ("moment", {**_VALID_RUNS["moment"], "cache": [1]}),
 ])
 def test_run_needs_a_config_object_and_an_out_path(tmp_path, monkeypatch,
                                                    kind, params):
@@ -653,12 +712,14 @@ def test_run_needs_a_config_object_and_an_out_path(tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+_README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
 def _readme_rows():
     """README's "Config fields" table as {subcommand: [(field, default)]},
     `-` for a required field and a JSON default otherwise."""
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    table = readme.split("| subcommand | fields (default) |", 1)[1]
+    table = _README.split("| subcommand | fields (default) |", 1)[1]
     out = {}
     for line in table.split("\n")[2:]:
         if not line.startswith("|"):
@@ -673,13 +734,143 @@ def _readme_rows():
 
 
 def test_readme_config_table_matches_the_rows():
+    # README tables every row but the paths, and lists those beside it
+    flags = {kind: rows for kind, (_, _, rows) in cli._COMMANDS.items()
+             if kind != "verify"}
     expect = {}
-    for tables, label in ((cli._CONFIG_FIELDS, "{}"),
-                          (cli._FLAG_FIELDS, "{} flags"),
+    for tables, label in ((cli._CONFIG_FIELDS, "{}"), (flags, "{} flags"),
                           ({p: rows for p, (_, rows) in cli._VERIFY.items()},
                            "verify {}")):
         for kind, rows in tables.items():
-            expect[label.format(kind)] = [
-                (key, "-" if default is cli._REQUIRED else default)
-                for key, _, default in rows]
+            listed = [(key, "-" if default is cli._REQUIRED else default)
+                      for key, parse, default in rows if parse is not cli._path]
+            if listed:
+                expect[label.format(kind)] = listed
     assert _readme_rows() == expect
+    paths = {"--" + key.replace("_", "-") for _, _, rows in cli._COMMANDS.values()
+             for key, parse, _ in rows if parse is cli._path}
+    listed = re.search(r"Paths \(([^)]*)\)", _README).group(1)
+    assert sorted(re.findall(r"`(--[\w-]+)`", listed)) == sorted({"--config", *paths})
+
+
+# ---------------------------------------------------------------------------
+# the command line itself: pinned, and fuzzed
+
+
+_COMMON_FLAGS = {"--threads": ("int", False, os.cpu_count() or 1),
+                 "--seed": ("int", False, 0), "--report": ("str", False, None)}
+_GRID_FLAGS = {"--t0": ("float", True, None), "--t1": ("float", True, None),
+               "--step": ("float", True, None)}
+_CONFIG_FLAG = {"--config": ("str", True, None)}
+# each subcommand's flags as (type of the value it echoes, required, default)
+_FLAGS = {
+    "sample": {**_COMMON_FLAGS, **_GRID_FLAGS, "--rs-terms": ("int", False, 4),
+               "--out": ("str", True, None)},
+    "classify": {**_COMMON_FLAGS, **_CONFIG_FLAG, **_GRID_FLAGS,
+                 "--out": ("str", False, None)},
+    "moment": {**_COMMON_FLAGS, **_CONFIG_FLAG, "--cache": ("str", False, None)},
+    "predict": {**_COMMON_FLAGS, **_CONFIG_FLAG},
+    "curve": {**_COMMON_FLAGS, **_CONFIG_FLAG, "--cache": ("str", False, None),
+              "--out": ("str", True, None), "--plot": ("str", False, None)},
+    "verify": {**_COMMON_FLAGS, "--trials": ("int", False, None),
+               "--points": ("int", False, None),
+               "--x-cutoff": ("float", False, None),
+               "--t-height": ("float", False, None)},
+}
+
+
+def test_flags_and_their_echo_types_are_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_FLAGS)
+    for kind, flags in _FLAGS.items():
+        actions = [a for a in sub.choices[kind]._actions if a.dest != "help"]
+        assert {a.option_strings[0]: a.required for a in actions
+                if a.option_strings} == {f: req for f, (_, req, _) in flags.items()}
+        assert [(a.dest, a.choices) for a in actions if not a.option_strings] == (
+            [("property", sorted(cli._VERIFY))] if kind == "verify" else [])
+        head = [kind, *(["lemma22"] if kind == "verify" else [])]
+        head += [x for flag, (_, req, _) in flags.items() if req for x in (flag, "7")]
+        defaults = vars(parser.parse_args(head))
+        for flag, (echo, req, default) in flags.items():
+            dest = flag[2:].replace("-", "_")
+            assert req or defaults[dest] == default
+            given = vars(parser.parse_args([*head, flag, "7"]))[dest]
+            assert type(given).__name__ == echo
+    # 25 flags, counting verify's property once and the common three once,
+    # plus 18 config fields: 43 settable options
+    flag_count = 1 + len(_COMMON_FLAGS) + sum(
+        len(flags) - len(_COMMON_FLAGS) for flags in _FLAGS.values())
+    assert flag_count + sum(map(len, cli._CONFIG_FIELDS.values())) == 43
+
+
+# a tiny valid command line of each subcommand, with its config file
+_ARGV = {
+    "sample": ["sample", "--t0", "98", "--t1", "99", "--step", "0.0125",
+               "--out", "grid.zgrd"],
+    "moment": ["moment", "--config", "cfg.json"],
+    "curve": ["curve", "--config", "cfg.json", "--out", "curve.csv"],
+    "classify": ["classify", "--config", "cfg.json", "--t0", "1e5",
+                 "--t1", "100010", "--step", "1"],
+    "verify": ["verify", "lemma33", "--trials", "1"],
+}
+_ARGV_CONFIGS = {
+    "moment": {"T": 100.0, "alpha": [0.0, 1.0], "beta": [1.0, 1.0],
+               "step": 0.025},
+    "curve": {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.025},
+    "classify": _CLASSIFY_CONFIG,
+}
+_SHIFT_KEYS = {"moment": "alpha", "curve": "deltas"}
+_FLAG_VALUES = ("nan", "inf", "-1", "0", "2.5", "1e400", "abc", "", "x" * 10_000)
+_BAD_FORMULAS = ("T.real", "log(0)", "[1][0]", "T +", "(" * 5000 + "T" + ")" * 5000,
+                 "-" * 5000 + "T", "[" * 5000 + "T" + "]" * 5000)
+
+
+@st.composite
+def _mutated_command_line(draw):
+    """(argv, config or None): one valid command line changed in one place."""
+    kind = draw(st.sampled_from(sorted(_ARGV)))
+    argv, config = list(_ARGV[kind]), _ARGV_CONFIGS.get(kind)
+    how = draw(st.sampled_from(("value", "drop", "bogus")
+                               + (("formula",) if kind in _SHIFT_KEYS else ())))
+    if how == "value":
+        flag = draw(st.sampled_from(sorted(_FLAGS[kind])))
+        value = draw(st.sampled_from(_FLAG_VALUES))
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    elif how == "drop":
+        required = [f for f, (_, req, _) in _FLAGS[kind].items() if req]
+        if required:
+            i = argv.index(draw(st.sampled_from(required)))
+            del argv[i:i + 2]
+        else:
+            argv.remove("lemma33")
+    elif how == "bogus":
+        argv += ["--bogus", "1"]
+    else:
+        formula = draw(st.sampled_from(_BAD_FORMULAS))
+        config = {**config, _SHIFT_KEYS[kind]: {"formula": formula}}
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_command_line())
+def test_mutated_command_lines_exit_cleanly(case):
+    # a documented exit code, no traceback, and on failure no output
+    argv, config = case
+    with _fresh_dir() as tmp:
+        inputs = [_write_json(tmp / "cfg.json", config)] if config else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert sorted(str(p) for p in tmp.iterdir()) == inputs

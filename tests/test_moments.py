@@ -135,7 +135,7 @@ def test_prediction_pair_factor():
     log_t = math.log(t)
     spec = ShiftSpec(alpha=(0.0, 2.0), beta=(1.0, 1.0), t_height=t)
     point = zeta.zeta_one_line(2.0, 1.0 / log_t)
-    expect = t * log_t ** 2 * point.modulus ** 2
+    expect = t * log_t ** 2 * abs(point) ** 2
     assert math.isclose(moments.predict_bound(spec), expect, rel_tol=1e-14)
     # a zero exponent silences its pair terms
     spec0 = ShiftSpec(alpha=(0.0, 2.0), beta=(1.0, 0.0), t_height=t)
@@ -185,10 +185,10 @@ def test_surrogate_tracks_log_zeta(table_small):
 def test_correlation_curve_rows(grid_100_200):
     deltas = (0.0, 0.5, 2.0)
     rows = moments.correlation_curve(100.0, 1.0, deltas, grid_100_200)
-    assert [r.delta for r in rows] == list(deltas)
-    for r in rows:
+    assert len(rows) == len(deltas)
+    for delta, r in zip(deltas, rows):
         assert r.ratio == r.moment / r.prediction
-        assert r.nsw_value == moments.nsw_F(0.0, r.delta, 100.0)
+        assert r.nsw_value == moments.nsw_F(0.0, delta, 100.0)
         assert r.step_halving_delta < 1e-5
     # zero separation doubles the exponent: the moment is largest there
     assert rows[0].moment > rows[2].moment
