@@ -5,7 +5,7 @@ that shrink as the blocks grow, plus square-sum bands (e^l, e^(l+1)]
 with thresholds J_l.  Points t are classified by whether every tapered
 block polynomial stays under its cutoff (good), which block fails
 first (bad index), and the largest square band over threshold (square
-index).  Shift tuples get the induced partition label.
+index).
 
 With the published scale constant the first block only activates at
 astronomically large heights; `exponent_scale_override` keeps every
@@ -17,7 +17,7 @@ every point as (vacuously) good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class BlockScheme:
     """
 
     log_t: float
-    betas: tuple
-    beta_star: float
-    exponent_scale: float
     levels: int
     log_t_seq: tuple      # log T_0 .. log T_L
     k_seq: tuple          # K_1 .. K_L
@@ -76,10 +73,6 @@ class BlockScheme:
     @property
     def degenerate(self) -> bool:
         return self.levels == 0
-
-    @property
-    def t_height(self) -> float:
-        return math.exp(self.log_t) if self.log_t < 709.0 else math.inf
 
     @property
     def t_seq(self) -> tuple:
@@ -91,18 +84,9 @@ class BlockScheme:
         return math.log(self.log_t)
 
     @property
-    def log3_t(self) -> float:
-        return math.log(self.log2_t)
-
-    @property
     def square_band_count(self) -> int:
         """Bands 1..floor(log2 T) participate in classification."""
         return int(math.floor(self.log2_t))
-
-    @property
-    def ell_cap(self) -> int:
-        """Partition labels cap square indices at floor(2 * log3 T)."""
-        return max(0, int(math.floor(2.0 * self.log3_t)))
 
     def sigma0(self, s_index: int, *, abscissa: str = "half") -> float:
         """Classification abscissa for the cutoff at T_s.
@@ -146,8 +130,7 @@ def build_scheme(
         log_t = math.log(t_height)
     elif log_t < math.log(T_HEIGHT_MIN):
         raise DomainError(f"log height {log_t} below log {T_HEIGHT_MIN}")
-    betas = tuple(float(b) for b in betas)
-    bs = beta_star(betas)
+    bs = beta_star(betas)       # checks the exponents, override or not
     scale = (default_exponent_scale(bs) if exponent_scale_override is None
              else float(exponent_scale_override))
     if scale <= 0:
@@ -172,9 +155,6 @@ def build_scheme(
             raise DomainError("block cutoffs failed to decrease")
     return BlockScheme(
         log_t=float(log_t),
-        betas=betas,
-        beta_star=bs,
-        exponent_scale=scale,
         levels=levels,
         log_t_seq=tuple(log_t_seq),
         k_seq=tuple(k_seq),
@@ -214,35 +194,18 @@ class SieveBlockEngines:
             self.table, square_band_interval(band), 0.5, t_values)
 
 
-@dataclass
-class GridClassification:
-    """Vector classification of a t grid.
-
-    bad_index[k] = 0 means good; j >= 1 means the smallest failing
-    block.  square_index[k] = 0 means no band over threshold; l >= 1 is
-    the largest band over threshold within the evaluated range.
-    """
-
-    t_values: np.ndarray
-    bad_index: np.ndarray
-    square_index: np.ndarray
-    band_count: int
-    gb_vacuous: bool
-
-    @property
-    def good(self) -> np.ndarray:
-        return self.bad_index == 0
-
-
 def classify_grid(
     t_values,
     scheme: BlockScheme,
     engines,
     *,
     band_count: int | None = None,
-) -> GridClassification:
-    """Classify every grid point; smallest failing block wins.
+) -> tuple:
+    """Classify every grid point: (bad_index, square_index) int16 arrays.
 
+    bad_index[k] = 0 means good; j >= 1 means the smallest failing
+    block.  square_index[k] = 0 means no band over threshold; l >= 1 is
+    the largest band over threshold within the evaluated range.
     `band_count` widens (or narrows) the square-band range; the default
     is the scheme's floor(log2 T).  All comparisons are strict
     exceedance, so boundary values count as within threshold.
@@ -264,74 +227,7 @@ def classify_grid(
         vals = engines.square_sum(band, t)
         over = np.abs(vals) > square_threshold(band)
         square = np.where(over, np.int16(band), square)
-    return GridClassification(
-        t_values=t,
-        bad_index=bad,
-        square_index=square,
-        band_count=band_count,
-        gb_vacuous=scheme.degenerate,
-    )
-
-
-@dataclass
-class ShiftPartitionLabel:
-    """Partition cell of one shift tuple at one point.
-
-    good_set holds the (1-based) shift indices whose translates are
-    good; block_map sends each remaining index to its failing block.
-    band_map holds per-shift square indices capped at the scheme's
-    ell cap; band_sup is their max, attained first at k_star.
-    """
-
-    good_set: frozenset
-    block_map: dict
-    band_map: dict
-    band_sup: int
-    k_star: int
-    raw_band_map: dict = field(default_factory=dict)
-
-
-def classify_shift_tuple(
-    t: float,
-    spec,
-    scheme: BlockScheme,
-    engines,
-    *,
-    band_count: int | None = None,
-) -> ShiftPartitionLabel:
-    """Partition label of (t + alpha_1, ..., t + alpha_m).
-
-    `spec` is anything with an `alpha` attribute (a moment spec) or a
-    plain sequence of shifts.
-    """
-    shifts = [float(a) for a in getattr(spec, "alpha", spec)]
-    if not shifts:
-        raise DomainError("need at least one shift")
-    half_t = scheme.t_height / 2.0
-    for a in shifts:
-        if abs(a) > half_t:
-            raise DomainError(f"|shift| = {abs(a)} exceeds T/2 = {half_t}")
-    pts = np.array([t + a for a in shifts], dtype=np.float64)
-    grid = classify_grid(pts, scheme, engines, band_count=band_count)
-    good = frozenset(
-        k + 1 for k in range(len(shifts)) if grid.bad_index[k] == 0)
-    blocks = {
-        k + 1: int(grid.bad_index[k])
-        for k in range(len(shifts)) if grid.bad_index[k] != 0
-    }
-    cap = scheme.ell_cap
-    raw = {k + 1: int(grid.square_index[k]) for k in range(len(shifts))}
-    bands = {k: min(v, cap) for k, v in raw.items()}
-    sup = max(bands.values())
-    k_star = min(k for k, v in bands.items() if v == sup)
-    return ShiftPartitionLabel(
-        good_set=good,
-        block_map=blocks,
-        band_map=bands,
-        band_sup=sup,
-        k_star=k_star,
-        raw_band_map=raw,
-    )
+    return bad, square
 
 
 def block_measure_bound(scheme: BlockScheme, j: int) -> float | None:

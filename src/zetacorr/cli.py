@@ -262,6 +262,8 @@ def _abscissa(val, fields) -> str:
 def _path(val, fields=None):
     if not isinstance(val, (str, os.PathLike)):
         raise ConfigError(f"must be a path, got {type(val).__name__}")
+    if not os.fspath(val):
+        raise ConfigError("must be a path, got an empty string")
     return val
 
 
@@ -411,14 +413,14 @@ def _handle_classify(config: ExperimentConfig, f: dict):
         + [math.exp(band_count + 1)])
     table = primes.sieve_primes(int(math.ceil(sieve_top)) + 1)
     engines = blocks.SieveBlockEngines(scheme, table, abscissa=c["abscissa"])
-    grid = blocks.classify_grid(t, scheme, engines, band_count=band_count)
+    bad, square = blocks.classify_grid(t, scheme, engines, band_count=band_count)
 
-    bad_counts = [int(np.count_nonzero(grid.bad_index == j))
+    bad_counts = [int(np.count_nonzero(bad == j))
                   for j in range(1, scheme.levels + 1)]
-    square_counts = [int(np.count_nonzero(grid.square_index == l))
+    square_counts = [int(np.count_nonzero(square == l))
                      for l in range(1, band_count + 1)]
-    good_count = int(np.count_nonzero(grid.bad_index == 0))
-    square_zero = int(np.count_nonzero(grid.square_index == 0))
+    good_count = int(np.count_nonzero(bad == 0))
+    square_zero = int(np.count_nonzero(square == 0))
     if good_count + sum(bad_counts) != count:
         raise DomainError("block classification failed to partition the grid")
     if square_zero + sum(square_counts) != count:
@@ -509,10 +511,12 @@ def _handle_curve(config: ExperimentConfig, f: dict):
         "beta": c["beta"],
         "quadrature_step": c["step"],
     }
+    # in delta order, each distinct warning once
+    warnings = list(dict.fromkeys(w for r in reports for w in r.warnings))
     artifacts = [(f["out"], curve_csv(rows))]
     if f["plot"]:
         artifacts.append((f["plot"], emit_plot_svg(rows)))
-    return results, [], versions, artifacts
+    return results, warnings, versions, artifacts
 
 
 def _handle_verify(config: ExperimentConfig, f: dict):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
@@ -62,7 +61,6 @@ class CoeffTable:
     entries: dict
     primes: tuple
     interval: PrimeInterval
-    x_cutoff: float
     max_omega: int
 
     def __len__(self) -> int:
@@ -116,7 +114,6 @@ def truncated_exp(
         entries=dict(zip(ns.tolist(), coeffs.astype(np.complex128).tolist())),
         primes=tuple(ps),
         interval=spec.interval,
-        x_cutoff=spec.x_cutoff,
         max_omega=cap,
     )
 
@@ -191,7 +188,6 @@ def product_coeffs(
         entries=dict(zip(acc[0].tolist(), acc[1].tolist())),
         primes=primes,
         interval=PrimeInterval(lo, hi),
-        x_cutoff=max(t.x_cutoff for t, _ in factors),
         max_omega=sum(t.max_omega for t, _ in factors),
     )
 
@@ -319,21 +315,16 @@ def prime_power_tail_c2(table: CoeffTable, sigma0: float) -> float:
     return worst
 
 
-def euler_bound(
-    table: CoeffTable, sigma0: float, c2: float | None = None
-) -> float:
+def euler_bound(table: CoeffTable, sigma0: float) -> float:
     """Product bound prod_p (1 + |c(p)|^2 / p + c2 / p^2) on the diagonal.
 
     Valid for sigma0 >= 1/2 when the coefficients are multiplicative
-    over the support primes and c2 dominates every prime-power tail
-    (`prime_power_tail_c2` computes the tight choice).
+    over the support primes; c2 is the tight `prime_power_tail_c2`,
+    which dominates every prime-power tail.
     """
     if sigma0 < 0.5:
         raise DomainError(f"product bound needs sigma0 >= 1/2, got {sigma0}")
-    if c2 is None:
-        c2 = prime_power_tail_c2(table, sigma0)
-    if c2 < 0:
-        raise DomainError(f"quadratic constant must be >= 0, got {c2}")
+    c2 = prime_power_tail_c2(table, sigma0)
     acc = KahanAccumulator(0.0)
     for p in table.primes:
         cp = abs(table.entries.get(p, 0.0)) ** 2
@@ -441,21 +432,9 @@ def lemma22_check(
         return bool(lhs <= rhs)
 
 
-class SplittingCheck(NamedTuple):
-    """Windowed mean square of a product polynomial (lhs) beside the
-    factored form T * prod(mean_i / T) (rhs)."""
-
-    lhs: float
-    rhs: float
-
-    @property
-    def relative_gap(self) -> float:
-        return abs(self.lhs - self.rhs) / abs(self.rhs)
-
-
-def splitting_check(tables, t_len: float) -> SplittingCheck:
-    """Compare the windowed mean square of a product of polynomials on
-    disjoint prime intervals against the factored form.
+def splitting_check(tables, t_len: float) -> tuple:
+    """(lhs, rhs): the windowed mean square of a product of polynomials
+    on disjoint prime intervals, and the factored form T * prod(mean_i / T).
 
     Near-equality is only meaningful while the product length (largest
     product frequency) stays well under T; lengths beyond
@@ -479,10 +458,10 @@ def splitting_check(tables, t_len: float) -> SplittingCheck:
     if len(tables) == 1:
         # degenerate product: both sides are the same integral
         lhs = exact_mv_integral(tables[0], t_len)
-        return SplittingCheck(lhs=lhs, rhs=lhs)
+        return lhs, lhs
     product = product_coeffs([(t, 0.0) for t in tables])
     lhs = exact_mv_integral(product, t_len)
     rhs = float(t_len)
     for t in tables:
         rhs *= exact_mv_integral(t, t_len) / float(t_len)
-    return SplittingCheck(lhs=lhs, rhs=rhs)
+    return lhs, rhs

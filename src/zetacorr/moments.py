@@ -251,26 +251,21 @@ def lemma21_rhs(
     x_cutoff: float,
     table,
     *,
-    t_height: float | None = None,
-):
+    t_height: float,
+) -> np.ndarray:
     """Surrogate majorant for log|zeta| on the half line: the tapered
     prime sum at sigma = 1/2 + 1/log X, the half square sum over primes
     up to min(sqrt X, log T), and the ratio log T / log X.  The bounded
     remainder is deliberately not included; audits measure it.
     """
-    t = np.asarray(t_values, dtype=np.float64)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     if x_cutoff < 2.0:
         raise DomainError(f"cutoff must be >= 2, got {x_cutoff}")
-    if t_height is None:
-        t_height = float(t.min())
     if x_cutoff > t_height * t_height * (1 + 1e-12):
         raise DomainError(
             f"cutoff {x_cutoff} exceeds T^2 = {t_height * t_height}")
     log_x = math.log(x_cutoff)
     log_t = math.log(t_height)
-    shifted = t + alpha
+    shifted = np.asarray(t_values, dtype=np.float64) + alpha
 
     sigma = 0.5 + 1.0 / log_x
     term1 = tapered_block_sum(
@@ -283,8 +278,7 @@ def lemma21_rhs(
     else:
         term2 = np.zeros_like(term1)
 
-    out = term1 + term2 + log_t / log_x
-    return float(out[0]) if scalar else out
+    return term1 + term2 + log_t / log_x
 
 
 def correlation_curve(

@@ -25,8 +25,10 @@ _SEGMENT_ODDS = 1 << 21  # odd numbers per sieve segment (~2 MB of flags)
 
 # prime-axis chunk for the vectorized sums; fixed for determinism
 _P_CHUNK = 2048
-# grid-axis chunk; bounds the outer-product workspace at ~128 MB
-_T_CHUNK = 4096
+# grid-axis chunk; holds each outer-product temporary to 16 MB (512 x
+# 2048 complex), so the peak footprint stays small whatever holes the
+# heap has for it
+_T_CHUNK = 512
 
 
 @dataclass(frozen=True)

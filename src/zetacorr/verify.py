@@ -65,7 +65,7 @@ def _random_coeff_table(rng):
         n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs
     }
     return dirichlet.CoeffTable(
-        entries=entries, primes=(), x_cutoff=float(_COEFF_FREQ_MAX), max_omega=0,
+        entries=entries, primes=(), max_omega=0,
         interval=primes.PrimeInterval(1.0, _COEFF_FREQ_MAX))
 
 
@@ -185,7 +185,7 @@ def prop34(rng, trials):
             tab = dirichlet.CoeffTable(
                 entries=entries, primes=tuple(ps),
                 interval=primes.PrimeInterval(ps[0] - 0.5, ps[-1] + 0.5),
-                x_cutoff=256.0, max_omega=cap)
+                max_omega=cap)
         diag = dirichlet.diagonal_sum(tab, sigma0)
         bound = dirichlet.euler_bound(tab, sigma0)
         if diag > bound * (1 + 1e-12):

@@ -3,6 +3,7 @@ and measure bounds."""
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_block_scale_closed_forms():
     assert math.isclose(scheme.k_seq[0], 19.1801835541645, rel_tol=1e-13)
     assert math.isclose(
         scheme.log_t_seq[1], math.exp(10.0) / 100.0, rel_tol=1e-14)
-    assert scheme.t_height == math.inf  # log T = e^10 overflows doubles
+    assert scheme.log_t > math.log(sys.float_info.max)  # T overflows doubles
 
 
 def test_scheme_monotone_scales():
@@ -130,17 +131,16 @@ def test_classify_minimal_bad_index():
     t = np.array([1e5, 1.2e5, 1.4e5])
     # both blocks exceed their caps: the smallest j is reported
     engines = _synthetic(scheme, {1: k1 + 1.0, 2: k2 + 1.0}, {})
-    grid = blocks.classify_grid(t, scheme, engines)
-    assert list(grid.bad_index) == [1, 1, 1]
+    bad, _ = blocks.classify_grid(t, scheme, engines)
+    assert list(bad) == [1, 1, 1]
     # only the second block exceeds
     engines = _synthetic(scheme, {1: 0.0, 2: k2 + 1.0}, {})
-    grid = blocks.classify_grid(t, scheme, engines)
-    assert list(grid.bad_index) == [2, 2, 2]
+    bad, _ = blocks.classify_grid(t, scheme, engines)
+    assert list(bad) == [2, 2, 2]
     # exact equality is not an exceedance: strict comparison
     engines = _synthetic(scheme, {1: k1, 2: k2}, {})
-    grid = blocks.classify_grid(t, scheme, engines)
-    assert list(grid.bad_index) == [0, 0, 0]
-    assert grid.good.all()
+    bad, _ = blocks.classify_grid(t, scheme, engines)
+    assert list(bad) == [0, 0, 0]
 
 
 def test_classify_largest_square_band():
@@ -149,24 +149,22 @@ def test_classify_largest_square_band():
     j1 = blocks.square_threshold(1)
     j3 = blocks.square_threshold(3)
     engines = _synthetic(scheme, {}, {1: j1 + 0.5, 3: j3 + 0.5})
-    grid = blocks.classify_grid(t, scheme, engines, band_count=4)
-    assert list(grid.square_index) == [3, 3]
+    _, square = blocks.classify_grid(t, scheme, engines, band_count=4)
+    assert list(square) == [3, 3]
     engines = _synthetic(scheme, {}, {})
-    grid = blocks.classify_grid(t, scheme, engines, band_count=4)
-    assert list(grid.square_index) == [0, 0]
+    _, square = blocks.classify_grid(t, scheme, engines, band_count=4)
+    assert list(square) == [0, 0]
 
 
 def test_classify_partition_is_exhaustive(table_mega):
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, table_mega)
     t = np.linspace(1e5, 2e5, 2001)
-    grid = blocks.classify_grid(t, scheme, engines, band_count=5)
-    assert grid.bad_index.shape == t.shape
-    assert np.all((grid.bad_index >= 0) & (grid.bad_index <= scheme.levels))
-    assert np.all((grid.square_index >= 0) & (grid.square_index <= 5))
-    # exactly one class per point by construction of the indices
-    good = grid.bad_index == 0
-    assert np.all(good == grid.good)
+    bad, square = blocks.classify_grid(t, scheme, engines, band_count=5)
+    # one block class and one square class per point
+    assert bad.shape == square.shape == t.shape
+    assert np.all((bad >= 0) & (bad <= scheme.levels))
+    assert np.all((square >= 0) & (square <= 5))
 
 
 def test_classify_nesting_from_raw_engine_values(table_mega):
@@ -176,8 +174,8 @@ def test_classify_nesting_from_raw_engine_values(table_mega):
     engines = blocks.SieveBlockEngines(scheme, table_mega)
     rng = random.Random(0xBAD)
     t = np.array([rng.uniform(1e5, 2e5) for _ in range(400)])
-    grid = blocks.classify_grid(t, scheme, engines)
-    for i, j in enumerate(grid.bad_index):
+    bad, _ = blocks.classify_grid(t, scheme, engines)
+    for i, j in enumerate(bad):
         vals = [abs(engines.block_sum(r, r, np.array([t[i]]))[0])
                 for r in range(1, scheme.levels + 1)]
         if j == 0:
@@ -191,27 +189,9 @@ def test_degenerate_scheme_classifies_all_good():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0))
     engines = SyntheticBlockEngines(scheme)
     t = np.linspace(1e5, 2e5, 11)
-    grid = blocks.classify_grid(t, scheme, engines)
-    assert grid.gb_vacuous
-    assert grid.good.all()
-
-
-def test_shift_tuple_partition(table_mega):
-    scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, table_mega)
-    label = blocks.classify_shift_tuple(
-        150000.0, (0.0, 7.5), scheme, engines, band_count=4)
-    # shifts are labeled by 1-based index; good/bad partition the tuple
-    assert set(label.good_set).isdisjoint(label.block_map)
-    assert set(label.good_set) | set(label.block_map) == {1, 2}
-    assert set(label.band_map) == {1, 2}
-    assert all(v <= scheme.ell_cap for v in label.band_map.values())
-    assert label.band_sup == max(label.band_map.values())
-    assert label.k_star in (1, 2)
-    assert label.band_map[label.k_star] == label.band_sup
-    with pytest.raises(DomainError):
-        blocks.classify_shift_tuple(
-            150000.0, (0.0, 6e4), scheme, engines)
+    bad, _ = blocks.classify_grid(t, scheme, engines)
+    assert scheme.degenerate
+    assert np.all(bad == 0)
 
 
 def test_measure_bounds_closed_forms():
@@ -237,7 +217,7 @@ def test_square_fraction_decays_with_band(table_mega):
     engines = blocks.SieveBlockEngines(scheme, table_mega)
     t = np.linspace(1e5, 2e5, 2001)
     fr = [np.count_nonzero(blocks.classify_grid(
-              t, scheme, engines, band_count=l).square_index == l) / t.size
+              t, scheme, engines, band_count=l)[1] == l) / t.size
           for l in (3, 4, 5, 6)]
     assert all(a >= b for a, b in zip(fr, fr[1:]))
     assert fr[-1] <= 1e-2

@@ -10,6 +10,8 @@ import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 import zlib
@@ -149,6 +151,22 @@ def test_predict_success_report_split(tmp_path, capsys):
     spec = moments.ShiftSpec(alpha=(0.0, 2.0), beta=(1.0, 1.0), t_height=1e4)
     assert payload["results"]["prediction"] == moments.predict_bound(spec)
     assert payload["results"]["nsw_F"] == moments.nsw_F(0.0, 2.0, 1e4)
+
+
+def test_python_m_runs_without_warnings(tmp_path):
+    # the package does not import `cli`, so runpy finds it unimported
+    cfg = _write_json(tmp_path / "p.json",
+                      {"T": 1e4, "alpha": [0.0, 2.0], "beta": [1.0, 1.0]})
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "zetacorr.cli", "predict",
+         "--config", cfg], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["payload"]["kind"] == "predict"
 
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
@@ -480,6 +498,22 @@ def test_curve_csv_and_svg(tmp_path, capsys):
         assert el.attrib["data-step-halving-delta"] == fields[5]
 
 
+def test_curve_publishes_the_snap_warnings(tmp_path):
+    # each delta's moment report warns of its snap; the curve publishes
+    # those warnings in delta order, each distinct one once
+    cfg = {"T": 100.0, "beta": 1.0, "deltas": [0.0, 0.013, 0.52, 0.013],
+           "step": 0.05}
+    out = str(tmp_path / "curve.csv")
+    curve = _run("curve", config=cfg, out=out).payload["warnings"]
+    moment = [_run("moment", config={"T": 100.0, "alpha": [0.0, d],
+                                     "beta": [1.0, 1.0], "step": 0.05}
+                   ).payload["warnings"] for d in (0.013, 0.52)]
+    assert curve == [w for ws in moment for w in ws]
+    assert curve == [
+        "shifts snapped to step 0.05 grid, max residual 1.300e-02",
+        "shifts snapped to step 0.05 grid, max residual 2.000e-02"]
+
+
 def _fake_row(delta=1.0, moment=10.0):
     return {"delta": delta, "moment": moment, "prediction": 20.0,
             "ratio": moment / 20.0, "nsw_F": 1.1, "step_halving_delta": 1e-9}
@@ -658,8 +692,8 @@ _ROWS = ([("config", kind, row) for kind, rows in cli._CONFIG_FIELDS.items()
 def _malformed_input(draw):
     where, kind, (key, parse, default) = draw(st.sampled_from(_ROWS))
     bad = (*_MALFORMED, *_MALFORMED_FOR.get(parse, ()))
-    if parse is cli._path:          # any string is a path
-        bad = tuple(v for v in bad if not isinstance(v, str))
+    if parse is cli._path:          # any nonempty string is a path
+        bad = tuple(v for v in bad if not isinstance(v, str)) + ("",)
     if default is cli._REQUIRED:
         bad += (_MISSING,)
     return where, kind, key, draw(st.sampled_from(bad))
@@ -710,6 +744,32 @@ def test_run_needs_a_config_object_and_an_out_path(tmp_path, monkeypatch,
         _run(kind, **params)
     assert err.value.exit_code == 2
     assert not list(tmp_path.iterdir())
+
+
+_CURVE_CONFIG = {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05}
+
+
+@pytest.mark.parametrize("kind,cfg,args,key", [
+    ("curve", _CURVE_CONFIG, ["--out", "curve.csv", "--plot", ""], "plot"),
+    ("curve", _CURVE_CONFIG, ["--out", "curve.csv", "--report", ""], "report"),
+    ("curve", _CURVE_CONFIG, ["--out", ""], "out"),
+    ("classify", _CLASSIFY_CONFIG, [*_CLASSIFY_ARGS, "--out", ""], "out"),
+    ("sample", None, ["--t0", "98", "--t1", "99", "--step", "0.0125",
+                      "--out", ""], "out"),
+    ("moment", _VALID_CONFIGS["moment"], ["--cache", ""], "cache"),
+])
+def test_empty_path_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys,
+                                                 kind, cfg, args, key):
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        args = ["--config", _write_json(tmp_path / "cfg.json", cfg), *args]
+    rc = cli.main([kind, *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"zetacorr: {kind} parameter {key!r}: must be a "
+                            f"path, got an empty string\n")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"] * (cfg is not None)
 
 
 _README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(

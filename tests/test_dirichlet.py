@@ -256,7 +256,7 @@ def test_product_coeffs_requires_shared_window(table_small):
 def test_mean_value_single_term():
     tab = dirichlet.CoeffTable(
         entries={7: 0.5 + 0.25j}, primes=(7,),
-        interval=primes.PrimeInterval(2.0, 7.0), x_cutoff=49.0, max_omega=1)
+        interval=primes.PrimeInterval(2.0, 7.0), max_omega=1)
     t_len = 1234.0
     want = t_len * abs(0.5 + 0.25j) ** 2
     assert math.isclose(
@@ -283,8 +283,7 @@ def test_mean_value_against_quadrature():
     got = dirichlet.exact_mv_integral(
         dirichlet.CoeffTable(
             entries=entries, primes=(2,),
-            interval=primes.PrimeInterval(1.0, 2.0), x_cutoff=4.0,
-            max_omega=1),
+            interval=primes.PrimeInterval(1.0, 2.0), max_omega=1),
         t_len)
     oracle = _simpson_mv_oracle(entries, t_len)
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
@@ -299,8 +298,7 @@ def test_mean_value_mixed_table_against_quadrature():
     t_len = 500.0
     tab = dirichlet.CoeffTable(
         entries=entries, primes=(),
-        interval=primes.PrimeInterval(1.0, 100.0), x_cutoff=100.0,
-        max_omega=0)
+        interval=primes.PrimeInterval(1.0, 100.0), max_omega=0)
     got = dirichlet.exact_mv_integral(tab, t_len)
     oracle = _simpson_mv_oracle(entries, t_len)
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
@@ -311,7 +309,7 @@ def test_mean_value_near_pair_logs():
     entries = {999_983: 1.0 + 0.0j, 999_979: 1.0 + 0.0j}
     tab = dirichlet.CoeffTable(
         entries=entries, primes=(),
-        interval=primes.PrimeInterval(1.0, 1e6), x_cutoff=1e6, max_omega=0)
+        interval=primes.PrimeInterval(1.0, 1e6), max_omega=0)
     t_len = 100.0
     got = dirichlet.exact_mv_integral(tab, t_len)
     oracle = _simpson_mv_oracle(entries, t_len, n_cells=400_001)
@@ -329,8 +327,7 @@ def test_mean_value_remainder_bound():
         }
         tab = dirichlet.CoeffTable(
             entries=entries, primes=(),
-            interval=primes.PrimeInterval(1.0, 2000.0), x_cutoff=2000.0,
-            max_omega=0)
+            interval=primes.PrimeInterval(1.0, 2000.0), max_omega=0)
         mv = dirichlet.exact_mv_integral(tab, t_len)
         diag = dirichlet.mean_value_diagonal(tab, t_len)
         bound = dirichlet.off_diagonal_bound(tab)
@@ -341,8 +338,7 @@ def test_mean_value_caps_table_size():
     entries = {n: 1.0 + 0.0j for n in range(1, 10_003)}
     tab = dirichlet.CoeffTable(
         entries=entries, primes=(),
-        interval=primes.PrimeInterval(1.0, 11_000.0), x_cutoff=11_000.0,
-        max_omega=0)
+        interval=primes.PrimeInterval(1.0, 11_000.0), max_omega=0)
     with pytest.raises(ResourceError):
         dirichlet.exact_mv_integral(tab, 100.0)
 
@@ -360,8 +356,9 @@ def test_diagonal_below_euler_bound(table_small):
 
 
 def test_euler_bound_log_linearization(table_small):
-    # with b(p) = 2 * taper(p) over (2, 1e3], log of the product with
-    # c2 = 0 tracks 4 * sum taper(p)^2 / p within 15 percent
+    # with b(p) = 2 * taper(p) over (2, 1e3] and no prime powers (so
+    # c2 = 0), log of the product tracks 4 * sum taper(p)^2 / p within
+    # 15 percent
     ps = [int(p) for p in table_small.primes_between(2.0, 1000.0)]
     x_cutoff = 1e6
     entries = {1: 1.0 + 0.0j}
@@ -369,23 +366,13 @@ def test_euler_bound_log_linearization(table_small):
         entries[p] = 2.0 * primes.taper_weight(p, x_cutoff)
     tab = dirichlet.CoeffTable(
         entries=entries, primes=tuple(ps),
-        interval=primes.PrimeInterval(2.0, 1000.0), x_cutoff=x_cutoff,
-        max_omega=1)
-    bound = dirichlet.euler_bound(tab, 0.5, 0.0)
+        interval=primes.PrimeInterval(2.0, 1000.0), max_omega=1)
+    bound = dirichlet.euler_bound(tab, 0.5)
     linear = 4.0 * math.fsum(
         primes.taper_weight(p, x_cutoff) ** 2 / p for p in ps)
     # measured 15.9 percent: log1p curvature at the small primes;
     # the linearization claim is qualitative, so allow 20
     assert abs(math.log(bound) - linear) <= 0.20 * linear
-
-
-def test_euler_bound_brute_c2_default(table_small):
-    spec = _spec(2, 23, 600, 1.1, 3)
-    tab = dirichlet.truncated_exp(spec, table_small)
-    c2 = dirichlet.prime_power_tail_c2(tab, 0.6)
-    explicit = dirichlet.euler_bound(tab, 0.6, c2)
-    defaulted = dirichlet.euler_bound(tab, 0.6)
-    assert math.isclose(explicit, defaulted, rel_tol=1e-14)
 
 
 def test_inverse_bound_pairing_spot(table_small):
@@ -473,7 +460,7 @@ def _sparse_factor(rng, interval, freqs):
         entries[n] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return dirichlet.CoeffTable(
         entries=entries, primes=tuple(freqs), interval=interval,
-        x_cutoff=interval.hi, max_omega=1)
+        max_omega=1)
 
 
 def test_splitting_two_blocks(table_small):
@@ -484,21 +471,19 @@ def test_splitting_two_blocks(table_small):
     tab1 = _sparse_factor(rng, primes.PrimeInterval(2.0, 50.0), [3, 5])
     tab2 = _sparse_factor(
         rng, primes.PrimeInterval(50.0, 200.0), [53, 101, 199])
-    check = dirichlet.splitting_check([tab1, tab2], t_len)
-    lhs, rhs = check  # tuple contract
+    lhs, rhs = dirichlet.splitting_check([tab1, tab2], t_len)
     length = max(tab1.entries) * max(tab2.entries)
     assert length == 995
     assert abs(lhs - rhs) / rhs <= 10.0 * length / t_len
-    assert check.relative_gap == abs(lhs - rhs) / rhs
 
 
 def test_splitting_trivial_cases(table_small):
     one = dirichlet.CoeffTable(
         entries={1: 1.0 + 0.0j}, primes=(),
-        interval=primes.PrimeInterval(2.0, 10.0), x_cutoff=10.0, max_omega=0)
+        interval=primes.PrimeInterval(2.0, 10.0), max_omega=0)
     other = dirichlet.CoeffTable(
         entries={1: 1.0 + 0.0j}, primes=(),
-        interval=primes.PrimeInterval(10.0, 20.0), x_cutoff=20.0, max_omega=0)
+        interval=primes.PrimeInterval(10.0, 20.0), max_omega=0)
     lhs, rhs = dirichlet.splitting_check([one, other], 500.0)
     assert lhs == 500.0 and rhs == 500.0
 
@@ -525,5 +510,5 @@ def test_splitting_length_budget(table_small):
     with pytest.raises(ResourceError):
         dirichlet.splitting_check([tab1, tab2], 1e6)
     # but a taller window admits it: sqrt(4e6) = 2000
-    check = dirichlet.splitting_check([tab1, tab2], 4e6)
-    assert check.relative_gap <= 10.0 * 1519.0 / 4e6
+    lhs, rhs = dirichlet.splitting_check([tab1, tab2], 4e6)
+    assert abs(lhs - rhs) / rhs <= 10.0 * 1519.0 / 4e6

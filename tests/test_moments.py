@@ -159,15 +159,15 @@ def test_nsw_factor_branches():
 
 
 def test_surrogate_majorant_shapes(table_small):
-    one = moments.lemma21_rhs(150.0, 0.0, 1e3, table_small)
-    assert isinstance(one, float)
-    vec = moments.lemma21_rhs([150.0, 160.0], 0.0, 1e3, table_small)
-    assert vec.shape == (2,)
-    assert vec[0] == one
+    one = moments.lemma21_rhs([150.0], 0.0, 1e3, table_small, t_height=150.0)
+    vec = moments.lemma21_rhs(
+        [150.0, 160.0], 0.0, 1e3, table_small, t_height=150.0)
+    assert one.shape == (1,) and vec.shape == (2,)
+    assert vec[0] == one[0]
     with pytest.raises(DomainError):
-        moments.lemma21_rhs(150.0, 0.0, 1.5, table_small)
+        moments.lemma21_rhs([150.0], 0.0, 1.5, table_small, t_height=150.0)
     with pytest.raises(DomainError):
-        moments.lemma21_rhs(150.0, 0.0, 1e9, table_small, t_height=100.0)
+        moments.lemma21_rhs([150.0], 0.0, 1e9, table_small, t_height=100.0)
 
 
 def test_surrogate_tracks_log_zeta(table_small):
