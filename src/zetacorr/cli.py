@@ -4,7 +4,7 @@ and report emission.
 Every run produces one JSON report with two top-level parts: `payload`
 (pure function of config + seed + consumed caches, canonically
 serialized, byte-stable across thread counts) and `meta` (wall time,
-timestamps, thread count).  Artifacts (caches, CSV, SVG, report files)
+timestamps, thread count).  Artifacts (caches, CSV, report files)
 are written all together after the computation finishes, or not at
 all, so failed runs leave nothing behind.
 
@@ -31,7 +31,6 @@ from .errors import (
     CacheFormatError,
     ConfigError,
     CoverageError,
-    DomainError,
     ZetaLabError,
 )
 
@@ -267,6 +266,19 @@ def _path(val, fields=None):
     return val
 
 
+def _refuse_shared_files(params: dict, inputs: dict) -> None:
+    """Refuse an output (`out`, `report`) whose real path is another
+    output's or an input's: writing it would replace that file."""
+    seen = {os.path.realpath(path): key for key, path in inputs.items() if path}
+    for key in ("out", "report"):
+        if params.get(key):
+            real = os.path.realpath(params[key])
+            if real in seen:
+                raise ConfigError(f"parameters {seen[real]!r} and {key!r} "
+                                  f"name one file, {params[key]}")
+            seen[real] = key
+
+
 _T = ("T", _real, _REQUIRED)
 _BETA = ("beta", _reals, _REQUIRED)
 _STEP = ("step", _step, _REQUIRED)
@@ -415,21 +427,13 @@ def _handle_classify(config: ExperimentConfig, f: dict):
     engines = blocks.SieveBlockEngines(scheme, table, abscissa=c["abscissa"])
     bad, square = blocks.classify_grid(t, scheme, engines, band_count=band_count)
 
-    bad_counts = [int(np.count_nonzero(bad == j))
-                  for j in range(1, scheme.levels + 1)]
-    square_counts = [int(np.count_nonzero(square == l))
-                     for l in range(1, band_count + 1)]
-    good_count = int(np.count_nonzero(bad == 0))
-    square_zero = int(np.count_nonzero(square == 0))
-    if good_count + sum(bad_counts) != count:
-        raise DomainError("block classification failed to partition the grid")
-    if square_zero + sum(square_counts) != count:
-        raise DomainError("square classification failed to partition the grid")
-
+    # label 0 is good (no band); the others run to levels (band_count)
+    bad_counts = np.bincount(bad, minlength=scheme.levels + 1).tolist()
+    square_counts = np.bincount(square, minlength=band_count + 1).tolist()
     results = {
-        "good_fraction": good_count / count,
-        "bad_fractions": [n / count for n in bad_counts],
-        "square_fractions": [n / count for n in square_counts],
+        "good_fraction": bad_counts[0] / count,
+        "bad_fractions": [n / count for n in bad_counts[1:]],
+        "square_fractions": [n / count for n in square_counts[1:]],
         "bounds": [blocks.square_measure_bound(l)
                    for l in range(1, band_count + 1)],
         "block_bounds": [blocks.block_measure_bound(scheme, j)
@@ -439,12 +443,8 @@ def _handle_classify(config: ExperimentConfig, f: dict):
         "band_count": band_count,
         "degenerate": scheme.degenerate,
     }
-    flat = dict(results)
-    flat["seed"] = config.seed
-    flat["warnings"] = warnings
-    artifacts = []
-    if f["out"]:
-        artifacts.append((f["out"], canonical_json(_pyify(flat))))
+    flat = {**results, "seed": config.seed, "warnings": warnings}
+    artifacts = [(f["out"], canonical_json(_pyify(flat)))] if f["out"] else []
     return results, warnings, [], artifacts
 
 
@@ -513,10 +513,7 @@ def _handle_curve(config: ExperimentConfig, f: dict):
     }
     # in delta order, each distinct warning once
     warnings = list(dict.fromkeys(w for r in reports for w in r.warnings))
-    artifacts = [(f["out"], curve_csv(rows))]
-    if f["plot"]:
-        artifacts.append((f["plot"], emit_plot_svg(rows)))
-    return results, warnings, versions, artifacts
+    return results, warnings, versions, [(f["out"], curve_csv(rows))]
 
 
 def _handle_verify(config: ExperimentConfig, f: dict):
@@ -548,7 +545,7 @@ _COMMANDS = {
                (_REPORT, _CACHE)),
     "predict": (_handle_predict, "the size prediction alone", (_REPORT,)),
     "curve": (_handle_curve, "correlation decay sweep over separations",
-              (_REPORT, _CACHE, _OUT, ("plot", _path, None))),
+              (_REPORT, _CACHE, _OUT)),
     # the union of the properties' rows; each property applies its defaults
     "verify": (_handle_verify, "randomized property drivers",
                (_REPORT, *{key: (key, parse, None) for _, rows in _VERIFY.values()
@@ -562,6 +559,7 @@ def run(config: ExperimentConfig) -> RunReport:
     started = time.monotonic()
     handler, _, rows = _COMMANDS[config.kind]
     flags = read_config(rows, config.parameters, f"{config.kind} parameter")
+    _refuse_shared_files(flags, {"cache": flags.get("cache")})
     results, warnings, cache_versions, artifacts = handler(config, flags)
     payload = _pyify({
         "kind": config.kind,
@@ -610,71 +608,6 @@ def _write_all(outputs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# SVG curve plotting
-
-
-def _svg_coords(vals, lo, hi, out_lo, out_hi):
-    span = hi - lo
-    if span <= 0:
-        return [0.5 * (out_lo + out_hi) for _ in vals]
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
-
-
-def emit_plot_svg(rows) -> str:
-    """Self-contained two-panel SVG of payload curve rows: ratio vs delta
-    on top, moment vs delta (log scale) below.  Every marker carries the
-    row's values in data attributes, exactly as printed to the CSV."""
-    rows = list(rows)
-    if not rows:
-        raise DomainError("cannot plot an empty curve table")
-    if any(r["moment"] <= 0 for r in rows):
-        raise DomainError("log-scale moment panel needs positive moments")
-    deltas = [r["delta"] for r in rows]
-    ratios = [r["ratio"] for r in rows]
-    logm = [math.log10(r["moment"]) for r in rows]
-
-    width, height, margin = 800.0, 600.0, 60.0
-    panel_h = (height - 3 * margin) / 2.0
-    x = _svg_coords(deltas, min(deltas), max(deltas), margin, width - margin)
-    y1 = _svg_coords(ratios, min(ratios), max(ratios),
-                     margin + panel_h, margin)
-    y2 = _svg_coords(logm, min(logm), max(logm),
-                     height - margin, height - margin - panel_h)
-
-    def polyline(xs, ys, color):
-        if len(xs) < 2:
-            return ""
-        pts = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(xs, ys))
-        return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{pts}"/>')
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{margin}" y="{margin - 20}" font-family="monospace" '
-        f'font-size="14">ratio vs delta</text>',
-        f'<text x="{margin}" y="{margin + panel_h + margin - 20}" '
-        f'font-family="monospace" font-size="14">moment vs delta '
-        f'(log10 scale)</text>',
-        polyline(x, y1, "#1f6feb"),
-        polyline(x, y2, "#d1242f"),
-    ]
-    for i, r in enumerate(rows):
-        parts.append(
-            f'<circle cx="{x[i]:.3f}" cy="{y1[i]:.3f}" r="3" fill="#1f6feb" '
-            f'data-delta="{r["delta"]!r}" data-ratio="{r["ratio"]!r}" '
-            f'data-nsw-f="{r["nsw_F"]!r}"/>')
-        parts.append(
-            f'<circle cx="{x[i]:.3f}" cy="{y2[i]:.3f}" r="3" fill="#d1242f" '
-            f'data-delta="{r["delta"]!r}" data-moment="{r["moment"]!r}" '
-            f'data-prediction="{r["prediction"]!r}" '
-            f'data-step-halving-delta="{r["step_halving_delta"]!r}"/>')
-    parts.append("</svg>")
-    return "\n".join(p for p in parts if p) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # argument parsing / entry point
 
 
@@ -718,6 +651,7 @@ def _config_from_args(args) -> ExperimentConfig:
               if v is not None and k not in ("command", "seed", "threads")}
     params["report"] = args.report
     if "config" in params:
+        _refuse_shared_files(params, {"config": params["config"]})
         params["config"] = load_config(params["config"])
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")

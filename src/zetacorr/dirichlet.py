@@ -246,16 +246,6 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
     return float(diag + acc.total.real)
 
 
-def mean_value_diagonal(table: CoeffTable, t_len: float) -> float:
-    """T * sum |c(n)|^2: the diagonal part of the windowed mean square."""
-    if t_len <= 0:
-        raise DomainError(f"window base must be positive, got {t_len}")
-    acc = KahanAccumulator(0.0)
-    for n in table.sorted_frequencies():
-        acc.add(abs(table.entries[n]) ** 2)
-    return float(t_len) * acc.total
-
-
 def off_diagonal_bound(table: CoeffTable) -> float:
     """sum over ordered pairs m != n of 2|c(m) c(n)| / |log(m/n)|.
 

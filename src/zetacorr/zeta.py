@@ -197,6 +197,14 @@ def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
     return 2.0 * main + sign * corr / np.sqrt(a)
 
 
+def _check_depth(correction_terms) -> None:
+    if not isinstance(correction_terms, int) or isinstance(correction_terms, bool):
+        raise ConfigError("correction_terms must be an int")
+    if not (0 <= correction_terms <= MAX_CORRECTION_TERMS):
+        raise ConfigError(
+            f"correction_terms must be in 0..{MAX_CORRECTION_TERMS}")
+
+
 def riemann_siegel_Z(t, correction_terms: int = 2):
     """Hardy Z(t): real, with |Z(t)| = |zeta(1/2 + it)|.
 
@@ -220,11 +228,7 @@ def riemann_siegel_Z(t, correction_terms: int = 2):
     at t = 1e6 and 3.8e-6 at t = 1e8, at depths 2 and 4 alike; another
     20 nodes gave 4.5e-9 and 9.3e-7.
     """
-    if not isinstance(correction_terms, int) or isinstance(correction_terms, bool):
-        raise ConfigError("correction_terms must be an int")
-    if not (0 <= correction_terms <= MAX_CORRECTION_TERMS):
-        raise ConfigError(
-            f"correction_terms must be in 0..{MAX_CORRECTION_TERMS}")
+    _check_depth(correction_terms)
     arr = np.asarray(t, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -302,8 +306,7 @@ def sample_critical_line(
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive int, got {workers}")
     count = grid_count(t_start, t_stop, step)
-    # validates correction_terms and the low end of the range
-    riemann_siegel_Z(t_start, correction_terms)
+    _check_depth(correction_terms)
 
     values = np.empty(count, dtype=np.float64)
 

@@ -3,6 +3,8 @@ formats, and payload determinism."""
 
 import argparse
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -290,9 +292,9 @@ def test_unreadable_cache_exits_2(tmp_path, monkeypatch, capsys, cache):
 
 @pytest.mark.parametrize("kind,cfg,args", [
     ("curve", {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05},
-     ["--out", "curve.csv", "--plot", "missing/p.svg"]),
+     ["--out", "curve.csv", "--report", "missing/r.json"]),
     ("curve", {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05},
-     ["--out", "curve.csv", "--plot", "."]),
+     ["--out", "curve.csv", "--report", "."]),
     ("predict", {"T": 1e4, "alpha": [0.0, 2.0], "beta": [1.0, 1.0]},
      ["--report", "missing/r.json"]),
 ])
@@ -309,6 +311,39 @@ def test_output_path_failure_exits_2(tmp_path, monkeypatch, capsys, kind, cfg,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("kind,args", [
+    ("moment", ["--config", "m.json", "--cache", "g.zgrd", "--report", "g.zgrd"]),
+    ("predict", ["--config", "m.json", "--report", "m.json"]),
+    ("curve", ["--config", "c.json", "--out", "same.txt", "--report", "same.txt"]),
+    ("curve", ["--config", "c.json", "--cache", "g.zgrd", "--out", "./g.zgrd"]),
+    ("curve", ["--config", "c.json", "--out", "c.json"]),
+    ("classify", ["--config", "k.json", "--t0", "1e5", "--t1", "100010",
+                  "--step", "1", "--out", "r.json", "--report", "./r.json"]),
+    ("classify", ["--config", "k.json", "--t0", "1e5", "--t1", "100010",
+                  "--step", "1", "--out", "k.json"]),
+    ("sample", ["--t0", "98", "--t1", "99", "--step", "0.0125",
+                "--out", "g.zgrd", "--report", "g.zgrd"]),
+])
+def test_output_naming_another_file_exits_2(tmp_path, monkeypatch, capsys,
+                                            kind, args):
+    # two outputs on one file, or an output on the config or the cache:
+    # refused before anything runs, every input left as it was
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path / "m.json", _VALID_CONFIGS["moment"])
+    _write_json(tmp_path / "c.json", {**_VALID_CONFIGS["curve"], "step": 0.025})
+    _write_json(tmp_path / "k.json", _CLASSIFY_CONFIG)
+    (tmp_path / "g.zgrd").write_bytes(zeta.cache_bytes(
+        zeta.sample_critical_line(98.0, 204.2, 0.0125, correction_terms=4)))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc = cli.main([kind, *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("zetacorr: parameters ")
+    assert "name one file" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_argparse_rejections_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["moment"])          # missing required --config
@@ -316,6 +351,13 @@ def test_argparse_rejections_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])
     assert exc.value.code == 2
+    # the curve plot is tools/plot_curve.py over the CSV, not an option
+    cfg = _write_json(tmp_path / "cfg.json", _CURVE_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv"),
+                  "--plot", str(tmp_path / "x.svg")])
+    assert exc.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 _CLASSIFY_ARGS = ["--t0", "1e5", "--t1", "1.0001e5", "--step", "1.0"]
@@ -456,14 +498,32 @@ def test_payload_bytes_identical_across_threads(tmp_path, capsys):
     assert payloads[0] == payloads[1]
 
 
+def _plot_tool():
+    """tools/plot_curve.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "plot_curve", pathlib.Path(__file__).parents[1] / "tools" / "plot_curve.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+# a curve CSV as `curve --out` prints it, and the sha256 of the SVG that
+# `curve --plot` drew from the same rows before the plot left the command
+_CURVE_CSV = """delta,moment,prediction,ratio,nsw_F,step_halving_delta
+0.0,152.5,230.25,0.6623235613463626,1.0,1.5e-09
+0.5,120.0,200.0,0.6,1.25,-2e-10
+2.0,101.75,190.5,0.5341207349081365,1.1,3e-11
+"""
+_CURVE_SVG_SHA256 = "47a13ad82f2e80941351143952f341a59057fe2a2648ca1dec667b597165b630"
+
+
 def test_curve_csv_and_svg(tmp_path, capsys):
     cfg = _write_json(tmp_path / "curve.json",
                       {"T": 100.0, "beta": 1.0, "deltas": [0.0, 0.5, 2.0],
                        "step": 0.05, "rs_terms": 6})
     out = tmp_path / "curve.csv"
     plot = tmp_path / "curve.svg"
-    rc = cli.main(["curve", "--config", cfg, "--out", str(out),
-                   "--plot", str(plot)])
+    rc = cli.main(["curve", "--config", cfg, "--out", str(out)])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert len(payload["results"]["rows"]) == 3
@@ -481,6 +541,8 @@ def test_curve_csv_and_svg(tmp_path, capsys):
         assert float(fields[4]) == row["nsw_F"]
         assert float(fields[5]) == row["step_halving_delta"]
 
+    tool = _plot_tool()
+    assert tool.main([str(out), str(plot)]) == 0
     root = ET.fromstring(plot.read_text(encoding="utf-8"))
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
@@ -496,6 +558,11 @@ def test_curve_csv_and_svg(tmp_path, capsys):
         assert el.attrib["data-moment"] == fields[1]
         assert el.attrib["data-prediction"] == fields[2]
         assert el.attrib["data-step-halving-delta"] == fields[5]
+
+    literal = tmp_path / "literal.csv"
+    literal.write_text(_CURVE_CSV, encoding="utf-8")
+    assert tool.main([str(literal), str(plot)]) == 0
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() == _CURVE_SVG_SHA256
 
 
 def test_curve_publishes_the_snap_warnings(tmp_path):
@@ -514,19 +581,37 @@ def test_curve_publishes_the_snap_warnings(tmp_path):
         "shifts snapped to step 0.05 grid, max residual 2.000e-02"]
 
 
-def _fake_row(delta=1.0, moment=10.0):
-    return {"delta": delta, "moment": moment, "prediction": 20.0,
-            "ratio": moment / 20.0, "nsw_F": 1.1, "step_halving_delta": 1e-9}
+def test_svg_degenerate_inputs(tmp_path, capsys):
+    tool = _plot_tool()
+    header, row = _CURVE_CSV.split("\n")[:2]
+    svg = tmp_path / "out.svg"
+    for text in ("", header + "\n",                        # no rows to plot
+                 f"{header}\n{row.replace(',152.5,', ',0.0,')}\n",
+                 f"{header}\n{row.replace(',1.0,', ',nan,')}\n",
+                 f"{header}\n{row.replace(',1.0,', ',x,')}\n",
+                 f"{header}\n0.0,1.0\n", "moment\n1.0\n"):
+        (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+        assert tool.main([str(tmp_path / "in.csv"), str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("plot_curve: ") and err.count("\n") == 1
+        assert not svg.exists()
+    with pytest.raises(SystemExit) as exc:       # the SVG over its own CSV
+        tool.main([str(tmp_path / "in.csv"), str(tmp_path / "in.csv")])
+    assert exc.value.code == 2
+    assert (tmp_path / "in.csv").read_text(encoding="utf-8") == "moment\n1.0\n"
+    # the script's own entry point: one line on stderr, no traceback
+    (tmp_path / "in.csv").write_text(header + "\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(pathlib.Path(__file__).parents[1] / "tools" /
+                             "plot_curve.py"), str(tmp_path / "in.csv"), str(svg)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "plot_curve: cannot plot an empty curve table\n"
+    assert not svg.exists()
 
-
-def test_svg_degenerate_inputs():
-    from zetacorr.errors import DomainError
-    with pytest.raises(DomainError):
-        cli.emit_plot_svg([])
-    with pytest.raises(DomainError):
-        cli.emit_plot_svg([_fake_row(moment=0.0)])
-    svg = cli.emit_plot_svg([_fake_row()])
-    root = ET.fromstring(svg)
+    (tmp_path / "in.csv").write_text(f"{header}\n{row}\n", encoding="utf-8")
+    assert tool.main([str(tmp_path / "in.csv"), str(svg)]) == 0
+    root = ET.fromstring(svg.read_text(encoding="utf-8"))
     circles = [el for el in root.iter() if el.tag.endswith("circle")]
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(circles) == 2
@@ -733,9 +818,12 @@ def test_malformed_parameters_exit_2(case):
     ("sample", {**_VALID_RUNS["sample"], "out": 3}),
     ("curve", {"config": _VALID_CONFIGS["curve"]}),
     # the other path keys are paths too, checked before anything runs
-    ("curve", {**_VALID_RUNS["curve"], "plot": 5}),
+    ("curve", {**_VALID_RUNS["curve"], "cache": 5}),
     ("predict", {**_VALID_RUNS["predict"], "report": 7}),
     ("moment", {**_VALID_RUNS["moment"], "cache": [1]}),
+    # an output that would replace another output or the cache
+    ("curve", {**_VALID_RUNS["curve"], "report": "./curve.csv"}),
+    ("sample", {**_VALID_RUNS["sample"], "report": "grid.zgrd"}),
 ])
 def test_run_needs_a_config_object_and_an_out_path(tmp_path, monkeypatch,
                                                    kind, params):
@@ -750,7 +838,7 @@ _CURVE_CONFIG = {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05}
 
 
 @pytest.mark.parametrize("kind,cfg,args,key", [
-    ("curve", _CURVE_CONFIG, ["--out", "curve.csv", "--plot", ""], "plot"),
+    ("curve", _CURVE_CONFIG, ["--out", "curve.csv", "--cache", ""], "cache"),
     ("curve", _CURVE_CONFIG, ["--out", "curve.csv", "--report", ""], "report"),
     ("curve", _CURVE_CONFIG, ["--out", ""], "out"),
     ("classify", _CLASSIFY_CONFIG, [*_CLASSIFY_ARGS, "--out", ""], "out"),
@@ -831,7 +919,7 @@ _FLAGS = {
     "moment": {**_COMMON_FLAGS, **_CONFIG_FLAG, "--cache": ("str", False, None)},
     "predict": {**_COMMON_FLAGS, **_CONFIG_FLAG},
     "curve": {**_COMMON_FLAGS, **_CONFIG_FLAG, "--cache": ("str", False, None),
-              "--out": ("str", True, None), "--plot": ("str", False, None)},
+              "--out": ("str", True, None)},
     "verify": {**_COMMON_FLAGS, "--trials": ("int", False, None),
                "--points": ("int", False, None),
                "--x-cutoff": ("float", False, None),
@@ -858,11 +946,11 @@ def test_flags_and_their_echo_types_are_pinned():
             assert req or defaults[dest] == default
             given = vars(parser.parse_args([*head, flag, "7"]))[dest]
             assert type(given).__name__ == echo
-    # 25 flags, counting verify's property once and the common three once,
-    # plus 18 config fields: 43 settable options
+    # 24 flags, counting verify's property once and the common three once,
+    # plus 18 config fields: 42 settable options
     flag_count = 1 + len(_COMMON_FLAGS) + sum(
         len(flags) - len(_COMMON_FLAGS) for flags in _FLAGS.values())
-    assert flag_count + sum(map(len, cli._CONFIG_FIELDS.values())) == 43
+    assert flag_count + sum(map(len, cli._CONFIG_FIELDS.values())) == 42
 
 
 # a tiny valid command line of each subcommand, with its config file
