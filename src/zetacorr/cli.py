@@ -338,16 +338,14 @@ def read_config(rows, values: dict, what: str) -> dict:
 
 
 def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
-    """Fine grid (at step/2) covering the moment window for all shifts.
+    """Fine grid (at step/2) over `moments.moment_window` of the shifts.
 
     With a cache the file must already match: half the config step, the
     config's RS depth, full coverage, and T on every other node from its
     start.  Returns (grid, cache_version_records).
     """
     fine_step = step / 2.0
-    snapped, _ = moments.snap_shifts(alpha, step)
-    t_lo = t_height + min(min(snapped), 0.0)
-    t_hi = 2.0 * t_height + max(max(snapped), 0.0) + 4.0 * step
+    t_lo, t_hi = moments.moment_window(t_height, alpha, step)
     if cache_path is not None:
         grid = zeta.cache_read(cache_path)
         if abs(grid.step - fine_step) > 1e-12 * fine_step:
@@ -380,8 +378,9 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
 
 
 # ---------------------------------------------------------------------------
-# handlers take the request and its flags, parsed through their rows;
-# each returns (results, warnings, cache_versions, artifacts)
+# handlers take the request and one dict of its flags and config fields,
+# parsed through their rows; each returns (results, warnings,
+# cache_versions, artifacts)
 # artifacts: list of (path, bytes) written by run() on success
 
 
@@ -399,11 +398,9 @@ def _handle_sample(config: ExperimentConfig, f: dict):
 
 
 def _handle_classify(config: ExperimentConfig, f: dict):
-    c = read_config(_CONFIG_FIELDS["classify"], config.parameters.get("config"),
-                    "classify config field")
     scheme = blocks.build_scheme(
-        c["T"], c["beta"], exponent_scale_override=c["exponent_scale"])
-    band_count = c["band_count"]
+        f["T"], f["beta"], exponent_scale_override=f["exponent_scale"])
+    band_count = f["band_count"]
     if band_count is None:
         band_count = max(scheme.square_band_count, 6)
     warnings = []
@@ -424,7 +421,7 @@ def _handle_classify(config: ExperimentConfig, f: dict):
         + [scheme.t_seq[scheme.levels]] * (scheme.levels >= 1)
         + [math.exp(band_count + 1)])
     table = primes.sieve_primes(int(math.ceil(sieve_top)) + 1)
-    engines = blocks.SieveBlockEngines(scheme, table, abscissa=c["abscissa"])
+    engines = blocks.SieveBlockEngines(scheme, table, abscissa=f["abscissa"])
     bad, square = blocks.classify_grid(t, scheme, engines, band_count=band_count)
 
     # label 0 is good (no band); the others run to levels (band_count)
@@ -449,41 +446,27 @@ def _handle_classify(config: ExperimentConfig, f: dict):
 
 
 def _handle_moment(config: ExperimentConfig, f: dict):
-    c = read_config(_CONFIG_FIELDS["moment"], config.parameters.get("config"),
-                    "moment config field")
-    spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
+    spec = moments.ShiftSpec(alpha=f["alpha"], beta=f["beta"], t_height=f["T"])
     grid, versions = _provision_grid(
-        c["T"], c["alpha"], c["step"], c["rs_terms"], config.threads, f["cache"])
-    report = moments.moment_report(spec, grid)
-    results = {
-        "moment": report.moment,
-        "prediction": report.prediction,
-        "ratio": report.ratio,
-        "quadrature_step": report.quadrature_step,
-        "step_halving_delta": report.step_halving_delta,
-        "nsw_F": report.nsw_value,
-        "rule": "simpson",
-        "snapped_alpha": list(report.snapped_alpha),
-        "snap_residuals": list(report.snap_residuals),
-    }
-    return results, list(report.warnings), versions, []
+        f["T"], f["alpha"], f["step"], f["rs_terms"], config.threads, f["cache"])
+    results, warnings = moments.moment_report(spec, grid)
+    return results, warnings, versions, []
 
 
 def _handle_predict(config: ExperimentConfig, f: dict):
-    c = read_config(_CONFIG_FIELDS["predict"], config.parameters.get("config"),
-                    "predict config field")
-    spec = moments.ShiftSpec(alpha=c["alpha"], beta=c["beta"], t_height=c["T"])
+    spec = moments.ShiftSpec(alpha=f["alpha"], beta=f["beta"], t_height=f["T"])
     results = {
         "prediction": moments.predict_bound(spec),
-        "T": c["T"],
-        "log_power": math.fsum(b * b for b in c["beta"]),
+        "T": f["T"],
+        "log_power": math.fsum(b * b for b in f["beta"]),
     }
     if spec.m == 2:
-        results["nsw_F"] = moments.nsw_F(c["alpha"][0], c["alpha"][1], c["T"])
+        results["nsw_F"] = moments.nsw_F(f["alpha"][0], f["alpha"][1], f["T"])
     return results, [], [], []
 
 
-# the curve CSV columns, which are also the keys of the payload rows
+# the curve CSV columns and the keys of the payload rows: a row is the
+# delta and the `moment` results at shifts (0, delta)
 _CURVE_COLUMNS = ("delta", "moment", "prediction", "ratio", "nsw_F",
                   "step_halving_delta")
 
@@ -496,23 +479,24 @@ def curve_csv(rows) -> str:
 
 
 def _handle_curve(config: ExperimentConfig, f: dict):
-    c = read_config(_CONFIG_FIELDS["curve"], config.parameters.get("config"),
-                    "curve config field")
     grid, versions = _provision_grid(
-        c["T"], [0.0] + c["deltas"], c["step"], c["rs_terms"], config.threads,
-        f["cache"])
-    reports = moments.correlation_curve(c["T"], c["beta"], c["deltas"], grid)
-    rows = [dict(zip(_CURVE_COLUMNS, (d, r.moment, r.prediction, r.ratio,
-                                      r.nsw_value, r.step_halving_delta)))
-            for d, r in zip(c["deltas"], reports)]
+        f["T"], f["deltas"], f["step"], f["rs_terms"], config.threads, f["cache"])
+    rows, warnings = [], []
+    for d in f["deltas"]:
+        spec = moments.ShiftSpec(alpha=(0.0, d), beta=(f["beta"], f["beta"]),
+                                 t_height=f["T"])
+        res, warns = moments.moment_report(spec, grid)
+        row = dict(res, delta=d)
+        rows.append({k: row[k] for k in _CURVE_COLUMNS})
+        warnings += warns
     results = {
         "rows": rows,
-        "T": c["T"],
-        "beta": c["beta"],
-        "quadrature_step": c["step"],
+        "T": f["T"],
+        "beta": f["beta"],
+        "quadrature_step": f["step"],
     }
     # in delta order, each distinct warning once
-    warnings = list(dict.fromkeys(w for r in reports for w in r.warnings))
+    warnings = list(dict.fromkeys(warnings))
     return results, warnings, versions, [(f["out"], curve_csv(rows))]
 
 
@@ -554,12 +538,16 @@ _COMMANDS = {
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Parse a run request's flags through their rows, dispatch it, then
-    write artifacts and the report.  Handlers parse config files."""
+    """Parse a run request's flags and config object through their rows,
+    dispatch it, then write artifacts and the report."""
     started = time.monotonic()
     handler, _, rows = _COMMANDS[config.kind]
     flags = read_config(rows, config.parameters, f"{config.kind} parameter")
     _refuse_shared_files(flags, {"cache": flags.get("cache")})
+    if config.kind in _CONFIG_FIELDS:
+        flags.update(read_config(_CONFIG_FIELDS[config.kind],
+                                 config.parameters.get("config"),
+                                 f"{config.kind} config field"))
     results, warnings, cache_versions, artifacts = handler(config, flags)
     payload = _pyify({
         "kind": config.kind,

@@ -66,12 +66,6 @@ class CoeffTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def sorted_frequencies(self) -> list:
-        return sorted(self.entries)
-
-    def coeff(self, n: int) -> complex:
-        return self.entries.get(n, 0.0 + 0.0j)
-
 
 def truncated_exp(
     spec: TruncSpec,
@@ -211,7 +205,7 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
     """
     if t_len <= 0:
         raise DomainError(f"window base must be positive, got {t_len}")
-    ns = table.sorted_frequencies()
+    ns = sorted(table.entries)
     if len(ns) > _MEAN_VALUE_MAX:
         raise ResourceError(
             f"mean value over {len(ns)} frequencies exceeds cap {_MEAN_VALUE_MAX}")
@@ -251,7 +245,7 @@ def off_diagonal_bound(table: CoeffTable) -> float:
 
     Window-independent bound on the cross terms of the mean square.
     """
-    ns = table.sorted_frequencies()
+    ns = sorted(table.entries)
     if len(ns) > _MEAN_VALUE_MAX:
         raise ResourceError(
             f"bound over {len(ns)} frequencies exceeds cap {_MEAN_VALUE_MAX}")
@@ -279,7 +273,7 @@ def off_diagonal_bound(table: CoeffTable) -> float:
 def diagonal_sum(table: CoeffTable, sigma0: float) -> float:
     """sum |c(n)|^2 * n^(-2*sigma0), ascending in n."""
     acc = KahanAccumulator(0.0)
-    for n in table.sorted_frequencies():
+    for n in sorted(table.entries):
         acc.add(abs(table.entries[n]) ** 2 * math.exp(-2.0 * sigma0 * math.log(n)))
     return acc.total
 

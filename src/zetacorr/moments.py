@@ -61,21 +61,6 @@ class ShiftSpec:
         return len(self.alpha)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Published moment plus the numbers that certify it."""
-
-    moment: float
-    prediction: float
-    ratio: float
-    quadrature_step: float
-    step_halving_delta: float
-    nsw_value: float | None
-    snapped_alpha: tuple
-    snap_residuals: tuple
-    warnings: tuple
-
-
 def snap_shifts(alpha, step: float):
     """Round each shift to the nearest grid multiple of `step`.
 
@@ -179,6 +164,19 @@ def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> float:
     return _quadrature(grid, groups, n_steps, partial)
 
 
+def moment_window(t_height: float, alpha, step: float) -> tuple:
+    """The span (t_lo, t_hi) a fine grid at step/2 must cover for the
+    moments at publication step `step` with these shifts.
+
+    It is the window [T, 2T] moved by each shift, snapped at `step`,
+    and by shift 0, plus 4*step above: twice the most that the
+    coverage check of `shifted_moment` asks past the window's end.
+    """
+    snapped, _ = snap_shifts(alpha, step)
+    return (t_height + min(min(snapped), 0.0),
+            2.0 * t_height + max(max(snapped), 0.0) + 4.0 * step)
+
+
 def predict_bound(spec: ShiftSpec, one_line=zeta_one_line) -> float:
     """Size prediction T (log T)^(sum beta^2) times the pairwise
     one-line moduli at the shift differences, offset 1/log T."""
@@ -209,8 +207,9 @@ def nsw_F(alpha1: float, alpha2: float, t_height: float) -> float:
     return math.log(2.0 + d)
 
 
-def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid) -> MomentReport:
-    """Published moment at step 2*fine_grid.step with its halving delta.
+def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid):
+    """Published moment at step 2*fine_grid.step with its halving delta,
+    as (results, warnings): the results are the `moment` payload's.
 
     The fine grid is sampled at half the publication step; the
     published value is the Simpson quadrature on every other sample and
@@ -222,27 +221,25 @@ def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid) -> MomentReport:
     snapped_spec = replace(spec, alpha=snapped)
     moment = shifted_moment(snapped_spec, pub_grid)
     fine_val = shifted_moment(snapped_spec, fine_grid)
-    scale = max(abs(fine_val), 1e-300)
-    halving = abs(moment - fine_val) / scale
 
     warnings = []
-    worst = max((abs(r) for r in residuals), default=0.0)
+    worst = max(abs(r) for r in residuals)
     if worst > _SNAP_WARN:
         warnings.append(
             f"shifts snapped to step {step} grid, max residual {worst:.3e}")
     prediction = predict_bound(spec)
-    nsw = nsw_F(spec.alpha[0], spec.alpha[1], spec.t_height) if spec.m == 2 else None
-    return MomentReport(
-        moment=moment,
-        prediction=prediction,
-        ratio=moment / prediction,
-        quadrature_step=step,
-        step_halving_delta=halving,
-        nsw_value=nsw,
-        snapped_alpha=snapped,
-        snap_residuals=residuals,
-        warnings=tuple(warnings),
-    )
+    results = {
+        "moment": moment,
+        "prediction": prediction,
+        "ratio": moment / prediction,
+        "quadrature_step": step,
+        "step_halving_delta": abs(moment - fine_val) / max(abs(fine_val), 1e-300),
+        "nsw_F": nsw_F(*spec.alpha, spec.t_height) if spec.m == 2 else None,
+        "rule": "simpson",
+        "snapped_alpha": list(snapped),
+        "snap_residuals": list(residuals),
+    }
+    return results, warnings
 
 
 def lemma21_rhs(
@@ -279,17 +276,3 @@ def lemma21_rhs(
         term2 = np.zeros_like(term1)
 
     return term1 + term2 + log_t / log_x
-
-
-def correlation_curve(
-    t_height: float,
-    beta_value: float,
-    deltas,
-    fine_grid: ZetaGrid,
-) -> list:
-    """Two-shift decorrelation sweep: one `MomentReport` per separation
-    delta, with shifts (0, delta) and equal exponents."""
-    return [moment_report(ShiftSpec(alpha=(0.0, float(d)),
-                                    beta=(beta_value, beta_value),
-                                    t_height=t_height), fine_grid)
-            for d in deltas]

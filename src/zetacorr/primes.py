@@ -128,14 +128,12 @@ def pretentious_cos_sum(table: PrimeTable, x_cutoff: float, deltas) -> np.ndarra
     d = np.asarray(deltas, dtype=np.float64)
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    out = np.zeros(d.shape, dtype=np.complex128)
-    _chunked_weighted_phase_sum(ps, 1.0 / ps, d, out)
-    real = np.ascontiguousarray(out.real)
+    real = np.ascontiguousarray(_chunked_weighted_phase_sum(ps, 1.0 / ps, d).real)
     return float(real[0]) if scalar else real
 
 
-def _chunked_weighted_phase_sum(ps, amp, t_values, out):
-    """out[k] += sum_p amp[p] * exp(-i * t_values[k] * log p).
+def _chunked_weighted_phase_sum(ps, amp, t_values) -> np.ndarray:
+    """out[k] = sum_p amp[p] * exp(-i * t_values[k] * log p).
 
     Chunked on both axes; only the prime axis is reduced, with fixed
     chunk boundaries and compensated cross-chunk accumulation, so the
@@ -143,6 +141,7 @@ def _chunked_weighted_phase_sum(ps, amp, t_values, out):
     """
     logp = np.log(ps)
     t = np.asarray(t_values, dtype=np.float64)
+    out = np.empty(t.shape, dtype=np.complex128)
     for t_lo in range(0, t.size, _T_CHUNK):
         tc = t[t_lo:t_lo + _T_CHUNK]
         acc = KahanAccumulator(np.zeros(tc.shape, dtype=np.complex128))
@@ -152,7 +151,7 @@ def _chunked_weighted_phase_sum(ps, amp, t_values, out):
             # rows: grid points; columns: primes
             phase = np.multiply.outer(tc, lp)
             acc.add(np.add.reduce(am * np.exp(-1j * phase), axis=1))
-        out[t_lo:t_lo + _T_CHUNK] += acc.total
+        out[t_lo:t_lo + _T_CHUNK] = acc.total
     return out
 
 
@@ -175,11 +174,10 @@ def tapered_block_sum(
             f"interval top {interval.hi} exceeds taper cutoff {x_cutoff}")
     ps = table.in_interval(interval).astype(np.float64)
     t = np.asarray(t_values, dtype=np.float64)
-    out = np.zeros(t.shape, dtype=np.complex128)
     if ps.size == 0:
-        return out
+        return np.zeros(t.shape, dtype=np.complex128)
     amp = ps ** (-sigma) * (np.log(x_cutoff / ps) / math.log(x_cutoff))
-    return _chunked_weighted_phase_sum(ps, amp, t, out)
+    return _chunked_weighted_phase_sum(ps, amp, t)
 
 
 def half_square_sum(
@@ -194,11 +192,10 @@ def half_square_sum(
     """
     ps = table.in_interval(interval).astype(np.float64)
     t = np.asarray(t_values, dtype=np.float64)
-    out = np.zeros(t.shape, dtype=np.complex128)
     if ps.size == 0:
-        return out
+        return np.zeros(t.shape, dtype=np.complex128)
     amp = 0.5 * ps ** (-2.0 * sigma)
-    return _chunked_weighted_phase_sum(ps, amp, 2.0 * t, out)
+    return _chunked_weighted_phase_sum(ps, amp, 2.0 * t)
 
 
 def square_band_interval(band: int) -> PrimeInterval:

@@ -134,7 +134,7 @@ def lemma33(rng, trials):
         for prime in prod.primes:
             expect = dirichlet.prime_power_coeff(
                 prime, 1, alphas, betas, x_cutoff)
-            gap = abs(prod.coeff(prime) - expect)
+            gap = abs(prod.entries.get(prime, 0j) - expect)
             worst_formula = max(worst_formula, gap)
             if gap > 1e-12:
                 violations += 1
@@ -143,7 +143,7 @@ def lemma33(rng, trials):
                 if r > 1:
                     f *= prime
                 cap = beta_star ** r * m ** r / math.factorial(r)
-                if abs(prod.coeff(f)) > cap * (1 + 1e-12):
+                if abs(prod.entries.get(f, 0j)) > cap * (1 + 1e-12):
                     violations += 1
     return {
         "trials": trials, "violations": violations,

@@ -581,6 +581,34 @@ def test_curve_publishes_the_snap_warnings(tmp_path):
         "shifts snapped to step 0.05 grid, max residual 2.000e-02"]
 
 
+def test_curve_rows_are_the_moment_results(tmp_path):
+    # a curve row is its delta and the results of `moment` at shifts
+    # (0, delta) and exponents (beta, beta) over the same cache
+    cache = str(tmp_path / "grid.zgrd")
+    _run("sample", t0=98.0, t1=204.2, step=0.0125, rs_terms=6, out=cache)
+    deltas = [0.0, 0.5, 2.0, 0.013, 0.52, 0.013]
+    curve = _run("curve", cache=cache, out=str(tmp_path / "curve.csv"), config={
+        "T": 100.0, "beta": 1.0, "deltas": deltas, "step": 0.025,
+        "rs_terms": 6}).payload
+    runs = [_run("moment", cache=cache, config={
+        "T": 100.0, "alpha": [0.0, d], "beta": [1.0, 1.0], "step": 0.025,
+        "rs_terms": 6}).payload for d in deltas]
+    rows = curve["results"]["rows"]
+    assert len(rows) == len(deltas)
+    for d, row, run in zip(deltas, rows, runs):
+        res = run["results"]
+        assert row == {"delta": d, **{k: res[k] for k in (
+            "moment", "prediction", "ratio", "nsw_F", "step_halving_delta")}}
+        assert res["ratio"] == res["moment"] / res["prediction"]
+        assert res["nsw_F"] == moments.nsw_F(0.0, d, 100.0)
+        assert res["step_halving_delta"] < 1e-5
+    assert curve["warnings"] == list(dict.fromkeys(
+        w for run in runs for w in run["warnings"]))
+    assert len(curve["warnings"]) == 2
+    # zero separation doubles the exponent: the moment is largest there
+    assert rows[0]["moment"] > rows[2]["moment"]
+
+
 def test_svg_degenerate_inputs(tmp_path, capsys):
     tool = _plot_tool()
     header, row = _CURVE_CSV.split("\n")[:2]

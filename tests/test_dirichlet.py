@@ -53,7 +53,7 @@ def truncated_exp_scalar(w: complex, cap: int) -> complex:
 def evaluate(table, s: complex) -> complex:
     """Oracle for a table's value: sum c(n) * n^(-s), ascending in n."""
     acc = KahanAccumulator(0.0 + 0.0j)
-    for n in table.sorted_frequencies():
+    for n in sorted(table.entries):
         ln = math.log(n)
         acc.add(table.entries[n] * complex(
             math.exp(-s.real * ln) * math.cos(s.imag * ln),
@@ -121,12 +121,12 @@ def test_truncated_exp_dual_route(table_small):
 def test_truncated_exp_degree_support(table_small):
     spec = _spec(2, 10, 100, 1.0, 3)
     tab = dirichlet.truncated_exp(spec, table_small)
-    assert tab.coeff(1) == 1.0
-    assert tab.coeff(2) == 0.0   # interval lower end is exclusive
-    assert abs(tab.coeff(27)) > 0.0
-    assert abs(tab.coeff(3 * 5 * 7)) > 0.0
-    assert tab.coeff(81) == 0.0  # four factors, cap is 3
-    assert tab.coeff(11) == 0.0  # outside the interval
+    assert tab.entries.get(1, 0j) == 1.0
+    assert tab.entries.get(2, 0j) == 0.0   # interval lower end is exclusive
+    assert abs(tab.entries.get(27, 0j)) > 0.0
+    assert abs(tab.entries.get(3 * 5 * 7, 0j)) > 0.0
+    assert tab.entries.get(81, 0j) == 0.0  # four factors, cap is 3
+    assert tab.entries.get(11, 0j) == 0.0  # outside the interval
 
 
 def test_truncated_exp_entry_budget(table_mega):
@@ -146,10 +146,10 @@ def test_product_coeffs_prime_formula(table_small):
         factors = [(_spec(2, 11, 150, b, 3), a)
                    for a, b in zip(alphas, betas)]
         prod = dirichlet.product_coeffs(factors, table_small)
-        assert prod.coeff(2) == 0.0  # 2 sits on the exclusive boundary
+        assert prod.entries.get(2, 0j) == 0.0  # 2 sits on the exclusive boundary
         for p in (3, 5, 7, 11):
             want = dirichlet.prime_power_coeff(p, 1, alphas, betas, 150.0)
-            assert abs(prod.coeff(p) - want) <= 1e-12
+            assert abs(prod.entries.get(p, 0j) - want) <= 1e-12
 
 
 def _truncated_exp_reference(spec, table):
@@ -240,7 +240,7 @@ def test_product_coeffs_permutation_invariant(table_small):
     b = dirichlet.product_coeffs(specs[::-1], table_small)
     assert sorted(a.entries) == sorted(b.entries)
     for n in a.entries:
-        assert abs(a.coeff(n) - b.coeff(n)) <= 1e-12
+        assert abs(a.entries[n] - b.entries[n]) <= 1e-12
 
 
 def test_product_coeffs_requires_shared_window(table_small):

@@ -1,4 +1,4 @@
-"""Moment quadrature, size predictions, and the decorrelation curve."""
+"""Moment quadrature, its sampling window, and size predictions."""
 
 import math
 from dataclasses import replace
@@ -60,11 +60,24 @@ def test_snap_shifts_and_warning(grid_100_200):
     assert math.isclose(residuals[0], 0.005, abs_tol=1e-15)
     assert residuals[1] == 0.0
     spec = ShiftSpec(alpha=(0.0, 0.03), beta=(1.0, 1.0), t_height=100.0)
-    rep = moments.moment_report(spec, grid_100_200)
-    assert rep.snapped_alpha == (0.0, 0.025)
-    assert any("snapped" in w for w in rep.warnings)
+    results, warnings = moments.moment_report(spec, grid_100_200)
+    assert results["snapped_alpha"] == [0.0, 0.025]
+    assert any("snapped" in w for w in warnings)
     clean = ShiftSpec(alpha=(0.0, 0.05), beta=(1.0, 1.0), t_height=100.0)
-    assert moments.moment_report(clean, grid_100_200).warnings == ()
+    assert moments.moment_report(clean, grid_100_200)[1] == []
+
+
+def test_moment_window_covers_the_quadrature():
+    # T off the step grid ends in a partial cell, whose coverage check
+    # reaches furthest past 2T; a grid over exactly the window passes it
+    t, alpha, step = 100.01, (-1.0, 0.52), 0.025
+    t_lo, t_hi = moments.moment_window(t, alpha, step)
+    assert math.isclose(t_lo, t - 1.0) and math.isclose(t_hi, 2 * t + 0.525 + 0.1)
+    grid = zeta.sample_critical_line(t_lo, t_hi, step / 2, correction_terms=0)
+    spec = ShiftSpec(alpha=alpha, beta=(1.0, 1.0), t_height=t)
+    assert moments.moment_report(spec, grid)[0]["moment"] > 0.0
+    # shift 0 is always in the window
+    assert moments.moment_window(t, (2.0,), step)[0] == t
 
 
 def test_step_resolution_bound(grid_100_200):
@@ -87,10 +100,11 @@ def test_coverage_errors(grid_100_200):
 
 def test_second_moment_against_quadrature_oracle(grid_100_200):
     spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.0)
-    rep = moments.moment_report(spec, grid_100_200)
-    rel = abs(rep.moment - SECOND_MOMENT_100_200) / SECOND_MOMENT_100_200
+    results, _ = moments.moment_report(spec, grid_100_200)
+    rel = abs(results["moment"] - SECOND_MOMENT_100_200) / SECOND_MOMENT_100_200
     assert rel < 1e-8
-    assert rep.quadrature_step == 0.025
+    assert results["quadrature_step"] == 0.025
+    assert results["rule"] == "simpson"
 
 
 def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
@@ -111,14 +125,14 @@ def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
 
 def test_halving_delta_matches_recomputation(grid_100_200):
     spec = ShiftSpec(alpha=(0.0, 2.0), beta=(1.0, 1.0), t_height=100.0)
-    rep = moments.moment_report(spec, grid_100_200)
+    results, _ = moments.moment_report(spec, grid_100_200)
     pub = replace(grid_100_200, step=2 * grid_100_200.step,
                   values=grid_100_200.values[::2])
     coarse = moments.shifted_moment(spec, pub)
     fine = moments.shifted_moment(spec, grid_100_200)
-    assert rep.moment == coarse
-    assert rep.step_halving_delta == abs(coarse - fine) / abs(fine)
-    assert rep.step_halving_delta < 1e-6
+    assert results["moment"] == coarse
+    assert results["step_halving_delta"] == abs(coarse - fine) / abs(fine)
+    assert results["step_halving_delta"] < 1e-6
 
 
 def test_prediction_closed_form_single_shift():
@@ -180,15 +194,3 @@ def test_surrogate_tracks_log_zeta(table_small):
     gap = lhs - rhs
     assert float(np.mean(gap)) < 2.0
     assert float(np.max(gap)) < 6.0
-
-
-def test_correlation_curve_rows(grid_100_200):
-    deltas = (0.0, 0.5, 2.0)
-    rows = moments.correlation_curve(100.0, 1.0, deltas, grid_100_200)
-    assert len(rows) == len(deltas)
-    for delta, r in zip(deltas, rows):
-        assert r.ratio == r.moment / r.prediction
-        assert r.nsw_value == moments.nsw_F(0.0, delta, 100.0)
-        assert r.step_halving_delta < 1e-5
-    # zero separation doubles the exponent: the moment is largest there
-    assert rows[0].moment > rows[2].moment

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetacorr import _rs_series, zeta
 from zetacorr.errors import CacheFormatError, ConfigError, DomainError
@@ -253,6 +255,23 @@ def test_grid_cache_rejects_corruption():
                                grid.count) + grid.values.tobytes()
     with pytest.raises(CacheFormatError, match="unsupported version 1"):
         zeta.cache_read(io.BytesIO(v1))
+
+
+_BLOB = zeta.cache_bytes(
+    zeta.sample_critical_line(30.0, 30.3, 0.05, correction_terms=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_byte_change_or_truncation_is_refused(data):
+    blob = bytearray(_BLOB)
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[at:]
+    else:
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    with pytest.raises(CacheFormatError):
+        zeta.cache_read(io.BytesIO(bytes(blob)))
 
 
 def test_rs_series_matches_its_generator(tmp_path, capsys):
