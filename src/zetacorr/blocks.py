@@ -29,6 +29,7 @@ from .primes import (
     square_band_interval,
     tapered_block_sum,
 )
+from .sums import UniformGrid
 
 _LEVELS_MAX = 64
 T_HEIGHT_MIN = 16.0
@@ -175,7 +176,7 @@ class SieveBlockEngines:
                 raise InsufficientSieveError(
                     f"scheme blocks reach {top}, sieve covers {table.limit}")
 
-    def block_sum(self, j: int, s: int, t_values) -> np.ndarray:
+    def block_sum(self, j: int, s: int, t_values: UniformGrid) -> np.ndarray:
         """P over block j, tapered at T_s, on the classification line."""
         scheme = self.scheme
         if not (1 <= j <= s <= scheme.levels):
@@ -188,20 +189,20 @@ class SieveBlockEngines:
             t_values,
         )
 
-    def square_sum(self, band: int, t_values) -> np.ndarray:
+    def square_sum(self, band: int, t_values: UniformGrid) -> np.ndarray:
         """Q over the band (e^l, e^(l+1)] on the half line."""
         return half_square_sum(
             self.table, square_band_interval(band), 0.5, t_values)
 
 
 def classify_grid(
-    t_values,
+    t_values: UniformGrid,
     scheme: BlockScheme,
     engines,
     *,
     band_count: int | None = None,
 ) -> tuple:
-    """Classify every grid point: (bad_index, square_index) int16 arrays.
+    """Classify every grid node: (bad_index, square_index) int16 arrays.
 
     bad_index[k] = 0 means good; j >= 1 means the smallest failing
     block.  square_index[k] = 0 means no band over threshold; l >= 1 is
@@ -210,21 +211,20 @@ def classify_grid(
     is the scheme's floor(log2 T).  All comparisons are strict
     exceedance, so boundary values count as within threshold.
     """
-    t = np.asarray(t_values, dtype=np.float64)
-    if t.size == 0:
+    if t_values.size == 0:
         raise DomainError("cannot classify an empty grid")
     if band_count is None:
         band_count = scheme.square_band_count
-    bad = np.zeros(t.shape, dtype=np.int16)
+    bad = np.zeros(t_values.size, dtype=np.int16)
     for j in range(1, scheme.levels + 1):
-        exceeded = np.zeros(t.shape, dtype=bool)
+        exceeded = np.zeros(t_values.size, dtype=bool)
         for s in range(j, scheme.levels + 1):
-            vals = engines.block_sum(j, s, t)
+            vals = engines.block_sum(j, s, t_values)
             exceeded |= np.abs(vals) > scheme.k_seq[j - 1]
         bad = np.where((bad == 0) & exceeded, np.int16(j), bad)
-    square = np.zeros(t.shape, dtype=np.int16)
+    square = np.zeros(t_values.size, dtype=np.int16)
     for band in range(1, band_count + 1):
-        vals = engines.square_sum(band, t)
+        vals = engines.square_sum(band, t_values)
         over = np.abs(vals) > square_threshold(band)
         square = np.where(over, np.int16(band), square)
     return bad, square

@@ -33,6 +33,7 @@ from .errors import (
     CoverageError,
     ZetaLabError,
 )
+from .sums import UniformGrid
 
 _CLASSIFY_STEP_NOTE = 0.05   # measure grids should resolve this scale
 _FORMULA_FUNCS = {"log": math.log, "sqrt": math.sqrt, "exp": math.exp}
@@ -414,7 +415,6 @@ def _handle_classify(config: ExperimentConfig, f: dict):
             f"grid spacing {step} exceeds the {_CLASSIFY_STEP_NOTE} "
             f"measure-resolution guideline")
     count = zeta.grid_count(f["t0"], f["t1"], step)
-    t = f["t0"] + np.arange(count, dtype=np.float64) * step
 
     sieve_top = max(
         [64.0]
@@ -422,7 +422,8 @@ def _handle_classify(config: ExperimentConfig, f: dict):
         + [math.exp(band_count + 1)])
     table = primes.sieve_primes(int(math.ceil(sieve_top)) + 1)
     engines = blocks.SieveBlockEngines(scheme, table, abscissa=f["abscissa"])
-    bad, square = blocks.classify_grid(t, scheme, engines, band_count=band_count)
+    bad, square = blocks.classify_grid(UniformGrid(f["t0"], step, count), scheme,
+                                       engines, band_count=band_count)
 
     # label 0 is good (no band); the others run to levels (band_count)
     bad_counts = np.bincount(bad, minlength=scheme.levels + 1).tolist()

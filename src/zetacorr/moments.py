@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError
 from .primes import PrimeInterval, half_square_sum, tapered_block_sum
-from .sums import KahanAccumulator
+from .sums import KahanAccumulator, UniformGrid
 from .zeta import ZetaGrid, zeta_one_line
 
 _Q_CHUNK = 1 << 20          # quadrature nodes per chunk; fixed for determinism
@@ -169,12 +169,12 @@ def moment_window(t_height: float, alpha, step: float) -> tuple:
     moments at publication step `step` with these shifts.
 
     It is the window [T, 2T] moved by each shift, snapped at `step`,
-    and by shift 0, plus 4*step above: twice the most that the
-    coverage check of `shifted_moment` asks past the window's end.
+    plus 4*step above: twice the most that the coverage check of
+    `shifted_moment` asks past the window's end.
     """
     snapped, _ = snap_shifts(alpha, step)
-    return (t_height + min(min(snapped), 0.0),
-            2.0 * t_height + max(max(snapped), 0.0) + 4.0 * step)
+    return (t_height + min(snapped),
+            2.0 * t_height + max(snapped) + 4.0 * step)
 
 
 def predict_bound(spec: ShiftSpec, one_line=zeta_one_line) -> float:
@@ -243,16 +243,17 @@ def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid):
 
 
 def lemma21_rhs(
-    t_values,
+    t_values: UniformGrid,
     alpha: float,
     x_cutoff: float,
     table,
     *,
     t_height: float,
 ) -> np.ndarray:
-    """Surrogate majorant for log|zeta| on the half line: the tapered
-    prime sum at sigma = 1/2 + 1/log X, the half square sum over primes
-    up to min(sqrt X, log T), and the ratio log T / log X.  The bounded
+    """Surrogate majorant for log|zeta| on the half line at t + alpha,
+    for each t of the grid: the tapered prime sum at sigma =
+    1/2 + 1/log X, the half square sum over primes up to
+    min(sqrt X, log T), and the ratio log T / log X.  The bounded
     remainder is deliberately not included; audits measure it.
     """
     if x_cutoff < 2.0:
@@ -262,7 +263,7 @@ def lemma21_rhs(
             f"cutoff {x_cutoff} exceeds T^2 = {t_height * t_height}")
     log_x = math.log(x_cutoff)
     log_t = math.log(t_height)
-    shifted = np.asarray(t_values, dtype=np.float64) + alpha
+    shifted = replace(t_values, start=t_values.start + alpha)
 
     sigma = 0.5 + 1.0 / log_x
     term1 = tapered_block_sum(

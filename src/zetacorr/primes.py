@@ -18,17 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, InsufficientSieveError
-from .sums import KahanAccumulator
+from .sums import UniformGrid, grid_sum
 
 SIEVE_LIMIT_MAX = 1_000_000_000
 _SEGMENT_ODDS = 1 << 21  # odd numbers per sieve segment (~2 MB of flags)
-
-# prime-axis chunk for the vectorized sums; fixed for determinism
-_P_CHUNK = 2048
-# grid-axis chunk; holds each outer-product temporary to 16 MB (512 x
-# 2048 complex), so the peak footprint stays small whatever holes the
-# heap has for it
-_T_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,9 @@ def taper_weight(p: float, x_cutoff: float) -> float:
     return math.log(x_cutoff / p) / math.log(x_cutoff)
 
 
-def pretentious_cos_sum(table: PrimeTable, x_cutoff: float, deltas) -> np.ndarray:
-    """sum over p <= X of cos(delta * log p) / p, vectorized in delta.
+def pretentious_cos_sum(table: PrimeTable, x_cutoff: float,
+                        deltas: UniformGrid) -> np.ndarray:
+    """sum over p <= X of cos(delta * log p) / p at each delta of the grid.
 
     This is the prime-side quantity that tracks log|zeta| just right of
     the 1-line at height delta; it is even in delta.
@@ -125,34 +119,7 @@ def pretentious_cos_sum(table: PrimeTable, x_cutoff: float, deltas) -> np.ndarra
     if x_cutoff < 2:
         raise DomainError(f"cutoff must be >= 2, got {x_cutoff}")
     ps = table.primes_between(1, x_cutoff).astype(np.float64)
-    d = np.asarray(deltas, dtype=np.float64)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    real = np.ascontiguousarray(_chunked_weighted_phase_sum(ps, 1.0 / ps, d).real)
-    return float(real[0]) if scalar else real
-
-
-def _chunked_weighted_phase_sum(ps, amp, t_values) -> np.ndarray:
-    """out[k] = sum_p amp[p] * exp(-i * t_values[k] * log p).
-
-    Chunked on both axes; only the prime axis is reduced, with fixed
-    chunk boundaries and compensated cross-chunk accumulation, so the
-    result is independent of how callers partition the grid.
-    """
-    logp = np.log(ps)
-    t = np.asarray(t_values, dtype=np.float64)
-    out = np.empty(t.shape, dtype=np.complex128)
-    for t_lo in range(0, t.size, _T_CHUNK):
-        tc = t[t_lo:t_lo + _T_CHUNK]
-        acc = KahanAccumulator(np.zeros(tc.shape, dtype=np.complex128))
-        for lo in range(0, ps.size, _P_CHUNK):
-            lp = logp[lo:lo + _P_CHUNK]
-            am = amp[lo:lo + _P_CHUNK]
-            # rows: grid points; columns: primes
-            phase = np.multiply.outer(tc, lp)
-            acc.add(np.add.reduce(am * np.exp(-1j * phase), axis=1))
-        out[t_lo:t_lo + _T_CHUNK] = acc.total
-    return out
+    return np.ascontiguousarray(grid_sum(1.0 / ps, np.log(ps), deltas).real)
 
 
 def tapered_block_sum(
@@ -160,9 +127,9 @@ def tapered_block_sum(
     interval: PrimeInterval,
     x_cutoff: float,
     sigma: float,
-    t_values,
+    t_values: UniformGrid,
 ) -> np.ndarray:
-    """Tapered prime Dirichlet sum over an interval, vectorized in t.
+    """Tapered prime Dirichlet sum over an interval at each t of the grid.
 
     Returns, for each t, sum over primes p in (lo, hi] of
     p^(-sigma - i t) * log(X/p) / log(X).
@@ -173,29 +140,22 @@ def tapered_block_sum(
         raise DomainError(
             f"interval top {interval.hi} exceeds taper cutoff {x_cutoff}")
     ps = table.in_interval(interval).astype(np.float64)
-    t = np.asarray(t_values, dtype=np.float64)
-    if ps.size == 0:
-        return np.zeros(t.shape, dtype=np.complex128)
     amp = ps ** (-sigma) * (np.log(x_cutoff / ps) / math.log(x_cutoff))
-    return _chunked_weighted_phase_sum(ps, amp, t)
+    return grid_sum(amp, np.log(ps), t_values)
 
 
 def half_square_sum(
     table: PrimeTable,
     interval: PrimeInterval,
     sigma: float,
-    t_values,
+    t_values: UniformGrid,
 ) -> np.ndarray:
-    """Prime-square tail sum, vectorized in t.
+    """Prime-square tail sum at each t of the grid.
 
     Returns, for each t, sum over p in (lo, hi] of p^(-2(sigma + i t))/2.
     """
     ps = table.in_interval(interval).astype(np.float64)
-    t = np.asarray(t_values, dtype=np.float64)
-    if ps.size == 0:
-        return np.zeros(t.shape, dtype=np.complex128)
-    amp = 0.5 * ps ** (-2.0 * sigma)
-    return _chunked_weighted_phase_sum(ps, amp, 2.0 * t)
+    return grid_sum(0.5 * ps ** (-2.0 * sigma), 2.0 * np.log(ps), t_values)
 
 
 def square_band_interval(band: int) -> PrimeInterval:

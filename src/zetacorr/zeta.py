@@ -8,8 +8,12 @@ Two independent routes are deliberately kept separate:
   * `zeta_euler_maclaurin` sums n^(-s) directly with tail corrections;
     it is slow but works off the critical line and serves as the
     cross-check reference.
-  * `riemann_siegel_Z` uses the main-sum-plus-remainder form specific
-    to the critical line; it is what grid sampling runs.
+  * the Riemann-Siegel form, main sum plus remainder, specific to the
+    critical line.  It has two paths that share theta and the
+    remainder.  `riemann_siegel_Z` takes scattered points and forms
+    the main sum one term at a time; `sample_critical_line` takes a
+    uniform grid and forms it as a Dirichlet polynomial through
+    `sums.grid_sum`.
 
 Do not route one through the other; agreement between them is itself a
 tested claim.
@@ -35,7 +39,7 @@ from .errors import (
     DomainError,
     ResourceError,
 )
-from .sums import KahanAccumulator
+from .sums import KahanAccumulator, UniformGrid, grid_sum
 
 # ZGRD cache layout, little-endian: prefix, header, the float64 moduli,
 # and a zlib.crc32 of every byte before it
@@ -161,29 +165,42 @@ def hardy_theta(t):
     return out + corr
 
 
-def _correction_sum(h, x, terms):
-    """Remainder correction sum_{j<=terms} C_j(h) * x^j via Horner tables."""
-    acc = np.zeros_like(h)
-    xpow = np.ones_like(h)
-    for j in range(terms + 1):
-        series = _rs_series.C_SERIES[j]
-        cj = np.full_like(h, series[-1])
-        for c in series[-2::-1]:
-            cj = cj * h + c
-        acc += cj * xpow
-        xpow = xpow * x
+def _horner(coeffs, y):
+    acc = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= y
+        acc += c
     return acc
 
 
+def _correction_sum(h, x, terms):
+    """Remainder correction sum_{j<=terms} C_j(h) * x^j, by Horner in x
+    over orders and in h^2 within each: C_j(h) = even(h^2) + h odd(h^2)."""
+    h2 = h * h
+    acc = np.zeros_like(h)
+    for even, odd in reversed(_rs_series.C_SERIES[:terms + 1]):
+        acc *= x
+        if even:
+            acc += _horner(even, h2)
+        if odd:
+            acc += h * _horner(odd, h2)
+    return acc
+
+
+def _remainder(a, n_cut, correction_terms):
+    """The Riemann-Siegel remainder at a = sqrt(t / 2 pi), N = floor(a)."""
+    corr = _correction_sum(a - n_cut - 0.5, 1.0 / a, correction_terms)
+    sign = np.where(n_cut.astype(np.int64) % 2 == 1, 1.0, -1.0)
+    return sign * corr / np.sqrt(a)
+
+
 def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
-    """Hardy Z on an arbitrary float64 grid (t >= 10)."""
+    """Hardy Z on scattered float64 points (t >= 10), one pass per term."""
     th = hardy_theta(t)
     a = np.sqrt(t / (2.0 * math.pi))
     n_cut = np.floor(a)
-    p = a - n_cut
-    n_max = int(n_cut.max())
     main = np.zeros_like(t)
-    for n in range(1, n_max + 1):
+    for n in range(1, int(n_cut.max()) + 1):
         mask = n_cut >= n
         if not mask.all():
             contrib = np.where(
@@ -191,10 +208,29 @@ def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
         else:
             contrib = np.cos(th - t * math.log(n)) / math.sqrt(n)
         main += contrib
-    h = p - 0.5
-    corr = _correction_sum(h, 1.0 / a, correction_terms)
-    sign = np.where(n_cut.astype(np.int64) % 2 == 1, 1.0, -1.0)
-    return 2.0 * main + sign * corr / np.sqrt(a)
+    return 2.0 * main + _remainder(a, n_cut, correction_terms)
+
+
+def _z_on_grid(grid: UniformGrid, first: int, stop: int,
+               correction_terms: int) -> np.ndarray:
+    """Hardy Z at the nodes first..stop-1 of a uniform grid (t >= 10).
+
+    The main sum is 2 Re(e^(i theta) S) with S = sum_{n <= N(t)}
+    n^(-1/2) e^(-i t log n): `grid_sum` forms S over every n up to the
+    top node's N, and the terms above N(t) come off the nodes below it.
+    """
+    t = grid.start + np.arange(first, stop, dtype=np.float64) * grid.step
+    a = np.sqrt(t / (2.0 * math.pi))
+    n_cut = np.floor(a)
+    n = np.arange(1.0, n_cut[-1] + 1.0)
+    amp, freqs = 1.0 / np.sqrt(n), np.log(n)
+    s = grid_sum(amp, freqs, grid, first, stop)
+    for m in range(int(n_cut[0]), int(n_cut[-1])):
+        below = int(np.searchsorted(n_cut, m + 1))   # nodes with N(t) <= m
+        s[:below] -= amp[m] * np.exp(-1j * t[:below] * freqs[m])
+    th = hardy_theta(t)
+    main = np.cos(th) * s.real - np.sin(th) * s.imag
+    return 2.0 * main + _remainder(a, n_cut, correction_terms)
 
 
 def _check_depth(correction_terms) -> None:
@@ -227,6 +263,16 @@ def riemann_siegel_Z(t, correction_terms: int = 2):
     float64 node, the worst of 20 nodes drawn from [t, 2t] was 3.1e-8
     at t = 1e6 and 3.8e-6 at t = 1e8, at depths 2 and 4 alike; another
     20 nodes gave 4.5e-9 and 9.3e-7.
+
+    These points are scattered: the main sum takes one pass per term.
+    The grid path of `sample_critical_line` carries the same two terms.
+    Its phases come from a block anchor and powers of one phase per
+    term, each rounded once, and its values are moved to the float64
+    node to first order.  At depth 4, over 120 nodes of a grid at step
+    0.01 against mpmath.siegelz, the root-mean-square error was 1.2e-10
+    at t = 1e5 and 2.0e-9 at t = 1e6, against 1.2e-10 and 1.8e-9 here.
+    Over 131 072 nodes from 2e4, 1e5 and 1e6 the two paths differed by
+    at most 4.6e-11, 3.3e-10 and 4.9e-9.
     """
     _check_depth(correction_terms)
     arr = np.asarray(t, dtype=np.float64)
@@ -293,9 +339,10 @@ def sample_critical_line(
 
     The grid always includes t_start and extends to the last node
     <= t_stop (+ tiny slack so an exact multiple is kept).  Up to
-    `workers` threads of this process (numpy releases the GIL) fill
-    fixed-size index chunks in place; a chunk's arithmetic does not
-    depend on the layout, so output is byte-identical for any count.
+    `workers` threads of this process (numpy and BLAS release the GIL)
+    fill fixed-size index chunks in place; a chunk's arithmetic does
+    not depend on the layout, so output is byte-identical for any
+    count.  Each chunk's main sum is one `sums.grid_sum`.
     """
     if not (T_MIN <= t_start <= t_stop <= T_MAX):
         raise DomainError(
@@ -308,12 +355,12 @@ def sample_critical_line(
     count = grid_count(t_start, t_stop, step)
     _check_depth(correction_terms)
 
+    nodes = UniformGrid(t_start, step, count)
     values = np.empty(count, dtype=np.float64)
 
     def fill(i0: int) -> None:
         i1 = min(i0 + _GRID_CHUNK, count)
-        t = t_start + np.arange(i0, i1, dtype=np.float64) * step
-        values[i0:i1] = np.abs(_z_kernel(t, correction_terms))
+        values[i0:i1] = np.abs(_z_on_grid(nodes, i0, i1, correction_terms))
 
     starts = range(0, count, _GRID_CHUNK)
     with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:

@@ -10,6 +10,7 @@ import pytest
 
 from zetacorr import blocks, primes
 from zetacorr.errors import DomainError
+from zetacorr.sums import UniformGrid
 
 
 def test_beta_star_examples():
@@ -94,31 +95,31 @@ class SyntheticBlockEngines:
     """Injectable evaluators for exercising classifier logic.
 
     `block_fn(j, s, t_values)` and `square_fn(band, t_values)` return
-    arrays shaped like t_values.
+    one value per node of the grid t_values.
     """
 
     def __init__(self, scheme, block_fn=None, square_fn=None):
         self.scheme = scheme
         self._block_fn = block_fn or (
-            lambda j, s, t: np.zeros(np.shape(t), dtype=np.complex128))
+            lambda j, s, t: np.zeros(t.size, dtype=np.complex128))
         self._square_fn = square_fn or (
-            lambda band, t: np.zeros(np.shape(t), dtype=np.complex128))
+            lambda band, t: np.zeros(t.size, dtype=np.complex128))
 
     def block_sum(self, j, s, t_values):
-        return np.asarray(self._block_fn(j, s, np.asarray(t_values)))
+        return np.asarray(self._block_fn(j, s, t_values))
 
     def square_sum(self, band, t_values):
-        return np.asarray(self._square_fn(band, np.asarray(t_values)))
+        return np.asarray(self._square_fn(band, t_values))
 
 
 def _synthetic(scheme, block_values, square_values):
     # block_values[j] and square_values[l] are constants per scale
     def block_fn(j, s, t):
-        return np.full(np.shape(t), block_values.get(j, 0.0),
+        return np.full(t.size, block_values.get(j, 0.0),
                        dtype=np.complex128)
 
     def square_fn(band, t):
-        return np.full(np.shape(t), square_values.get(band, 0.0),
+        return np.full(t.size, square_values.get(band, 0.0),
                        dtype=np.complex128)
 
     return SyntheticBlockEngines(
@@ -128,7 +129,7 @@ def _synthetic(scheme, block_values, square_values):
 def test_classify_minimal_bad_index():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     k1, k2 = scheme.k_seq
-    t = np.array([1e5, 1.2e5, 1.4e5])
+    t = UniformGrid(1e5, 2e4, 3)
     # both blocks exceed their caps: the smallest j is reported
     engines = _synthetic(scheme, {1: k1 + 1.0, 2: k2 + 1.0}, {})
     bad, _ = blocks.classify_grid(t, scheme, engines)
@@ -145,7 +146,7 @@ def test_classify_minimal_bad_index():
 
 def test_classify_largest_square_band():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    t = np.array([1e5, 1.5e5])
+    t = UniformGrid(1e5, 5e4, 2)
     j1 = blocks.square_threshold(1)
     j3 = blocks.square_threshold(3)
     engines = _synthetic(scheme, {}, {1: j1 + 0.5, 3: j3 + 0.5})
@@ -159,10 +160,10 @@ def test_classify_largest_square_band():
 def test_classify_partition_is_exhaustive(table_mega):
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, table_mega)
-    t = np.linspace(1e5, 2e5, 2001)
+    t = UniformGrid(1e5, 50.0, 2001)
     bad, square = blocks.classify_grid(t, scheme, engines, band_count=5)
     # one block class and one square class per point
-    assert bad.shape == square.shape == t.shape
+    assert bad.shape == square.shape == (t.size,)
     assert np.all((bad >= 0) & (bad <= scheme.levels))
     assert np.all((square >= 0) & (square <= 5))
 
@@ -173,11 +174,12 @@ def test_classify_nesting_from_raw_engine_values(table_mega):
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, table_mega)
     rng = random.Random(0xBAD)
-    t = np.array([rng.uniform(1e5, 2e5) for _ in range(400)])
+    t = UniformGrid(rng.uniform(1e5, 1.1e5), 225.0, 400)
     bad, _ = blocks.classify_grid(t, scheme, engines)
+    raw = [np.abs(engines.block_sum(r, r, t))
+           for r in range(1, scheme.levels + 1)]
     for i, j in enumerate(bad):
-        vals = [abs(engines.block_sum(r, r, np.array([t[i]]))[0])
-                for r in range(1, scheme.levels + 1)]
+        vals = [v[i] for v in raw]
         if j == 0:
             assert all(v <= k for v, k in zip(vals, scheme.k_seq))
         else:
@@ -188,7 +190,7 @@ def test_classify_nesting_from_raw_engine_values(table_mega):
 def test_degenerate_scheme_classifies_all_good():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0))
     engines = SyntheticBlockEngines(scheme)
-    t = np.linspace(1e5, 2e5, 11)
+    t = UniformGrid(1e5, 1e4, 11)
     bad, _ = blocks.classify_grid(t, scheme, engines)
     assert scheme.degenerate
     assert np.all(bad == 0)
@@ -215,7 +217,7 @@ def test_square_fraction_decays_with_band(table_mega):
     # fractions should vanish quickly at desk scale
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, table_mega)
-    t = np.linspace(1e5, 2e5, 2001)
+    t = UniformGrid(1e5, 50.0, 2001)
     fr = [np.count_nonzero(blocks.classify_grid(
               t, scheme, engines, band_count=l)[1] == l) / t.size
           for l in (3, 4, 5, 6)]

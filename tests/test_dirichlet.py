@@ -9,7 +9,7 @@ import pytest
 
 from zetacorr import dirichlet, primes
 from zetacorr.errors import DomainError, ResourceError
-from zetacorr.sums import KahanAccumulator
+from zetacorr.sums import KahanAccumulator, UniformGrid
 
 
 def _spec(lo, hi, x_cutoff, beta, cap):
@@ -112,7 +112,8 @@ def test_truncated_exp_dual_route(table_small):
     for _ in range(10):
         s = complex(rng.uniform(0.4, 1.2), rng.uniform(-30.0, 30.0))
         p_val = spec.beta * complex(primes.tapered_block_sum(
-            table_small, spec.interval, spec.x_cutoff, s.real, [s.imag])[0])
+            table_small, spec.interval, spec.x_cutoff, s.real,
+            UniformGrid(s.imag, 1.0, 1))[0])
         direct = truncated_exp_scalar(p_val, spec.degree_cap)
         via_table = evaluate(tab, s)
         assert abs(direct - via_table) <= 1e-12 * max(1.0, abs(direct))

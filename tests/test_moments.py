@@ -9,6 +9,7 @@ import pytest
 from zetacorr import moments, zeta
 from zetacorr.errors import CoverageError, DomainError
 from zetacorr.moments import ShiftSpec
+from zetacorr.sums import UniformGrid
 
 # composite Simpson on |zeta(1/2+it)|^2 over [100, 200], checked against
 # an adaptive Gauss-Legendre integration at 30 digits
@@ -76,8 +77,9 @@ def test_moment_window_covers_the_quadrature():
     grid = zeta.sample_critical_line(t_lo, t_hi, step / 2, correction_terms=0)
     spec = ShiftSpec(alpha=alpha, beta=(1.0, 1.0), t_height=t)
     assert moments.moment_report(spec, grid)[0]["moment"] > 0.0
-    # shift 0 is always in the window
-    assert moments.moment_window(t, (2.0,), step)[0] == t
+    # shifts of one sign sample no line on the far side of shift 0
+    assert moments.moment_window(100, [50], 0.025) == (150.0, 250.1)
+    assert moments.moment_window(100, [-50], 0.025) == (50.0, 150.1)
 
 
 def test_step_resolution_bound(grid_100_200):
@@ -173,24 +175,27 @@ def test_nsw_factor_branches():
 
 
 def test_surrogate_majorant_shapes(table_small):
-    one = moments.lemma21_rhs([150.0], 0.0, 1e3, table_small, t_height=150.0)
+    one = moments.lemma21_rhs(
+        UniformGrid(150.0, 10.0, 1), 0.0, 1e3, table_small, t_height=150.0)
     vec = moments.lemma21_rhs(
-        [150.0, 160.0], 0.0, 1e3, table_small, t_height=150.0)
+        UniformGrid(150.0, 10.0, 2), 0.0, 1e3, table_small, t_height=150.0)
     assert one.shape == (1,) and vec.shape == (2,)
     assert vec[0] == one[0]
     with pytest.raises(DomainError):
-        moments.lemma21_rhs([150.0], 0.0, 1.5, table_small, t_height=150.0)
+        moments.lemma21_rhs(
+            UniformGrid(150.0, 10.0, 1), 0.0, 1.5, table_small, t_height=150.0)
     with pytest.raises(DomainError):
-        moments.lemma21_rhs([150.0], 0.0, 1e9, table_small, t_height=100.0)
+        moments.lemma21_rhs(
+            UniformGrid(150.0, 10.0, 1), 0.0, 1e9, table_small, t_height=100.0)
 
 
 def test_surrogate_tracks_log_zeta(table_small):
     # the surrogate drops a bounded remainder, so it should sit within
     # a few units of log|zeta| at typical points
-    t = np.linspace(120.0, 180.0, 121)
+    t = UniformGrid(120.0, 0.5, 121)
     rhs = moments.lemma21_rhs(t, 0.0, 1e3, table_small, t_height=120.0)
     # |zeta(1/2 + it)| = |Z(t)|
-    lhs = np.log(np.abs(zeta.riemann_siegel_Z(t, 6)))
+    lhs = np.log(np.abs(zeta.riemann_siegel_Z(t.nodes(), 6)))
     gap = lhs - rhs
     assert float(np.mean(gap)) < 2.0
     assert float(np.max(gap)) < 6.0

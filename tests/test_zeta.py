@@ -8,6 +8,7 @@ import random
 import struct
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,8 +151,8 @@ def test_grid_shapes_and_coverage():
     grid = zeta.sample_critical_line(100.0, 100.1, 0.05, correction_terms=2)
     assert grid.count == 3
     for k in range(3):
-        assert grid.values[k] == abs(
-            zeta.riemann_siegel_Z(grid.t_at(k), 2))
+        direct = abs(zeta.riemann_siegel_Z(grid.t_at(k), 2))
+        assert abs(grid.values[k] - direct) <= 1e-9
     single = zeta.sample_critical_line(100.0, 100.0, 0.05)
     assert single.count == 1
     assert single.t_at(0) == 100.0
@@ -170,6 +171,32 @@ def test_grid_spot_check_against_direct():
         k = rng.randrange(grid.count)
         direct = abs(zeta.riemann_siegel_Z(grid.t_at(k), 4))
         assert abs(grid.values[k] - direct) <= 1e-8
+
+
+def test_grid_drops_the_terms_above_each_nodes_cut():
+    # N(t) = floor(sqrt(t / 2 pi)) steps from 39 to 40 at 2 pi 40^2 =
+    # 10053.1 inside the first sampling chunk, so the nodes below it
+    # take the 40th term off the chunk's main sum
+    grid = zeta.sample_critical_line(10040.0, 10070.0, 0.005, correction_terms=4)
+    t = grid.t_start + np.arange(grid.count) * grid.step
+    cut = np.floor(np.sqrt(t / (2.0 * math.pi)))
+    assert cut[0] == 39 and cut[-1] == 40 and grid.count < zeta._GRID_CHUNK
+    direct = np.abs(zeta.riemann_siegel_Z(t, 4))
+    assert np.max(np.abs(grid.values - direct)) <= 1e-9
+
+
+def test_grid_and_scattered_paths_against_siegelz():
+    # eight nodes over four rows of the grid kernel at each height; the
+    # grid path's worst error is at most twice the scattered path's
+    nodes = [0, 37, 255, 256, 411, 512, 700, 999]
+    for t0 in (1000.37, 100000.37, 1000000.37):
+        grid = zeta.sample_critical_line(t0, t0 + 9.99, 0.01, correction_terms=4)
+        t = np.array([grid.t_at(k) for k in nodes])
+        with mpmath.workdps(30):
+            exact = np.array([abs(float(mpmath.siegelz(x))) for x in t])
+        scattered = np.max(np.abs(np.abs(zeta.riemann_siegel_Z(t, 4)) - exact))
+        on_grid = np.max(np.abs(grid.values[nodes] - exact))
+        assert on_grid <= 2.0 * scattered
 
 
 def test_grid_workers_bit_identical():
@@ -281,8 +308,7 @@ def test_rs_series_matches_its_generator(tmp_path, capsys):
         "gen_rs_tables", root / "tools" / "gen_rs_tables.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    series = _rs_series.C_SERIES
     out = tmp_path / "_rs_series.py"
-    gen.emit(dict(enumerate(series[:5])), {5: series[5], 6: series[6]}, out)
+    gen.emit(_rs_series.C_SERIES, out)
     shipped = root / "src" / "zetacorr" / "_rs_series.py"
     assert out.read_bytes() == shipped.read_bytes()

@@ -2,8 +2,11 @@
 """Regenerate the coefficient tables used by the Hardy Z remainder evaluator.
 
 Writes src/zetacorr/_rs_series.py.  The module it emits holds one tuple,
-C_SERIES: the series of correction orders 0..4 (C_EXACT) followed by the
-fits for orders 5 and 6 (C_FIT).  The pieces:
+C_SERIES: for each correction order 0..6, its even and odd parts in
+h^2, so that C_j(h) = even(h^2) + h * odd(h^2).  Orders 0..4 (C_EXACT)
+have strict parity, so one part is empty; the fits for orders 5 and 6
+(C_FIT) keep both.  Every part is trimmed of trailing terms below
+2^-60 at |h| = 1/2.  The pieces:
 
   * psi          -- Taylor coefficients about 1/2 of the entire function
                     psi(p) = cos(2*pi*(p*p - p - 1/16)) / cos(2*pi*p),
@@ -39,7 +42,7 @@ N_NODES = [6, 7, 8, 9, 11, 13, 16, 20, 25, 32, 42, 56]
 N_PPTS = 72         # Chebyshev points in p for the empirical fit
 FIT_DEGREE = 42
 MAX_EMP_ORDER = 16  # orders solved for (5..16); only 5,6 are kept
-TRIM_EPS = mpf("1e-22")
+TRIM_EPS = mpf(2) ** -60
 
 OUT_PATH = "src/zetacorr/_rs_series.py"
 
@@ -176,17 +179,24 @@ def fit_poly(rows, order_idx, degree):
     return list(coef), resid
 
 
-def trim(coeffs):
-    """Drop trailing terms that cannot move the value at |h| <= 1/2."""
-    keep = len(coeffs)
+def parts(coeffs):
+    """The even and odd parts of a series in h, as series in h^2, each
+    without the trailing terms that cannot move the value at |h| <= 1/2."""
     half = mpf(1) / 2
-    while keep > 1 and abs(coeffs[keep - 1]) * half ** (keep - 1) < TRIM_EPS:
-        keep -= 1
-    return coeffs[:keep]
+    out = []
+    for parity in (0, 1):
+        part = list(coeffs[parity::2])
+        while part and (abs(part[-1]) * half ** (2 * len(part) - 2 + parity)
+                        < TRIM_EPS):
+            part.pop()
+        out.append(part)
+    return tuple(out)
 
 
-def emit(c_exact, c_fit, path):
+def emit(series, path):
     def fmt(xs):
+        if not xs:
+            return "()"
         body = ",\n    ".join(repr(float(x)) for x in xs)
         return "(\n    " + body + ",\n)"
 
@@ -196,15 +206,17 @@ def emit(c_exact, c_fit, path):
         "Generated by tools/gen_rs_tables.py; do not edit by hand.",
         '"""',
         "",
-        "# Power series in h for correction orders 0..4 (closed-form",
-        "# combinations of psi derivatives), then fitted polynomials for",
-        "# orders 5 and 6.  All are evaluated by Horner on h in [-1/2, 1/2].",
+        "# (even, odd) for each correction order j = 0..6, as series in h^2:",
+        "# C_j(h) = even(h^2) + h * odd(h^2) on h in [-1/2, 1/2].  Orders",
+        "# 0..4 are closed-form combinations of psi derivatives, of parity",
+        "# j mod 2; orders 5 and 6 are fitted polynomials.",
         "C_SERIES = (",
     ]
-    for j in range(5):
-        lines.append("    " + fmt(c_exact[j]).replace("\n", "\n    ") + ",")
-    for j in (5, 6):
-        lines.append("    " + fmt(c_fit[j]).replace("\n", "\n    ") + ",")
+    for even, odd in series:
+        lines.append("    (")
+        for part in (even, odd):
+            lines.append("        " + fmt(part).replace("\n", "\n        ") + ",")
+        lines.append("    ),")
     lines.append(")")
     lines.append("")
     with open(path, "w") as fh:
@@ -233,8 +245,8 @@ def main():
         print(f"  order {j}: fit residual {resid:.3e}")
         c_fit[j] = coeffs
 
-    c_exact_t = {j: trim(c_exact[j]) for j in c_exact}
-    emit(c_exact_t, c_fit, OUT_PATH)
+    emit([parts(c_exact[j]) for j in range(5)]
+         + [parts(c_fit[j]) for j in (5, 6)], OUT_PATH)
 
 
 if __name__ == "__main__":
