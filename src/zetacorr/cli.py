@@ -480,8 +480,9 @@ def curve_csv(rows) -> str:
 
 
 def _handle_curve(config: ExperimentConfig, f: dict):
-    grid, versions = _provision_grid(
-        f["T"], f["deltas"], f["step"], f["rs_terms"], config.threads, f["cache"])
+    # every row's shifts are (0, delta), so the window holds shift 0
+    grid, versions = _provision_grid(f["T"], (0.0, *f["deltas"]), f["step"],
+                                     f["rs_terms"], config.threads, f["cache"])
     rows, warnings = [], []
     for d in f["deltas"]:
         spec = moments.ShiftSpec(alpha=(0.0, d), beta=(f["beta"], f["beta"]),

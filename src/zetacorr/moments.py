@@ -10,8 +10,9 @@ Simpson, ending in one trapezoid cell when the interval count is odd.
 Predictions multiply T * (log T)^(sum beta_k^2) by pairwise one-line
 zeta moduli at separation alpha_j - alpha_k, offset 1/log T.  Every
 published moment carries a step-halving delta: the grid is sampled at
-half the publication step, the published value uses every other
-sample, and the delta compares the two quadratures.
+half the publication step and one pass forms both quadratures, the
+published one reusing every other fine integrand value, in blocks
+that stay in cache and two chunk buffers of memory.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .sums import KahanAccumulator, UniformGrid
 from .zeta import ZetaGrid, zeta_one_line
 
 _Q_CHUNK = 1 << 20          # quadrature nodes per chunk; fixed for determinism
+_BLOCK = 1 << 14            # fine nodes per product block, to stay in L2; even
 STEP_LIMIT = 0.05           # moment grids must resolve the unit-scale wiggle
 _SNAP_WARN = 1e-12          # residuals above this get reported
 
@@ -89,79 +91,110 @@ def _shift_groups(grid: ZetaGrid, t_lo: float, snapped, beta):
     return sorted(groups.items())
 
 
-def _quadrature(grid: ZetaGrid, groups, n_steps: int, partial: float) -> float:
-    """Composite Simpson of prod moduli[base + i]^(2*beta) over nodes
-    i = 0..n_steps, plus an interpolated partial end cell.
+def _products(moduli, groups, i0: int, i1: int) -> np.ndarray:
+    """prod moduli[base + i]^(2*beta) for i = i0..i1-1, groups in order."""
+    (base, b), *rest = groups
+    out = np.power(moduli[base + i0:base + i1], 2.0 * b)
+    for base, b in rest:
+        out *= np.power(moduli[base + i0:base + i1], 2.0 * b)
+    return out
 
-    Simpson weights h/3 * (1, 4, 2, 4, ..., 4, 1) need an even interval
-    count; an odd count ends in one trapezoid cell, weights h/2 on its
-    two nodes.  Callers guarantee n_steps >= 2 and nonempty groups.
-    Chunked with compensated merging, single threaded: bit-deterministic.
+
+def _simpson_rule(t_len: float, h: float, r: int):
+    """(r, step, n_steps, partial, ends) of the rule on every r-th node
+    of a grid at step h, so at step r*h.
+
+    Simpson weights step/3 * (1, 4, 2, 4, ..., 4, 1) need an even
+    interval count; an odd count ends in one trapezoid cell, weights
+    step/2 on its two nodes.  Interior nodes weigh 2/3 or 4/3 (times
+    step) by parity; `ends` maps the other node indices to their weight.
     """
-    h = grid.step
-    moduli = grid.values
-    n_nodes = n_steps + 1
-
-    def node_values(i0: int, i1: int) -> np.ndarray:
-        (base, b), *rest = groups
-        out = np.power(moduli[base + i0:base + i1], 2.0 * b)
-        for base, b in rest:
-            out = out * np.power(moduli[base + i0:base + i1], 2.0 * b)
-        return out
-
-    acc = KahanAccumulator()
-    for i0 in range(0, n_nodes, _Q_CHUNK):
-        i1 = min(i0 + _Q_CHUNK, n_nodes)
-        # chunks start at even nodes (_Q_CHUNK is even), so with an odd
-        # n_steps the last chunk holds both nodes of the trapezoid cell
-        w = np.full(i1 - i0, 2.0 / 3.0)
-        w[1::2] = 4.0 / 3.0
-        if i0 == 0:
-            w[0] = 1.0 / 3.0
-        if i1 == n_nodes:
-            if n_steps % 2:
-                w[-2] = 1.0 / 3.0 + 0.5
-                w[-1] = 0.5
-            else:
-                w[-1] = 1.0 / 3.0
-        acc.add(float(np.add.reduce(node_values(i0, i1) * w)) * h)
-    if partial > 0.0:
-        f_lo = float(node_values(n_steps, n_steps + 1)[0])
-        f_hi = float(node_values(n_steps + 1, n_steps + 2)[0])
-        f_end = f_lo + (partial / h) * (f_hi - f_lo)
-        acc.add(partial * (f_lo + f_end) / 2.0)
-    return acc.total
+    step = r * h
+    n_steps = int(math.floor(t_len / step + 1e-9))
+    partial = t_len - n_steps * step
+    if partial < 1e-9 * step:
+        partial = 0.0
+    ends = {0: 1.0 / 3.0}
+    if n_steps % 2:
+        ends.update({n_steps - 1: 1.0 / 3.0 + 0.5, n_steps: 0.5})
+    else:
+        ends[n_steps] = 1.0 / 3.0
+    return r, step, n_steps, partial, ends
 
 
-def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> float:
-    """Composite Simpson quadrature of the shifted product over [T, 2T].
+def _simpson_pass(moduli, groups, rules) -> tuple:
+    """The sum of each rule over prod moduli[base + i]^(2*beta), where
+    rule r samples the fine nodes i = 0, r, 2r, ...: one product per
+    fine node, formed in blocks of _BLOCK nodes.
 
-    Shifts snap to grid multiples and the window start T must lie on
-    the grid.  The step is at most STEP_LIMIT and T >= 16, so the
+    Rule r's weighted values fill a buffer of _Q_CHUNK nodes; each full
+    buffer is one np.add.reduce, and the chunk sums and the partial end
+    cell merge in order in a Kahan sum.  A buffer spans r fine chunks,
+    so every length and sum order is fixed: bit-deterministic.
+    """
+    top = max(r * n_steps for r, _, n_steps, _, _ in rules)
+    bufs = [np.empty(_Q_CHUNK) for _ in rules]
+    accs = [KahanAccumulator() for _ in rules]
+    for c0 in range(0, top + 1, _Q_CHUNK):
+        for s in range(c0, min(c0 + _Q_CHUNK, top + 1), _BLOCK):
+            e = min(s + _BLOCK, c0 + _Q_CHUNK, top + 1)
+            vals = _products(moduli, groups, s, e)
+            # blocks start at even nodes, so rule r's first is node s
+            for (r, step, n_steps, _, ends), buf, acc in zip(rules, bufs, accs):
+                k0, k1 = s // r, min((e - 1) // r, n_steps) + 1
+                if k1 <= k0:
+                    continue
+                sub = vals[::r][:k1 - k0]
+                j0 = k0 - k0 % _Q_CHUNK
+                dst = buf[k0 - j0:k1 - j0]
+                even = k0 % 2
+                np.multiply(sub[even::2], 2.0 / 3.0, out=dst[even::2])
+                np.multiply(sub[1 - even::2], 4.0 / 3.0, out=dst[1 - even::2])
+                for k, w in ends.items():
+                    if k0 <= k < k1:
+                        dst[k - k0] = sub[k - k0] * w
+                if k1 == j0 + _Q_CHUNK or k1 == n_steps + 1:
+                    acc.add(float(np.add.reduce(buf[:k1 - j0])) * step)
+    for (r, step, n_steps, partial, _), acc in zip(rules, accs):
+        if partial > 0.0:
+            f_lo, f_hi = (float(_products(moduli, groups, i, i + 1)[0])
+                          for i in (r * n_steps, r * n_steps + r))
+            f_end = f_lo + (partial / step) * (f_hi - f_lo)
+            acc.add(partial * (f_lo + f_end) / 2.0)
+    return tuple(acc.total for acc in accs)
+
+
+def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> tuple:
+    """Composite Simpson quadrature of the shifted product over [T, 2T],
+    as (published, fine).
+
+    With h the grid step, `fine` is the sum at step h and `published`
+    the sum at step 2h on every other node from each shift's window
+    start.  One pass serves both: the published sum reuses every other
+    fine integrand value, and memory is two chunk buffers.  Shifts
+    snap to multiples of 2h and the window start T must lie on the
+    grid.  2h is at most STEP_LIMIT and T >= 16, so the published
     window spans at least 320 steps.
     """
-    if grid.step > STEP_LIMIT + 1e-15:
-        raise CoverageError(
-            f"grid step {grid.step} exceeds the {STEP_LIMIT} resolution bound")
-    t_len = spec.t_height
-    snapped, _ = snap_shifts(spec.alpha, grid.step)
-    groups = _shift_groups(grid, t_len, snapped, spec.beta)
-
     h = grid.step
-    n_steps = int(math.floor(t_len / h + 1e-9))
-    partial = t_len - n_steps * h
-    if partial < 1e-9 * h:
-        partial = 0.0
-    need_top = n_steps + (2 if partial > 0.0 else 0)
+    if 2 * h > STEP_LIMIT + 1e-15:
+        raise CoverageError(
+            f"publication step {2 * h} exceeds the {STEP_LIMIT} resolution bound")
+    t_len = spec.t_height
+    snapped, _ = snap_shifts(spec.alpha, 2 * h)
+    groups = _shift_groups(grid, t_len, snapped, spec.beta)
+    rules = [_simpson_rule(t_len, h, 2), _simpson_rule(t_len, h, 1)]
     for base, _ in groups:
-        if base < 0 or base + need_top >= grid.count:
-            raise CoverageError(
-                f"grid [{grid.t_start}, {grid.t_stop}] cannot cover the "
-                f"window [{t_len}, {2.0 * t_len}] for all shifts")
+        for r, _, n_steps, partial, _ in rules:
+            need_top = n_steps + (2 if partial > 0.0 else 0)
+            if base < 0 or base + r * need_top >= grid.count:
+                raise CoverageError(
+                    f"grid [{grid.t_start}, {grid.t_stop}] cannot cover the "
+                    f"window [{t_len}, {2.0 * t_len}] for all shifts")
     if not groups:
         # all exponents zero: the integrand is identically 1
-        return t_len
-    return _quadrature(grid, groups, n_steps, partial)
+        return t_len, t_len
+    return _simpson_pass(grid.values, groups, rules)
 
 
 def moment_window(t_height: float, alpha, step: float) -> tuple:
@@ -216,11 +249,8 @@ def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid):
     the delta is the relative gap to the full-resolution one.
     """
     step = 2 * fine_grid.step
-    pub_grid = replace(fine_grid, step=step, values=fine_grid.values[::2])
     snapped, residuals = snap_shifts(spec.alpha, step)
-    snapped_spec = replace(spec, alpha=snapped)
-    moment = shifted_moment(snapped_spec, pub_grid)
-    fine_val = shifted_moment(snapped_spec, fine_grid)
+    moment, fine_val = shifted_moment(replace(spec, alpha=snapped), fine_grid)
 
     warnings = []
     worst = max(abs(r) for r in residuals)

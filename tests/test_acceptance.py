@@ -173,12 +173,12 @@ def test_check_08_half_line_surrogate_audit(announce):
 
 def test_check_09_normalization_and_collapse(grid_100_200, announce):
     flat = ShiftSpec(alpha=(0.0, 3.0), beta=(0.0, 0.0), t_height=100.0)
-    norm = moments.shifted_moment(flat, grid_100_200)
+    norm = moments.shifted_moment(flat, grid_100_200)[1]
     norm_err = abs(norm - 100.0) / 100.0
     merged = ShiftSpec(alpha=(0.5, 0.5), beta=(0.4, 0.6), t_height=100.0)
     single = ShiftSpec(alpha=(0.5,), beta=(1.0,), t_height=100.0)
-    v1 = moments.shifted_moment(merged, grid_100_200)
-    v2 = moments.shifted_moment(single, grid_100_200)
+    v1 = moments.shifted_moment(merged, grid_100_200)[1]
+    v2 = moments.shifted_moment(single, grid_100_200)[1]
     collapse_err = abs(v1 - v2) / abs(v2)
     ok = norm_err <= 1e-12 and collapse_err <= 1e-12
     announce(9, ok,

@@ -609,6 +609,35 @@ def test_curve_rows_are_the_moment_results(tmp_path):
     assert rows[0]["moment"] > rows[2]["moment"]
 
 
+@pytest.mark.parametrize("deltas", [[0.5, 2.0], [-1.0, -0.5]])
+def test_curve_without_delta_zero_samples_shift_zero(tmp_path, deltas):
+    # every row integrates shifts (0, delta), so the curve's window holds
+    # shift 0 even when no delta is 0
+    cfg = {"T": 100.0, "beta": 1.0, "deltas": deltas, "step": 0.025,
+           "rs_terms": 6}
+    keys = ("moment", "prediction", "ratio", "nsw_F", "step_halving_delta")
+    out = str(tmp_path / "curve.csv")
+    # without a cache the curve samples moment_window(T, (0, *deltas)):
+    # its rows are the moments on that grid
+    rows = _run("curve", out=out, config=cfg).payload["results"]["rows"]
+    grid = zeta.sample_critical_line(
+        *moments.moment_window(100.0, (0.0, *deltas), 0.025), 0.0125,
+        correction_terms=6, workers=1)
+    for d, row in zip(deltas, rows):
+        spec = moments.ShiftSpec(alpha=(0.0, d), beta=(1.0, 1.0), t_height=100.0)
+        res = moments.moment_report(spec, grid)[0]
+        assert row == {"delta": d, **{k: res[k] for k in keys}}
+    # with a cache each row is the `moment` run over it
+    cache = str(tmp_path / "grid.zgrd")
+    _run("sample", t0=98.0, t1=204.2, step=0.0125, rs_terms=6, out=cache)
+    rows = _run("curve", out=out, cache=cache, config=cfg).payload["results"]["rows"]
+    for d, row in zip(deltas, rows):
+        res = _run("moment", cache=cache, config={
+            "T": 100.0, "alpha": [0.0, d], "beta": [1.0, 1.0], "step": 0.025,
+            "rs_terms": 6}).payload["results"]
+        assert row == {"delta": d, **{k: res[k] for k in keys}}
+
+
 def test_svg_degenerate_inputs(tmp_path, capsys):
     tool = _plot_tool()
     header, row = _CURVE_CSV.split("\n")[:2]

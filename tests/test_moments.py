@@ -1,6 +1,7 @@
 """Moment quadrature, its sampling window, and size predictions."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from zetacorr import moments, zeta
 from zetacorr.errors import CoverageError, DomainError
 from zetacorr.moments import ShiftSpec
-from zetacorr.sums import UniformGrid
+from zetacorr.sums import KahanAccumulator, UniformGrid
 
 # composite Simpson on |zeta(1/2+it)|^2 over [100, 200], checked against
 # an adaptive Gauss-Legendre integration at 30 digits
@@ -34,14 +35,14 @@ def test_spec_validation():
 
 def test_zero_exponents_integrate_the_constant(grid_100_200):
     spec = ShiftSpec(alpha=(0.0, 3.0), beta=(0.0, 0.0), t_height=100.0)
-    assert moments.shifted_moment(spec, grid_100_200) == 100.0
+    assert moments.shifted_moment(spec, grid_100_200) == (100.0, 100.0)
 
 
 def test_duplicate_shifts_collapse_exactly(grid_100_200):
     merged = ShiftSpec(alpha=(0.5, 0.5), beta=(0.4, 0.6), t_height=100.0)
     single = ShiftSpec(alpha=(0.5,), beta=(1.0,), t_height=100.0)
-    v1 = moments.shifted_moment(merged, grid_100_200)
-    v2 = moments.shifted_moment(single, grid_100_200)
+    v1 = moments.shifted_moment(merged, grid_100_200)[1]
+    v2 = moments.shifted_moment(single, grid_100_200)[1]
     assert v1 == v2
 
 
@@ -50,8 +51,8 @@ def test_permutation_invariance(grid_100_200):
                   t_height=100.0)
     b = ShiftSpec(alpha=(3.0, 0.0, 1.5), beta=(0.25, 1.0, 0.5),
                   t_height=100.0)
-    va = moments.shifted_moment(a, grid_100_200)
-    vb = moments.shifted_moment(b, grid_100_200)
+    va = moments.shifted_moment(a, grid_100_200)[1]
+    vb = moments.shifted_moment(b, grid_100_200)[1]
     assert va == vb
 
 
@@ -122,7 +123,7 @@ def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
     base = grid_100_200.index_of(100.0 + h)
     vals = np.power(grid_100_200.values[base:base + n + 1], 2.0)
     expect = float(np.add.reduce(vals * w)) * h
-    assert moments.shifted_moment(spec, grid_100_200) == expect
+    assert moments.shifted_moment(spec, grid_100_200)[1] == expect
 
 
 def test_halving_delta_matches_recomputation(grid_100_200):
@@ -130,11 +131,133 @@ def test_halving_delta_matches_recomputation(grid_100_200):
     results, _ = moments.moment_report(spec, grid_100_200)
     pub = replace(grid_100_200, step=2 * grid_100_200.step,
                   values=grid_100_200.values[::2])
-    coarse = moments.shifted_moment(spec, pub)
-    fine = moments.shifted_moment(spec, grid_100_200)
+    coarse = moments.shifted_moment(spec, pub)[1]
+    published, fine = moments.shifted_moment(spec, grid_100_200)
+    assert published == coarse
     assert results["moment"] == coarse
     assert results["step_halving_delta"] == abs(coarse - fine) / abs(fine)
     assert results["step_halving_delta"] < 1e-6
+
+
+def _two_simpson_sums(spec, grid, chunk):
+    """Reference for `shifted_moment`: the published Simpson sum on
+    values[::2] (from the parity of T's node) at step 2h and the fine
+    one on every value at step h, each with an explicit weight array,
+    chunks of `chunk` nodes and their sums merged in a Kahan sum."""
+    h = grid.step
+    snapped, _ = moments.snap_shifts(spec.alpha, 2 * h)
+    groups = {}
+    for a, b in zip(snapped, spec.beta):
+        if b != 0.0:
+            base = grid.index_of(spec.t_height + a)
+            groups[base] = groups.get(base, 0.0) + b
+    sums = []
+    for r in (2, 1):
+        step = r * h
+        n = int(math.floor(spec.t_height / step + 1e-9))
+        partial = spec.t_height - n * step
+        if partial < 1e-9 * step:
+            partial = 0.0
+        vals = None
+        for base, b in sorted(groups.items()):
+            line = grid.values[base % r::r][base // r:base // r + n + 2]
+            power = np.power(line, 2.0 * b)
+            vals = power if vals is None else vals * power
+        w = np.full(n + 1, 2.0 / 3.0)
+        w[1::2] = 4.0 / 3.0
+        w[0] = 1.0 / 3.0
+        if n % 2:
+            w[-2] = 1.0 / 3.0 + 0.5
+            w[-1] = 0.5
+        else:
+            w[-1] = 1.0 / 3.0
+        acc = KahanAccumulator()
+        for i0 in range(0, n + 1, chunk):
+            i1 = min(i0 + chunk, n + 1)
+            acc.add(float(np.add.reduce(vals[i0:i1] * w[i0:i1])) * step)
+        if partial > 0.0:
+            f_lo, f_hi = float(vals[n]), float(vals[n + 1])
+            f_end = f_lo + (partial / step) * (f_hi - f_lo)
+            acc.add(partial * (f_lo + f_end) / 2.0)
+        sums.append(acc.total)
+    return tuple(sums)
+
+
+_H = 0.0125     # grid_100_200's step
+
+
+@pytest.mark.parametrize("chunk,block", [
+    (1 << 20, None),    # one chunk
+    (1002, None),       # many chunks, each one block; 1002 = 2 mod 4
+    (1002, 256),        # blocks that do not divide a chunk
+    (4098, 1024),
+])
+@pytest.mark.parametrize("t_height,t_start", [
+    (100.0, 98.0),              # even interval counts at both steps
+    (100.0 + 2 * _H, 98.0),     # odd published count
+    (100.0 + _H, 98.0),         # T on an odd node: odd fine count, published partial
+    (100.0 + 3 * _H, 98.0),     # odd counts at both steps, published partial
+    (100.01, 98.01),            # partial cells at both steps
+])
+@pytest.mark.parametrize("alpha,beta", [
+    ((0.0,), (1.0,)),
+    ((1.5,), (0.75,)),
+    ((0.0, 2.0), (1.25, 0.5)),
+    ((-1.0, 0.5, 0.5), (0.5, 1.25, 0.75)),     # two shifts merge
+    ((0.5, -1.0, 1.0), (1.0, 0.0, 1.25)),      # a zero exponent drops out
+])
+def test_one_pass_equals_the_two_simpson_sums(grid_100_200, monkeypatch, chunk,
+                                              block, t_height, t_start, alpha,
+                                              beta):
+    monkeypatch.setattr(moments, "_Q_CHUNK", chunk)
+    if block is not None:
+        monkeypatch.setattr(moments, "_BLOCK", block)
+    # the identity needs no zeta values: a moved start puts T on a node
+    grid = replace(grid_100_200, t_start=t_start)
+    spec = ShiftSpec(alpha=alpha, beta=beta, t_height=t_height)
+    assert moments.shifted_moment(spec, grid) == _two_simpson_sums(spec, grid, chunk)
+
+
+def test_the_pass_refuses_what_the_published_rule_cannot_cover():
+    spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.0)
+    # the published step 2h is bounded by STEP_LIMIT, not h
+    h = moments.STEP_LIMIT / 2
+    ok = zeta.ZetaGrid(100.0, h, np.ones(4100), 0)
+    for value in moments.shifted_moment(spec, ok):
+        assert math.isclose(value, 100.0, rel_tol=1e-12)
+    over = zeta.ZetaGrid(100.0, 1.001 * h, np.ones(4100), 0)
+    with pytest.raises(CoverageError):
+        moments.shifted_moment(spec, over)
+    # T = 100.01 ends both rules in a partial cell, and the coverage
+    # check asks for two nodes past each rule's last whole step: fine
+    # node 8002, and published node 4002, which is fine node 8004
+    spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.01)
+    values = np.linspace(1.0, 2.0, 8005)
+    full = zeta.ZetaGrid(100.01, _H, values, 0)
+    assert moments.shifted_moment(spec, full)[0] > 0.0
+    with pytest.raises(CoverageError):
+        moments.shifted_moment(spec, replace(full, values=values[:-1]))
+
+
+def test_the_pass_holds_two_chunk_buffers(monkeypatch):
+    # the pass holds two chunk buffers and a few product blocks, and no
+    # chunk-sized temporaries
+    chunk, block = 1 << 18, 1 << 14
+    monkeypatch.setattr(moments, "_Q_CHUNK", chunk)
+    monkeypatch.setattr(moments, "_BLOCK", block)
+    rng = np.random.default_rng(3)
+    grid = zeta.ZetaGrid(16.0, 2e-5, rng.random(802_200) + 0.5, 0)
+    spec = ShiftSpec(alpha=(0.0, 0.02, 0.04), beta=(0.75, 1.25, 0.5),
+                     t_height=16.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        moments.shifted_moment(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 16.0 / 2e-5 > 3 * chunk
+    assert peak <= (2 * chunk + 4 * block) * 8
 
 
 def test_prediction_closed_form_single_shift():
