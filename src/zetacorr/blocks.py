@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSieveError, ResourceError
+from .errors import ConfigError, DomainError, ResourceError
 from .primes import (
+    SIEVE_LIMIT_MAX,
     PrimeInterval,
-    PrimeTable,
     half_square_sum,
+    sieve_primes,
     square_band_interval,
     tapered_block_sum,
 )
@@ -42,7 +43,10 @@ def beta_star(betas) -> float:
         raise DomainError("need at least one exponent")
     if any(b < 0 for b in betas):
         raise DomainError(f"exponents must be >= 0, got {betas}")
-    return math.fsum(max(1.0, b) for b in betas)
+    try:
+        return math.fsum(max(1.0, b) for b in betas)
+    except OverflowError:
+        raise DomainError(f"exponents sum past the float range: {betas}") from None
 
 
 def default_exponent_scale(bs: float) -> float:
@@ -140,9 +144,10 @@ def build_scheme(
     l2 = math.log(log_t)
     # T_j = T^(e^(j-1) / (log2 T)^2) <= T^scale needs e^(j-1) <= scale*l2^2
     budget = scale * l2 * l2
-    levels = int(math.floor(1.0 + math.log(budget) + 1e-12)) if budget >= 1.0 else 0
-    if levels > _LEVELS_MAX:
-        raise ResourceError(f"scheme would have {levels} levels (cap {_LEVELS_MAX})")
+    top = 1.0 + math.log(budget) + 1e-12 if budget >= 1.0 else 0.0
+    if top >= _LEVELS_MAX + 1:          # also an overflowed budget's inf
+        raise ResourceError(f"scheme would have over {_LEVELS_MAX} levels")
+    levels = int(top)
 
     log_t_seq = [math.log(2.0)]
     for j in range(1, levels + 1):
@@ -163,18 +168,19 @@ def build_scheme(
 
 
 class SieveBlockEngines:
-    """Real evaluators for the block and square-band sums."""
+    """Real evaluators for the block and square-band sums, on primes up
+    to past T_L, e^(band_count + 1) and 64; ConfigError past the sieve."""
 
-    def __init__(self, scheme: BlockScheme, table: PrimeTable,
+    def __init__(self, scheme: BlockScheme, band_count: int,
                  *, abscissa: str = "half"):
         self.scheme = scheme
-        self.table = table
         self.abscissa = abscissa
-        if scheme.levels >= 1:
-            top = scheme.t_seq[scheme.levels]
-            if not math.isfinite(top) or top > table.limit:
-                raise InsufficientSieveError(
-                    f"scheme blocks reach {top}, sieve covers {table.limit}")
+        # t_seq[0] = 2, so a degenerate scheme adds nothing
+        top = max(64.0, scheme.t_seq[scheme.levels], math.exp(band_count + 1))
+        if not top < SIEVE_LIMIT_MAX:         # also inf
+            raise ConfigError(f"classification needs primes up to {top}, "
+                              f"past the sieve limit {SIEVE_LIMIT_MAX}")
+        self.table = sieve_primes(int(math.ceil(top)) + 1)
 
     def block_sum(self, j: int, s: int, t_values: UniformGrid) -> np.ndarray:
         """P over block j, tapered at T_s, on the classification line."""

@@ -22,7 +22,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     CacheFormatError,
     ConfigError,
     CoverageError,
+    DomainError,
     ZetaLabError,
 )
 from .sums import UniformGrid
@@ -87,6 +88,8 @@ def _pyify(obj):
         return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, os.PathLike):
+        return os.fspath(obj)
     return obj
 
 
@@ -342,8 +345,8 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
     """Fine grid (at step/2) over `moments.moment_window` of the shifts.
 
     With a cache the file must already match: half the config step, the
-    config's RS depth, full coverage, and T on every other node from its
-    start.  Returns (grid, cache_version_records).
+    config's RS depth, full coverage, and T on a node.  Returns (grid,
+    cache_version_records).
     """
     fine_step = step / 2.0
     t_lo, t_hi = moments.moment_window(t_height, alpha, step)
@@ -360,13 +363,12 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
             raise CacheFormatError(
                 f"cache span [{grid.t_start}, {grid.t_stop}] does not cover "
                 f"[{t_lo}, {t_hi}]")
-        try:    # the published moment runs on every other node from t_start
-            replace(grid, step=2 * grid.step,
-                    values=grid.values[::2]).index_of(t_height)
+        try:
+            grid.index_of(t_height)
         except CoverageError:
             raise CacheFormatError(
                 f"cache {cache_path}: T = {t_height} is not a node of its "
-                f"grid at step {2 * grid.step} from {grid.t_start}") from None
+                f"grid at step {grid.step} from {grid.t_start}") from None
         version = [{
             "path": str(cache_path), "version": zeta.CACHE_VERSION,
             "count": grid.count, "step": grid.step,
@@ -415,13 +417,7 @@ def _handle_classify(config: ExperimentConfig, f: dict):
             f"grid spacing {step} exceeds the {_CLASSIFY_STEP_NOTE} "
             f"measure-resolution guideline")
     count = zeta.grid_count(f["t0"], f["t1"], step)
-
-    sieve_top = max(
-        [64.0]
-        + [scheme.t_seq[scheme.levels]] * (scheme.levels >= 1)
-        + [math.exp(band_count + 1)])
-    table = primes.sieve_primes(int(math.ceil(sieve_top)) + 1)
-    engines = blocks.SieveBlockEngines(scheme, table, abscissa=f["abscissa"])
+    engines = blocks.SieveBlockEngines(scheme, band_count, abscissa=f["abscissa"])
     bad, square = blocks.classify_grid(UniformGrid(f["t0"], step, count), scheme,
                                        engines, band_count=band_count)
 
@@ -547,9 +543,12 @@ def run(config: ExperimentConfig) -> RunReport:
     flags = read_config(rows, config.parameters, f"{config.kind} parameter")
     _refuse_shared_files(flags, {"cache": flags.get("cache")})
     if config.kind in _CONFIG_FIELDS:
-        flags.update(read_config(_CONFIG_FIELDS[config.kind],
-                                 config.parameters.get("config"),
-                                 f"{config.kind} config field"))
+        fields, values = _CONFIG_FIELDS[config.kind], config.parameters.get("config")
+        flags.update(read_config(fields, values, f"{config.kind} config field"))
+        unread = sorted({str(k) for k in values} - {key for key, _, _ in fields})
+        if unread:
+            raise ConfigError(f"{config.kind} config does not read "
+                              + ", ".join(map(repr, unread)))
     results, warnings, cache_versions, artifacts = handler(config, flags)
     payload = _pyify({
         "kind": config.kind,
@@ -567,8 +566,12 @@ def run(config: ExperimentConfig) -> RunReport:
         "threads": config.threads,
     }
     report = RunReport(payload=payload, meta=meta)
+    try:
+        text = report.to_json()
+    except ValueError as exc:       # an infinite or NaN result
+        raise DomainError(f"{config.kind} result is out of range: {exc}") from None
     if flags["report"]:
-        artifacts = [*artifacts, (flags["report"], report.to_json())]
+        artifacts = [*artifacts, (flags["report"], text)]
     _write_all(artifacts)
     return report
 

@@ -15,6 +15,7 @@ the two are compared in tests, so keep them independent.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -191,9 +192,27 @@ def _frequency_logs(ns):
     return np.array([math.log(n) for n in ns], dtype=np.float64)
 
 
-def _near_pair_log(m: int, n: int) -> float:
-    """log(n/m) for n close to m, formed from the integer difference."""
-    return math.log1p((n - m) / m)
+def _log_gaps(table: CoeffTable, what: str):
+    """(ns, logs, rows): a table's frequencies ascending (at most
+    _MEAN_VALUE_MAX), their logs, and per row i (lam, near): lam[j] =
+    log(n_j / n_i), a placeholder 1.0 at j = i, and near the j whose gap,
+    under _NEAR_LOG_EPS, is formed from the integer difference."""
+    ns = sorted(table.entries)
+    if len(ns) > _MEAN_VALUE_MAX:
+        raise ResourceError(
+            f"{what} over {len(ns)} frequencies exceeds cap {_MEAN_VALUE_MAX}")
+    logs = _frequency_logs(ns)
+
+    def rows():
+        for i in range(len(ns)):
+            lam = logs - logs[i]
+            lam[i] = 1.0
+            near = np.nonzero(np.abs(lam) < _NEAR_LOG_EPS)[0]
+            for j in near:
+                lam[j] = math.log1p((ns[j] - ns[i]) / ns[i])
+            yield lam, near
+
+    return ns, logs, rows()
 
 
 def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
@@ -201,41 +220,28 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
 
     The polynomial is D(t) = sum c(n) n^(-i t); the integral of
     |D(t)|^2 over [T, 2T] is T * sum |c(n)|^2 plus the closed-form
-    oscillatory cross terms (no quadrature).
+    oscillatory cross terms (no quadrature): (e^(2iT lam) - e^(iT lam))
+    / (i lam) at log gap lam, or for a near pair, where that difference
+    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.
     """
     if t_len <= 0:
         raise DomainError(f"window base must be positive, got {t_len}")
-    ns = sorted(table.entries)
-    if len(ns) > _MEAN_VALUE_MAX:
-        raise ResourceError(
-            f"mean value over {len(ns)} frequencies exceeds cap {_MEAN_VALUE_MAX}")
+    ns, logs, rows = _log_gaps(table, "mean value")
     if not ns:
         return 0.0
     a = np.array([table.entries[n] for n in ns], dtype=np.complex128)
-    logs = _frequency_logs(ns)
     t_len = float(t_len)
     u = np.exp(1j * t_len * logs)        # (n)^(iT)
     v = u * u                            # (n)^(2iT)
     diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
     acc = KahanAccumulator(0.0 + 0.0j)
-    for i in range(len(ns)):
-        lam = logs - logs[i]
-        lam[i] = 1.0  # placeholder; row i excluded below
+    for i, (lam, near) in enumerate(rows):
         numer = v * np.conj(v[i]) - u * np.conj(u[i])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integ = numer / (1j * lam)
+        integ = numer / (1j * lam)
         integ[i] = 0.0
-        # pairs with nearly equal logs need the integer-difference form
-        near = np.nonzero(np.abs(lam) < _NEAR_LOG_EPS)[0]
         for j in near:
-            if j == i:
-                continue
-            lam_ij = _near_pair_log(ns[i], ns[j])
-            phase2 = complex(math.cos(2 * t_len * lam_ij),
-                             math.sin(2 * t_len * lam_ij))
-            phase1 = complex(math.cos(t_len * lam_ij),
-                             math.sin(t_len * lam_ij))
-            integ[j] = (phase2 - phase1) / (1j * lam_ij)
+            integ[j] = (cmath.exp(1.5j * t_len * lam[j])
+                        * (2.0 * math.sin(0.5 * t_len * lam[j]) / lam[j]))
         acc.add(a[i] * complex(np.add.reduce(np.conj(a) * integ)))
     return float(diag + acc.total.real)
 
@@ -245,27 +251,14 @@ def off_diagonal_bound(table: CoeffTable) -> float:
 
     Window-independent bound on the cross terms of the mean square.
     """
-    ns = sorted(table.entries)
-    if len(ns) > _MEAN_VALUE_MAX:
-        raise ResourceError(
-            f"bound over {len(ns)} frequencies exceeds cap {_MEAN_VALUE_MAX}")
+    ns, _, rows = _log_gaps(table, "bound")
     if len(ns) < 2:
         return 0.0
     mags = np.array([abs(table.entries[n]) for n in ns], dtype=np.float64)
-    logs = _frequency_logs(ns)
     acc = KahanAccumulator(0.0)
-    for i in range(len(ns)):
-        lam = np.abs(logs - logs[i])
-        lam[i] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = 2.0 * mags[i] * mags / lam
+    for i, (lam, _) in enumerate(rows):
+        contrib = 2.0 * mags[i] * mags / np.abs(lam)
         contrib[i] = 0.0
-        near = np.nonzero(lam < _NEAR_LOG_EPS)[0]
-        for j in near:
-            if j == i:
-                continue
-            contrib[j] = 2.0 * mags[i] * mags[j] / abs(
-                _near_pair_log(ns[i], ns[j]))
         acc.add(float(np.add.reduce(contrib)))
     return acc.total
 

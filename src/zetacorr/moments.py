@@ -212,16 +212,23 @@ def moment_window(t_height: float, alpha, step: float) -> tuple:
 
 def predict_bound(spec: ShiftSpec, one_line=zeta_one_line) -> float:
     """Size prediction T (log T)^(sum beta^2) times the pairwise
-    one-line moduli at the shift differences, offset 1/log T."""
+    one-line moduli at the shift differences, offset 1/log T.  A
+    prediction beyond the float range is a DomainError."""
     log_t = math.log(spec.t_height)
     offset = 1.0 / log_t
-    value = spec.t_height * log_t ** math.fsum(b * b for b in spec.beta)
-    for j in range(spec.m):
-        for k in range(j + 1, spec.m):
-            w = 2.0 * spec.beta[j] * spec.beta[k]
-            if w == 0.0:
-                continue
-            value *= abs(one_line(spec.alpha[j] - spec.alpha[k], offset)) ** w
+    try:
+        value = spec.t_height * log_t ** math.fsum(b * b for b in spec.beta)
+        for j in range(spec.m):
+            for k in range(j + 1, spec.m):
+                w = 2.0 * spec.beta[j] * spec.beta[k]
+                if w == 0.0:
+                    continue
+                value *= abs(one_line(spec.alpha[j] - spec.alpha[k], offset)) ** w
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"prediction at T = {spec.t_height}, beta = "
+                          f"{list(spec.beta)} exceeds the float range")
     return value
 
 

@@ -5,8 +5,8 @@ open on the left and closed on the right, matching how the block
 decomposition slices the primes.  `primes_between` implements exactly
 that.
 
-The vectorized sums reduce over primes in fixed-size chunks (see
-`_P_CHUNK`) so results do not depend on how a caller splits the
+The sums run on `sums.grid_sum`, which blocks primes and nodes at
+fixed boundaries, so results do not depend on how a caller splits the
 evaluation grid across threads.
 """
 

@@ -96,9 +96,8 @@ def grid_sum(amp, freqs, grid: UniformGrid, first: int = 0,
     row r and column j stand for the real number t_b + (r K + j) step,
     a few ulp of t from the float node.  The products also give the
     slope sum_n amp[n] freqs[n] exp(-i t freqs[n]), and each value is
-    moved to its float node to first order in that offset.  A range of
-    one row shares nothing and is summed directly.  The per-node work
-    runs in place in buffers reused from block to block.
+    moved to its float node to first order in that offset.  The
+    per-node work runs in place in buffers reused from block to block.
     """
     count = (grid.count if stop is None else stop) - first
     width = _row_width(max(count, 1))
@@ -126,33 +125,27 @@ def grid_sum(amp, freqs, grid: UniformGrid, first: int = 0,
         for n in range(0, freqs.size, _TERMS):
             # the first term block writes in place; later ones are merged
             lam, a = freqs[n:n + _TERMS], amp[n:n + _TERMS]
-            if rows == 1:
-                terms = np.exp(-1j * np.multiply.outer(t[0], lam)) * a
-                part = np.add.reduce(terms, axis=1, out=None if n else value[0])
-            else:
-                twiddle = _powers(lam, step, width).T
-                base = _powers(lam, width * step, len(value))
-                base *= np.exp(-1j * anchor * lam) * a
-                part = np.matmul(base, twiddle, out=None if n else value)
-                base *= lam
-                slope_part = np.matmul(base, twiddle, out=None if n else slp)
-                if n:
-                    slp += slope_part
+            twiddle = _powers(lam, step, width).T
+            base = _powers(lam, width * step, len(value))
+            base *= np.exp(-1j * anchor * lam) * a
+            part = np.matmul(base, twiddle, out=None if n else value)
+            base *= lam
+            slope_part = np.matmul(base, twiddle, out=None if n else slp)
             if n:
+                slp += slope_part
                 if acc is None:
                     acc = KahanAccumulator(value)
                 acc.add(part)
         if acc is not None:
             value[...] = acc.total
-        if rows > 1:
-            off = t                         # float node - (t_b + d step):
-            off -= anchor
-            np.multiply(d, step_hi, out=tmp)
-            off -= tmp
-            np.multiply(d, step - step_hi, out=tmp)
-            off -= tmp
-            np.multiply(off, slp.imag, out=tmp)
-            value.real += tmp
-            np.multiply(off, slp.real, out=tmp)
-            value.imag -= tmp
+        off = t                             # float node - (t_b + d step):
+        off -= anchor
+        np.multiply(d, step_hi, out=tmp)
+        off -= tmp
+        np.multiply(d, step - step_hi, out=tmp)
+        off -= tmp
+        np.multiply(off, slp.imag, out=tmp)
+        value.real += tmp
+        np.multiply(off, slp.real, out=tmp)
+        value.imag -= tmp
     return out.ravel()[:count]

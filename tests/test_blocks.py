@@ -157,9 +157,9 @@ def test_classify_largest_square_band():
     assert list(square) == [0, 0]
 
 
-def test_classify_partition_is_exhaustive(table_mega):
+def test_classify_partition_is_exhaustive():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, table_mega)
+    engines = blocks.SieveBlockEngines(scheme, 5)
     t = UniformGrid(1e5, 50.0, 2001)
     bad, square = blocks.classify_grid(t, scheme, engines, band_count=5)
     # one block class and one square class per point
@@ -168,11 +168,11 @@ def test_classify_partition_is_exhaustive(table_mega):
     assert np.all((square >= 0) & (square <= 5))
 
 
-def test_classify_nesting_from_raw_engine_values(table_mega):
+def test_classify_nesting_from_raw_engine_values():
     # a point labeled B_j must satisfy |block_r| <= K_r for r < j and
     # |block_j| > K_j, re-asserted from the raw block sums
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, table_mega)
+    engines = blocks.SieveBlockEngines(scheme, scheme.square_band_count)
     rng = random.Random(0xBAD)
     t = UniformGrid(rng.uniform(1e5, 1.1e5), 225.0, 400)
     bad, _ = blocks.classify_grid(t, scheme, engines)
@@ -212,11 +212,11 @@ def test_measure_bounds_closed_forms():
     assert blocks.square_measure_bound(1) == math.exp(-math.exp(0.75))
 
 
-def test_square_fraction_decays_with_band(table_mega):
+def test_square_fraction_decays_with_band():
     # higher bands demand larger square sums, which decay; observed
     # fractions should vanish quickly at desk scale
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, table_mega)
+    engines = blocks.SieveBlockEngines(scheme, 6)
     t = UniformGrid(1e5, 50.0, 2001)
     fr = [np.count_nonzero(blocks.classify_grid(
               t, scheme, engines, band_count=l)[1] == l) / t.size

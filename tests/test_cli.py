@@ -259,12 +259,12 @@ def test_complex_grid_exits_3_and_its_commands_are_gone(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("t0", ["98.00625", "98.0125"])
+@pytest.mark.parametrize("t0", ["98.00625"])
 @pytest.mark.parametrize("kind", ["moment", "curve"])
 def test_cache_off_the_publication_nodes_exits_3(tmp_path, monkeypatch, capsys,
                                                  kind, t0):
-    # step, depth and span all match, but T = 100 falls between the every
-    # other cache node from t0 that the published quadrature reads
+    # step, depth and span all match, but T = 100 falls between two
+    # cache nodes
     monkeypatch.chdir(tmp_path)
     assert cli.main(["sample", "--t0", t0, "--t1", "204.2", "--step", "0.0125",
                      "--out", "grid.zgrd"]) == 0
@@ -277,6 +277,26 @@ def test_cache_off_the_publication_nodes_exits_3(tmp_path, monkeypatch, capsys,
     assert rc == 3
     assert "grid.zgrd" in err and "not a node" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "grid.zgrd"]
+
+
+@pytest.mark.parametrize("kind", ["moment", "curve"])
+def test_cache_with_t_on_an_odd_node_runs(tmp_path, monkeypatch, capsys, kind):
+    # T = 100 is node 159 of a grid from 98.0125 and node 160 of one from
+    # 98.0; the published sum runs on every other node from each shift's
+    # base either way, so the two caches agree to rounding
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {**_VALID_CONFIGS[kind], "step": 0.025})
+    got = []
+    for t0 in ("98.0125", "98.0"):
+        assert cli.main(["sample", "--t0", t0, "--t1", "204.2", "--step",
+                         "0.0125", "--out", "grid.zgrd"]) == 0
+        capsys.readouterr()
+        assert cli.main([kind, "--config", cfg, "--cache", "grid.zgrd",
+                         *(["--out", "curve.csv"] if kind == "curve" else [])]) == 0
+        res = json.loads(capsys.readouterr().out)["payload"]["results"]
+        got.append([row["moment"] for row in res.get("rows", [res])])
+    assert got[0] == pytest.approx(got[1], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("cache", ["absent.zgrd", "."])
@@ -891,6 +911,62 @@ def test_run_needs_a_config_object_and_an_out_path(tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+def test_run_echoes_path_like_paths_as_strings(tmp_path, monkeypatch):
+    # a `run` dict may pass os.PathLike paths; the payload echoes them as
+    # the strings they stand for, and the report is written
+    monkeypatch.chdir(tmp_path)
+    blobs = []
+    for wrap in (str, pathlib.Path):
+        report = _run("sample", **{**_VALID_RUNS["sample"],
+                                   "out": wrap("grid.zgrd"),
+                                   "report": wrap("report.json")})
+        blobs.append(cli.payload_bytes(report))
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["payload"] == report.payload
+        assert report.payload["config"]["out"] == "grid.zgrd"
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("kind,cfg,code", [
+    ("predict", {"T": 1e300, "alpha": [0.0, 1.0], "beta": [3.0, 3.0]}, 4),
+    ("predict", {"T": 100.0, "alpha": [0.0], "beta": [60.0]}, 4),
+    ("moment", {"T": 100.0, "alpha": [0.0], "beta": [60.0], "step": 0.025}, 4),
+    ("classify", {**_CLASSIFY_CONFIG, "exponent_scale": 100.0}, 2),
+    ("classify", {**_CLASSIFY_CONFIG, "exponent_scale": 10.0}, 2),
+    ("classify", {**_CLASSIFY_CONFIG, "exponent_scale": 1e308}, 5),
+    ("classify", {**_CLASSIFY_CONFIG, "beta": [1e308, 1e308]}, 4),
+])
+def test_numbers_out_of_range_exit_with_their_code(tmp_path, monkeypatch, capsys,
+                                                   kind, cfg, code):
+    # an overflowing prediction (T (log T)^(sum beta^2)) exits 4; a sieve
+    # past its limit (the top block T_L is inf from exponent_scale ~68 at
+    # T = 1e5) exits 2; a level count or exponent sum beyond the float
+    # range exits 5 or 4
+    monkeypatch.chdir(tmp_path)
+    args = [*_CLASSIFY_ARGS, "--out", "o.json"] if kind == "classify" else []
+    rc = cli.main([kind, "--config", _write_json(tmp_path / "cfg.json", cfg),
+                   "--report", "r.json", *args])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.err.startswith("zetacorr: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_CONFIGS))
+def test_config_key_no_row_reads_exits_2(tmp_path, monkeypatch, kind):
+    # a typo such as "rs_term" would otherwise run at the default depth
+    # and echo the typo in the payload
+    monkeypatch.chdir(tmp_path)
+    params = {**_VALID_RUNS[kind],
+              "config": {**_VALID_CONFIGS[kind], "rs_term": 6, "zz": 1}}
+    with pytest.raises(ConfigError, match=f"^{kind} config does not read "
+                                          "'rs_term', 'zz'$") as err:
+        _run(kind, **params)
+    assert err.value.exit_code == 2
+    assert not list(tmp_path.iterdir())
+
+
 _CURVE_CONFIG = {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.05}
 
 
@@ -1015,6 +1091,7 @@ _ARGV = {
     "sample": ["sample", "--t0", "98", "--t1", "99", "--step", "0.0125",
                "--out", "grid.zgrd"],
     "moment": ["moment", "--config", "cfg.json"],
+    "predict": ["predict", "--config", "cfg.json"],
     "curve": ["curve", "--config", "cfg.json", "--out", "curve.csv"],
     "classify": ["classify", "--config", "cfg.json", "--t0", "1e5",
                  "--t1", "100010", "--step", "1"],
@@ -1023,10 +1100,15 @@ _ARGV = {
 _ARGV_CONFIGS = {
     "moment": {"T": 100.0, "alpha": [0.0, 1.0], "beta": [1.0, 1.0],
                "step": 0.025},
+    "predict": {"T": 100.0, "alpha": [0.0, 1.0], "beta": [1.0, 1.0]},
     "curve": {"T": 100.0, "beta": 1.0, "deltas": [0.0, 1.0], "step": 0.025},
     "classify": _CLASSIFY_CONFIG,
 }
 _SHIFT_KEYS = {"moment": "alpha", "curve": "deltas"}
+# config numbers that can overflow what is computed from them
+_NUMBER_KEYS = ("T", "beta", "exponent_scale", "band_count")
+_NUMBER_VALUES = (1e300, -1e300, 1e-300, 1.7976931348623157e308, 0.0, 60.0,
+                  100.0, 0, 60, 10 ** 300)
 _FLAG_VALUES = ("nan", "inf", "-1", "0", "2.5", "1e400", "abc", "", "x" * 10_000)
 _BAD_FORMULAS = ("T.real", "log(0)", "[1][0]", "T +", "(" * 5000 + "T" + ")" * 5000,
                  "-" * 5000 + "T", "[" * 5000 + "T" + "]" * 5000)
@@ -1038,7 +1120,8 @@ def _mutated_command_line(draw):
     kind = draw(st.sampled_from(sorted(_ARGV)))
     argv, config = list(_ARGV[kind]), _ARGV_CONFIGS.get(kind)
     how = draw(st.sampled_from(("value", "drop", "bogus")
-                               + (("formula",) if kind in _SHIFT_KEYS else ())))
+                               + (("formula",) if kind in _SHIFT_KEYS else ())
+                               + (("number",) if config else ())))
     if how == "value":
         flag = draw(st.sampled_from(sorted(_FLAGS[kind])))
         value = draw(st.sampled_from(_FLAG_VALUES))
@@ -1055,13 +1138,20 @@ def _mutated_command_line(draw):
             argv.remove("lemma33")
     elif how == "bogus":
         argv += ["--bogus", "1"]
-    else:
+    elif how == "formula":
         formula = draw(st.sampled_from(_BAD_FORMULAS))
         config = {**config, _SHIFT_KEYS[kind]: {"formula": formula}}
+    else:
+        key = draw(st.sampled_from([key for key, _, _ in cli._CONFIG_FIELDS[kind]
+                                    if key in _NUMBER_KEYS]))
+        value = draw(st.sampled_from(_NUMBER_VALUES))
+        if isinstance(config.get(key), list):
+            value = [value] * len(config[key])
+        config = {**config, key: value}
     return argv, config
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_mutated_command_line())
 def test_mutated_command_lines_exit_cleanly(case):
     # a documented exit code, no traceback, and on failure no output

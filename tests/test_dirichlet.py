@@ -305,16 +305,55 @@ def test_mean_value_mixed_table_against_quadrature():
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
 
+# tables with pairs of frequencies whose log gap is under
+# dirichlet._NEAR_LOG_EPS (1e-12 .. 1e-10), alone and beside far pairs
+_NEAR_TABLES = (
+    {10**12: 1.0, 10**12 + 1: -1.0 + 0.5j, 10**12 + 3: 0.3j},
+    {1: 0.5, 7: 0.2 - 0.1j, 10**10: 1.0, 10**10 + 1: -0.9 + 0.1j,
+     10**12: 0.4j, 10**12 + 2: -0.4j},
+    {10**15: 1.0, 10**15 + 1: 0.5j, 10**15 + 2: -0.7},
+)
+
+
+def _near_table(entries):
+    ns = sorted(entries)
+    assert min(math.log1p((b - a) / a) for a, b in zip(ns, ns[1:])) \
+        < dirichlet._NEAR_LOG_EPS
+    return dirichlet.CoeffTable(
+        entries={n: complex(c) for n, c in entries.items()}, primes=(),
+        interval=primes.PrimeInterval(0.5, 2.0 * ns[-1]), max_omega=0)
+
+
+def _pair_terms(entries, term):
+    """The sum over ordered pairs m != n of term(c(m), c(n), log(n/m)),
+    at 50 digits."""
+    with mpmath.workdps(50):
+        return sum(term(mpmath.mpc(entries[m]), mpmath.mpc(entries[n]),
+                        mpmath.log(mpmath.mpf(n) / m))
+                   for m in entries for n in entries if m != n)
+
+
 def test_mean_value_near_pair_logs():
-    # adjacent huge frequencies stress the log-difference path
-    entries = {999_983: 1.0 + 0.0j, 999_979: 1.0 + 0.0j}
-    tab = dirichlet.CoeffTable(
-        entries=entries, primes=(),
-        interval=primes.PrimeInterval(1.0, 1e6), max_omega=0)
+    # the cross term (e^(2iT lam) - e^(iT lam)) / (i lam) of a near pair
+    # cancels to nothing in floats: 64.0 where the integral is 64.000000024
     t_len = 100.0
-    got = dirichlet.exact_mv_integral(tab, t_len)
-    oracle = _simpson_mv_oracle(entries, t_len, n_cells=400_001)
-    assert abs(got - oracle) <= 1e-6 * abs(oracle)
+    for entries in _NEAR_TABLES:
+        got = dirichlet.exact_mv_integral(_near_table(entries), t_len)
+        with mpmath.workdps(50):
+            t = mpmath.mpf(t_len)
+            oracle = t * sum(abs(mpmath.mpc(c)) ** 2 for c in entries.values())
+            oracle += _pair_terms(entries, lambda a, b, lam: a * mpmath.conj(b)
+                                  * (mpmath.exp(2j * t * lam)
+                                     - mpmath.exp(1j * t * lam)) / (1j * lam))
+            assert abs(got - oracle.real) <= 1e-12 * abs(oracle.real)
+
+
+def test_off_diagonal_bound_near_pair_logs():
+    for entries in _NEAR_TABLES:
+        got = dirichlet.off_diagonal_bound(_near_table(entries))
+        oracle = _pair_terms(entries,
+                             lambda a, b, lam: 2 * abs(a) * abs(b) / abs(lam))
+        assert abs(got - oracle) <= 1e-12 * oracle
 
 
 def test_mean_value_remainder_bound():

@@ -1,13 +1,14 @@
 """Moment quadrature, its sampling window, and size predictions."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zetacorr import moments, zeta
+from zetacorr import moments, primes, verify, zeta
 from zetacorr.errors import CoverageError, DomainError
 from zetacorr.moments import ShiftSpec
 from zetacorr.sums import KahanAccumulator, UniformGrid
@@ -310,6 +311,23 @@ def test_surrogate_majorant_shapes(table_small):
     with pytest.raises(DomainError):
         moments.lemma21_rhs(
             UniformGrid(150.0, 10.0, 1), 0.0, 1e9, table_small, t_height=100.0)
+
+
+def test_lemma21_audits_one_nested_grid():
+    # c0 and c0_doubled are the maxima over the even nodes and over all
+    # nodes of one grid of 2 * points nodes, so the drift is their exact
+    # difference and never negative (two grids of 500 and 1000 nodes
+    # had prime sums that rounded apart: a drift of 4.4e-16 here)
+    points, t_height = 500, 1e5
+    res = verify.lemma21(random.Random(1), points, t_height)
+    grid = UniformGrid(t_height, t_height / (2 * points), 2 * points)
+    gap = np.log(np.abs(zeta.riemann_siegel_Z(grid.nodes(), 4))) \
+        - moments.lemma21_rhs(grid, 0.0, t_height,
+                              primes.sieve_primes(int(t_height)),
+                              t_height=t_height)
+    assert res["c0"] == float(np.max(gap[::2]))
+    assert res["c0_doubled"] == float(np.max(gap))
+    assert res["drift"] == res["c0_doubled"] - res["c0"] >= 0.0
 
 
 def test_surrogate_tracks_log_zeta(table_small):
