@@ -168,12 +168,14 @@ def build_scheme(
 
 
 class SieveBlockEngines:
-    """Real evaluators for the block and square-band sums, on primes up
-    to past T_L, e^(band_count + 1) and 64; ConfigError past the sieve."""
+    """Real evaluators for the block and square-band sums of `scheme`
+    and its first `band_count` bands, on primes up to past T_L,
+    e^(band_count + 1) and 64; ConfigError past the sieve."""
 
     def __init__(self, scheme: BlockScheme, band_count: int,
                  *, abscissa: str = "half"):
         self.scheme = scheme
+        self.band_count = band_count
         self.abscissa = abscissa
         # t_seq[0] = 2, so a degenerate scheme adds nothing
         top = max(64.0, scheme.t_seq[scheme.levels], math.exp(band_count + 1))
@@ -201,26 +203,18 @@ class SieveBlockEngines:
             self.table, square_band_interval(band), 0.5, t_values)
 
 
-def classify_grid(
-    t_values: UniformGrid,
-    scheme: BlockScheme,
-    engines,
-    *,
-    band_count: int | None = None,
-) -> tuple:
-    """Classify every grid node: (bad_index, square_index) int16 arrays.
+def classify_grid(t_values: UniformGrid, engines) -> tuple:
+    """Classify every grid node under `engines.scheme` and the square
+    bands 1..`engines.band_count`: (bad_index, square_index) int16 arrays.
 
     bad_index[k] = 0 means good; j >= 1 means the smallest failing
     block.  square_index[k] = 0 means no band over threshold; l >= 1 is
-    the largest band over threshold within the evaluated range.
-    `band_count` widens (or narrows) the square-band range; the default
-    is the scheme's floor(log2 T).  All comparisons are strict
+    the largest band over threshold.  All comparisons are strict
     exceedance, so boundary values count as within threshold.
     """
     if t_values.size == 0:
         raise DomainError("cannot classify an empty grid")
-    if band_count is None:
-        band_count = scheme.square_band_count
+    scheme = engines.scheme
     bad = np.zeros(t_values.size, dtype=np.int16)
     for j in range(1, scheme.levels + 1):
         exceeded = np.zeros(t_values.size, dtype=bool)
@@ -229,7 +223,7 @@ def classify_grid(
             exceeded |= np.abs(vals) > scheme.k_seq[j - 1]
         bad = np.where((bad == 0) & exceeded, np.int16(j), bad)
     square = np.zeros(t_values.size, dtype=np.int16)
-    for band in range(1, band_count + 1):
+    for band in range(1, engines.band_count + 1):
         vals = engines.square_sum(band, t_values)
         over = np.abs(vals) > square_threshold(band)
         square = np.where(over, np.int16(band), square)

@@ -342,7 +342,8 @@ def read_config(rows, values: dict, what: str) -> dict:
 
 
 def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
-    """Fine grid (at step/2) over `moments.moment_window` of the shifts.
+    """Fine grid (at step/2) over `moments.moment_window` of the shifts,
+    sampled on the lattice from T.
 
     With a cache the file must already match: half the config step, the
     config's RS depth, full coverage, and T on a node.  Returns (grid,
@@ -375,8 +376,8 @@ def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
             "rs_terms": grid.correction_terms,
         }]
         return grid, version
-    grid = zeta.sample_critical_line(
-        t_lo, t_hi, fine_step, correction_terms=rs_terms, workers=threads)
+    grid = zeta.sample_critical_line(t_lo, t_hi, fine_step, anchor=t_height,
+                                     correction_terms=rs_terms, workers=threads)
     return grid, []
 
 
@@ -403,9 +404,7 @@ def _handle_sample(config: ExperimentConfig, f: dict):
 def _handle_classify(config: ExperimentConfig, f: dict):
     scheme = blocks.build_scheme(
         f["T"], f["beta"], exponent_scale_override=f["exponent_scale"])
-    band_count = f["band_count"]
-    if band_count is None:
-        band_count = max(scheme.square_band_count, 6)
+    band_count = f["band_count"] or max(scheme.square_band_count, 6)
     warnings = []
     if scheme.degenerate:
         warnings.append(
@@ -418,8 +417,7 @@ def _handle_classify(config: ExperimentConfig, f: dict):
             f"measure-resolution guideline")
     count = zeta.grid_count(f["t0"], f["t1"], step)
     engines = blocks.SieveBlockEngines(scheme, band_count, abscissa=f["abscissa"])
-    bad, square = blocks.classify_grid(UniformGrid(f["t0"], step, count), scheme,
-                                       engines, band_count=band_count)
+    bad, square = blocks.classify_grid(UniformGrid(f["t0"], step, count), engines)
 
     # label 0 is good (no band); the others run to levels (band_count)
     bad_counts = np.bincount(bad, minlength=scheme.levels + 1).tolist()
@@ -444,9 +442,10 @@ def _handle_classify(config: ExperimentConfig, f: dict):
 
 def _handle_moment(config: ExperimentConfig, f: dict):
     spec = moments.ShiftSpec(alpha=f["alpha"], beta=f["beta"], t_height=f["T"])
+    prediction = moments.predict_bound(spec)    # exits 4 before any sampling
     grid, versions = _provision_grid(
         f["T"], f["alpha"], f["step"], f["rs_terms"], config.threads, f["cache"])
-    results, warnings = moments.moment_report(spec, grid)
+    results, warnings = moments.moment_report(spec, grid, prediction)
     return results, warnings, versions, []
 
 
@@ -476,14 +475,15 @@ def curve_csv(rows) -> str:
 
 
 def _handle_curve(config: ExperimentConfig, f: dict):
+    specs = [moments.ShiftSpec(alpha=(0.0, d), beta=(f["beta"], f["beta"]),
+                               t_height=f["T"]) for d in f["deltas"]]
+    predictions = [moments.predict_bound(spec) for spec in specs]
     # every row's shifts are (0, delta), so the window holds shift 0
     grid, versions = _provision_grid(f["T"], (0.0, *f["deltas"]), f["step"],
                                      f["rs_terms"], config.threads, f["cache"])
     rows, warnings = [], []
-    for d in f["deltas"]:
-        spec = moments.ShiftSpec(alpha=(0.0, d), beta=(f["beta"], f["beta"]),
-                                 t_height=f["T"])
-        res, warns = moments.moment_report(spec, grid)
+    for d, spec, prediction in zip(f["deltas"], specs, predictions):
+        res, warns = moments.moment_report(spec, grid, prediction)
         row = dict(res, delta=d)
         rows.append({k: row[k] for k in _CURVE_COLUMNS})
         warnings += warns

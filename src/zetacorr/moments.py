@@ -247,9 +247,11 @@ def nsw_F(alpha1: float, alpha2: float, t_height: float) -> float:
     return math.log(2.0 + d)
 
 
-def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid):
+def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid, prediction: float):
     """Published moment at step 2*fine_grid.step with its halving delta,
     as (results, warnings): the results are the `moment` payload's.
+    `prediction` is the spec's `predict_bound`, which callers form before
+    they sample, so that one beyond the float range exits first.
 
     The fine grid is sampled at half the publication step; the
     published value is the Simpson quadrature on every other sample and
@@ -264,7 +266,6 @@ def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid):
     if worst > _SNAP_WARN:
         warnings.append(
             f"shifts snapped to step {step} grid, max residual {worst:.3e}")
-    prediction = predict_bound(spec)
     results = {
         "moment": moment,
         "prediction": prediction,

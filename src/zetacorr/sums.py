@@ -7,8 +7,8 @@ chunk totals in index order through `KahanAccumulator`, so the result
 depends only on the data, never on scheduling.
 
 `grid_sum` evaluates sum_n a_n exp(-i t lambda_n) at the nodes of a
-`UniformGrid`.  A block of rows starts at its first node t_b, and node
-t_b + (r K + j) step lies in row r at column j, so
+`UniformGrid`.  Node k lies in row r at column j, k = r K + j, and a
+block of rows starts at its first node t_b, so
 exp(-i t lambda) = exp(-i t_b lambda) exp(-i r K step lambda)
 exp(-i j step lambda).  The last factor depends only on the column, so
 one twiddle matrix serves every row, and a block of rows is one complex
@@ -17,11 +17,12 @@ Odlyzko-Schonhage scheme.  Row and column factors are powers of one
 phase per term, built from one exponential per power of two and
 products of those, so a block takes N (1 + log2 rows + log2 K)
 exponentials instead of one per node and term.  The row width K is the
-power of two at or above the square root of the node count, at most
-_ROW.  Terms are cut into blocks of _TERMS and rows into blocks of
-_ROWS at fixed boundaries, and the term blocks are merged in order with
-`KahanAccumulator`, so each value depends only on the grid and the
-terms, never on a thread count, and no temporary exceeds 8 MB.
+power of two at or above the square root of the grid's node count, at
+most _ROW.  Terms are cut into blocks of _TERMS and rows into blocks of
+_ROWS at fixed boundaries from node 0, and the term blocks are merged
+in order with `KahanAccumulator`, so each value depends only on the
+grid, its node and the terms, never on a thread count or on where the
+sum stops, and no temporary exceeds 8 MB.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class UniformGrid:
 
 
 def _row_width(nodes: int) -> int:
-    """Nodes per row of `grid_sum` for a range of `nodes` nodes."""
+    """Nodes per row of `grid_sum` on a grid of `nodes` nodes."""
     return min(_ROW, 1 << ((nodes - 1).bit_length() + 1) // 2)
 
 
@@ -85,12 +86,10 @@ def _powers(lam, inc, count):
     return out
 
 
-def grid_sum(amp, freqs, grid: UniformGrid, first: int = 0,
-             stop: int | None = None) -> np.ndarray:
-    """out[k - first] = sum_n amp[n] * exp(-i * t_k * freqs[n]) at the
-    float nodes t_k = start + k * step, first <= k < stop, of `grid`.
-    With `first` a multiple of the row width, rows are keyed by the
-    global node index.
+def grid_sum(amp, freqs, grid: UniformGrid, stop: int | None = None) -> np.ndarray:
+    """out[k] = sum_n amp[n] * exp(-i * t_k * freqs[n]) at the float
+    nodes t_k = start + k * step, 0 <= k < stop, of `grid`: the whole
+    grid's sum cut at `stop`, bit for bit.
 
     A block of rows is anchored at its first float node t_b, and its
     row r and column j stand for the real number t_b + (r K + j) step,
@@ -99,14 +98,16 @@ def grid_sum(amp, freqs, grid: UniformGrid, first: int = 0,
     moved to its float node to first order in that offset.  The
     per-node work runs in place in buffers reused from block to block.
     """
-    count = (grid.count if stop is None else stop) - first
-    width = _row_width(max(count, 1))
+    count = grid.count if stop is None else stop
+    width = _row_width(grid.count)
+    # one row past `stop` where the grid has it, so a block of one row is
+    # the grid's own: numpy sends it to gemv, which rounds unlike gemm
+    rows = min(-(-count // width) + 1, -(-grid.count // width))
     amp = np.asarray(amp, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
     step = grid.step
     split = 134217729.0 * step              # 2^27 + 1: Veltkamp's split
     step_hi = split - (split - step)        # j * step_hi is exact, j < 2^26
-    rows = -(-count // width)
     out = np.zeros((rows, width), dtype=np.complex128)
     if not freqs.size:
         return out.ravel()[:count]
@@ -117,7 +118,7 @@ def grid_sum(amp, freqs, grid: UniformGrid, first: int = 0,
     for r in range(0, rows, _ROWS):
         value = out[r:r + _ROWS]
         d, t, tmp, slp = (x[:len(value)] for x in (local, nodes, scratch, slope))
-        np.add(d, first + r * width, out=t)
+        np.add(d, r * width, out=t)
         t *= step
         t += grid.start                     # the float nodes
         anchor = t[0, 0]

@@ -11,9 +11,10 @@ Two independent routes are deliberately kept separate:
   * the Riemann-Siegel form, main sum plus remainder, specific to the
     critical line.  It has two paths that share theta and the
     remainder.  `riemann_siegel_Z` takes scattered points and forms
-    the main sum one term at a time; `sample_critical_line` takes a
-    uniform grid and forms it as a Dirichlet polynomial through
-    `sums.grid_sum`.
+    the main sum one term at a time; `sample_critical_line` samples the
+    lattice anchor + k step in aligned chunks of 2^16 nodes and forms
+    it as a Dirichlet polynomial per chunk through `sums.grid_sum`, so
+    a sample depends only on its node of the lattice.
 
 Do not route one through the other; agreement between them is itself a
 tested claim.
@@ -50,7 +51,7 @@ _HEADER = struct.Struct("<IIddQ")     # flags, RS depth, t_start, step, count
 _CRC = struct.Struct("<I")
 _FLAGS = 1                # bit 0: moduli; set in every grid written
 
-_GRID_CHUNK = 1 << 16     # samples per sampler task; fixed for determinism
+_GRID_CHUNK = 1 << 16     # lattice nodes per sampling chunk; fixed for determinism
 _EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
 _EM_MAX_K = 28            # tail-correction depth before doubling N
 _EM_MAX_N = 1 << 29
@@ -211,21 +212,23 @@ def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
     return 2.0 * main + _remainder(a, n_cut, correction_terms)
 
 
-def _z_on_grid(grid: UniformGrid, first: int, stop: int,
+def _z_on_grid(chunk: UniformGrid, lo: int, stop: int,
                correction_terms: int) -> np.ndarray:
-    """Hardy Z at the nodes first..stop-1 of a uniform grid (t >= 10).
+    """Hardy Z at the nodes lo..stop-1 of a sampling chunk (t >= 10).
 
     The main sum is 2 Re(e^(i theta) S) with S = sum_{n <= N(t)}
-    n^(-1/2) e^(-i t log n): `grid_sum` forms S over every n up to the
-    top node's N, and the terms above N(t) come off the nodes below it.
+    n^(-1/2) e^(-i t log n): `grid_sum` forms S at the chunk's nodes
+    below `stop` over every n up to the N of its last node, and the
+    terms above N(t) come off each node.
     """
-    t = grid.start + np.arange(first, stop, dtype=np.float64) * grid.step
+    last = chunk.start + (chunk.count - 1) * chunk.step
+    n = np.arange(1.0, math.floor(math.sqrt(last / (2.0 * math.pi))) + 1.0)
+    amp, freqs = 1.0 / np.sqrt(n), np.log(n)
+    s = grid_sum(amp, freqs, chunk, stop)[lo:]
+    t = chunk.start + np.arange(lo, stop, dtype=np.float64) * chunk.step
     a = np.sqrt(t / (2.0 * math.pi))
     n_cut = np.floor(a)
-    n = np.arange(1.0, n_cut[-1] + 1.0)
-    amp, freqs = 1.0 / np.sqrt(n), np.log(n)
-    s = grid_sum(amp, freqs, grid, first, stop)
-    for m in range(int(n_cut[0]), int(n_cut[-1])):
+    for m in range(int(n_cut[0]), n.size):
         below = int(np.searchsorted(n_cut, m + 1))   # nodes with N(t) <= m
         s[:below] -= amp[m] * np.exp(-1j * t[:below] * freqs[m])
     th = hardy_theta(t)
@@ -332,17 +335,17 @@ def sample_critical_line(
     t_stop: float,
     step: float,
     *,
+    anchor: float | None = None,
     correction_terms: int = 2,
     workers: int = 1,
 ) -> ZetaGrid:
-    """Sample |zeta| on a uniform grid over [t_start, t_stop].
-
-    The grid always includes t_start and extends to the last node
-    <= t_stop (+ tiny slack so an exact multiple is kept).  Up to
-    `workers` threads of this process (numpy and BLAS release the GIL)
-    fill fixed-size index chunks in place; a chunk's arithmetic does
-    not depend on the layout, so output is byte-identical for any
-    count.  Each chunk's main sum is one `sums.grid_sum`.
+    """Sample |zeta| at the nodes anchor + k step (k of either sign) of
+    the lattice from `anchor` (default t_start) in [t_start, t_stop], with
+    a tiny slack.  Chunk c, the nodes c 2^16 <= k < (c + 1) 2^16, is one
+    `UniformGrid` from anchor + c 2^16 step whose main sum runs up to the
+    N of its last node however much of it the window uses, so a sample
+    depends only on the anchor, step, depth and k.  Up to `workers`
+    threads (numpy and BLAS release the GIL) fill the chunks in place.
     """
     if not (T_MIN <= t_start <= t_stop <= T_MAX):
         raise DomainError(
@@ -352,25 +355,26 @@ def sample_critical_line(
         raise DomainError(f"step must be in (0, {STEP_MAX}]")
     if not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive int, got {workers}")
-    count = grid_count(t_start, t_stop, step)
+    anchor = t_start if anchor is None else anchor
+    first = math.ceil((t_start - anchor) / step - 1e-9)
+    t_first = anchor + first * step
+    count = grid_count(t_first, t_stop, step)
+    if count < 1:
+        raise DomainError(f"no lattice node from {anchor} in [{t_start}, {t_stop}]")
     _check_depth(correction_terms)
-
-    nodes = UniformGrid(t_start, step, count)
     values = np.empty(count, dtype=np.float64)
 
-    def fill(i0: int) -> None:
-        i1 = min(i0 + _GRID_CHUNK, count)
-        values[i0:i1] = np.abs(_z_on_grid(nodes, i0, i1, correction_terms))
+    def fill(c: int) -> None:
+        k0 = c * _GRID_CHUNK - first      # the chunk's node 0 in `values`
+        lo, stop = max(-k0, 0), min(count - k0, _GRID_CHUNK)
+        chunk = UniformGrid(anchor + c * _GRID_CHUNK * step, step, _GRID_CHUNK)
+        values[k0 + lo:k0 + stop] = np.abs(
+            _z_on_grid(chunk, lo, stop, correction_terms))
 
-    starts = range(0, count, _GRID_CHUNK)
-    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        list(pool.map(fill, starts))      # list() re-raises a task's error
-    return ZetaGrid(
-        t_start=float(t_start),
-        step=float(step),
-        values=values,
-        correction_terms=correction_terms,
-    )
+    chunks = range(first // _GRID_CHUNK, (first + count - 1) // _GRID_CHUNK + 1)
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        list(pool.map(fill, chunks))      # list() re-raises a task's error
+    return ZetaGrid(float(t_first), float(step), values, correction_terms)
 
 
 def cache_bytes(grid: ZetaGrid) -> bytes:

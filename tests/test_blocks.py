@@ -98,8 +98,9 @@ class SyntheticBlockEngines:
     one value per node of the grid t_values.
     """
 
-    def __init__(self, scheme, block_fn=None, square_fn=None):
+    def __init__(self, scheme, band_count, block_fn=None, square_fn=None):
         self.scheme = scheme
+        self.band_count = band_count
         self._block_fn = block_fn or (
             lambda j, s, t: np.zeros(t.size, dtype=np.complex128))
         self._square_fn = square_fn or (
@@ -112,7 +113,7 @@ class SyntheticBlockEngines:
         return np.asarray(self._square_fn(band, t_values))
 
 
-def _synthetic(scheme, block_values, square_values):
+def _synthetic(scheme, block_values, square_values, band_count=4):
     # block_values[j] and square_values[l] are constants per scale
     def block_fn(j, s, t):
         return np.full(t.size, block_values.get(j, 0.0),
@@ -123,7 +124,7 @@ def _synthetic(scheme, block_values, square_values):
                        dtype=np.complex128)
 
     return SyntheticBlockEngines(
-        scheme, block_fn=block_fn, square_fn=square_fn)
+        scheme, band_count, block_fn=block_fn, square_fn=square_fn)
 
 
 def test_classify_minimal_bad_index():
@@ -132,15 +133,15 @@ def test_classify_minimal_bad_index():
     t = UniformGrid(1e5, 2e4, 3)
     # both blocks exceed their caps: the smallest j is reported
     engines = _synthetic(scheme, {1: k1 + 1.0, 2: k2 + 1.0}, {})
-    bad, _ = blocks.classify_grid(t, scheme, engines)
+    bad, _ = blocks.classify_grid(t, engines)
     assert list(bad) == [1, 1, 1]
     # only the second block exceeds
     engines = _synthetic(scheme, {1: 0.0, 2: k2 + 1.0}, {})
-    bad, _ = blocks.classify_grid(t, scheme, engines)
+    bad, _ = blocks.classify_grid(t, engines)
     assert list(bad) == [2, 2, 2]
     # exact equality is not an exceedance: strict comparison
     engines = _synthetic(scheme, {1: k1, 2: k2}, {})
-    bad, _ = blocks.classify_grid(t, scheme, engines)
+    bad, _ = blocks.classify_grid(t, engines)
     assert list(bad) == [0, 0, 0]
 
 
@@ -150,10 +151,14 @@ def test_classify_largest_square_band():
     j1 = blocks.square_threshold(1)
     j3 = blocks.square_threshold(3)
     engines = _synthetic(scheme, {}, {1: j1 + 0.5, 3: j3 + 0.5})
-    _, square = blocks.classify_grid(t, scheme, engines, band_count=4)
+    _, square = blocks.classify_grid(t, engines)
     assert list(square) == [3, 3]
+    # bands past the engines' count are not evaluated
+    engines = _synthetic(scheme, {}, {1: j1 + 0.5, 3: j3 + 0.5}, band_count=2)
+    _, square = blocks.classify_grid(t, engines)
+    assert list(square) == [1, 1]
     engines = _synthetic(scheme, {}, {})
-    _, square = blocks.classify_grid(t, scheme, engines, band_count=4)
+    _, square = blocks.classify_grid(t, engines)
     assert list(square) == [0, 0]
 
 
@@ -161,7 +166,7 @@ def test_classify_partition_is_exhaustive():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
     engines = blocks.SieveBlockEngines(scheme, 5)
     t = UniformGrid(1e5, 50.0, 2001)
-    bad, square = blocks.classify_grid(t, scheme, engines, band_count=5)
+    bad, square = blocks.classify_grid(t, engines)
     # one block class and one square class per point
     assert bad.shape == square.shape == (t.size,)
     assert np.all((bad >= 0) & (bad <= scheme.levels))
@@ -175,7 +180,7 @@ def test_classify_nesting_from_raw_engine_values():
     engines = blocks.SieveBlockEngines(scheme, scheme.square_band_count)
     rng = random.Random(0xBAD)
     t = UniformGrid(rng.uniform(1e5, 1.1e5), 225.0, 400)
-    bad, _ = blocks.classify_grid(t, scheme, engines)
+    bad, _ = blocks.classify_grid(t, engines)
     raw = [np.abs(engines.block_sum(r, r, t))
            for r in range(1, scheme.levels + 1)]
     for i, j in enumerate(bad):
@@ -189,9 +194,9 @@ def test_classify_nesting_from_raw_engine_values():
 
 def test_degenerate_scheme_classifies_all_good():
     scheme = blocks.build_scheme(1e5, (1.0, 1.0))
-    engines = SyntheticBlockEngines(scheme)
+    engines = SyntheticBlockEngines(scheme, scheme.square_band_count)
     t = UniformGrid(1e5, 1e4, 11)
-    bad, _ = blocks.classify_grid(t, scheme, engines)
+    bad, _ = blocks.classify_grid(t, engines)
     assert scheme.degenerate
     assert np.all(bad == 0)
 
@@ -216,10 +221,9 @@ def test_square_fraction_decays_with_band():
     # higher bands demand larger square sums, which decay; observed
     # fractions should vanish quickly at desk scale
     scheme = blocks.build_scheme(1e5, (1.0, 1.0), exponent_scale_override=0.5)
-    engines = blocks.SieveBlockEngines(scheme, 6)
     t = UniformGrid(1e5, 50.0, 2001)
     fr = [np.count_nonzero(blocks.classify_grid(
-              t, scheme, engines, band_count=l)[1] == l) / t.size
+              t, blocks.SieveBlockEngines(scheme, l))[1] == l) / t.size
           for l in (3, 4, 5, 6)]
     assert all(a >= b for a, b in zip(fr, fr[1:]))
     assert fr[-1] <= 1e-2

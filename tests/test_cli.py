@@ -155,17 +155,21 @@ def test_predict_success_report_split(tmp_path, capsys):
     assert payload["results"]["nsw_F"] == moments.nsw_F(0.0, 2.0, 1e4)
 
 
+def _python_m(argv, cwd):
+    """`python -W default -m zetacorr.cli *argv` run in `cwd`."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "zetacorr.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
 def test_python_m_runs_without_warnings(tmp_path):
     # the package does not import `cli`, so runpy finds it unimported
     cfg = _write_json(tmp_path / "p.json",
                       {"T": 1e4, "alpha": [0.0, 2.0], "beta": [1.0, 1.0]})
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "zetacorr.cli", "predict",
-         "--config", cfg], capture_output=True, text=True, env=env,
-        cwd=tmp_path, timeout=120)
+    done = _python_m(["predict", "--config", cfg], tmp_path)
     assert done.returncode == 0
     assert done.stderr == ""
     assert json.loads(done.stdout)["payload"]["kind"] == "predict"
@@ -187,6 +191,34 @@ def test_domain_error_exits_4(tmp_path, capsys):
     rc = cli.main(["predict", "--config", cfg])
     assert rc == 4
     capsys.readouterr()
+
+
+def test_prediction_out_of_range_exits_4_before_sampling(tmp_path, monkeypatch,
+                                                         capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the prediction")
+
+    monkeypatch.setattr(zeta, "sample_critical_line", no_sampling)
+    cfg = _write_json(tmp_path / "m.json", {"T": 100.0, "alpha": [0.0],
+                                            "beta": [60.0], "step": 0.025})
+    assert cli.main(["moment", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "exceeds the float range" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("moment", {"T": 100.0, "alpha": [0.0, 1.0], "beta": [200, 200], "step": 0.025}),
+    ("curve", {"T": 100.0, "beta": [200, 200], "deltas": [1.0], "step": 0.025}),
+])
+def test_prediction_out_of_range_leaves_one_stderr_line(tmp_path, kind, cfg):
+    # no quadrature runs, so np.power(|zeta|, 400), which overflows where
+    # |zeta| > 5.9 on [100, 201], does not warn before the exit
+    argv = [kind, "--config", _write_json(tmp_path / "cfg.json", cfg)]
+    done = _python_m(argv + (["--out", "c.csv"] if kind == "curve" else []),
+                     tmp_path)
+    assert done.returncode == 4
+    assert done.stderr.startswith("zetacorr: ") and done.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_resource_error_exits_5_without_artifacts(tmp_path, capsys):
@@ -637,25 +669,30 @@ def test_curve_without_delta_zero_samples_shift_zero(tmp_path, deltas):
            "rs_terms": 6}
     keys = ("moment", "prediction", "ratio", "nsw_F", "step_halving_delta")
     out = str(tmp_path / "curve.csv")
-    # without a cache the curve samples moment_window(T, (0, *deltas)):
-    # its rows are the moments on that grid
+    # without a cache the curve samples moment_window(T, (0, *deltas)) on
+    # the lattice from T: its rows are the moments on that grid
     rows = _run("curve", out=out, config=cfg).payload["results"]["rows"]
     grid = zeta.sample_critical_line(
         *moments.moment_window(100.0, (0.0, *deltas), 0.025), 0.0125,
-        correction_terms=6, workers=1)
+        anchor=100.0, correction_terms=6, workers=1)
     for d, row in zip(deltas, rows):
         spec = moments.ShiftSpec(alpha=(0.0, d), beta=(1.0, 1.0), t_height=100.0)
-        res = moments.moment_report(spec, grid)[0]
+        res = moments.moment_report(spec, grid, moments.predict_bound(spec))[0]
         assert row == {"delta": d, **{k: res[k] for k in keys}}
-    # with a cache each row is the `moment` run over it
-    cache = str(tmp_path / "grid.zgrd")
-    _run("sample", t0=98.0, t1=204.2, step=0.0125, rs_terms=6, out=cache)
-    rows = _run("curve", out=out, cache=cache, config=cfg).payload["results"]["rows"]
-    for d, row in zip(deltas, rows):
-        res = _run("moment", cache=cache, config={
-            "T": 100.0, "alpha": [0.0, d], "beta": [1.0, 1.0], "step": 0.025,
-            "rs_terms": 6}).payload["results"]
-        assert row == {"delta": d, **{k: res[k] for k in keys}}
+    # with or without a cache, each row is the `moment` run at (0, delta):
+    # a sample depends only on its node of the lattice from T, not on
+    # where the window starts (T - 1 for deltas [-1, -0.5], T - 0.5 for
+    # the moment at -0.5)
+    path = str(tmp_path / "grid.zgrd")
+    _run("sample", t0=98.0, t1=204.2, step=0.0125, rs_terms=6, out=path)
+    for cache in (None, path):
+        curve = _run("curve", out=out, cache=cache, config=cfg).payload
+        rows = curve["results"]["rows"]
+        for d, row in zip(deltas, rows):
+            res = _run("moment", cache=cache, config={
+                "T": 100.0, "alpha": [0.0, d], "beta": [1.0, 1.0], "step": 0.025,
+                "rs_terms": 6}).payload["results"]
+            assert row == {"delta": d, **{k: res[k] for k in keys}}
 
 
 def test_svg_degenerate_inputs(tmp_path, capsys):

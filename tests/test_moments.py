@@ -63,11 +63,11 @@ def test_snap_shifts_and_warning(grid_100_200):
     assert math.isclose(residuals[0], 0.005, abs_tol=1e-15)
     assert residuals[1] == 0.0
     spec = ShiftSpec(alpha=(0.0, 0.03), beta=(1.0, 1.0), t_height=100.0)
-    results, warnings = moments.moment_report(spec, grid_100_200)
+    results, warnings = moments.moment_report(spec, grid_100_200, 1.0)
     assert results["snapped_alpha"] == [0.0, 0.025]
     assert any("snapped" in w for w in warnings)
     clean = ShiftSpec(alpha=(0.0, 0.05), beta=(1.0, 1.0), t_height=100.0)
-    assert moments.moment_report(clean, grid_100_200)[1] == []
+    assert moments.moment_report(clean, grid_100_200, 1.0)[1] == []
 
 
 def test_moment_window_covers_the_quadrature():
@@ -78,7 +78,7 @@ def test_moment_window_covers_the_quadrature():
     assert math.isclose(t_lo, t - 1.0) and math.isclose(t_hi, 2 * t + 0.525 + 0.1)
     grid = zeta.sample_critical_line(t_lo, t_hi, step / 2, correction_terms=0)
     spec = ShiftSpec(alpha=alpha, beta=(1.0, 1.0), t_height=t)
-    assert moments.moment_report(spec, grid)[0]["moment"] > 0.0
+    assert moments.moment_report(spec, grid, 1.0)[0]["moment"] > 0.0
     # shifts of one sign sample no line on the far side of shift 0
     assert moments.moment_window(100, [50], 0.025) == (150.0, 250.1)
     assert moments.moment_window(100, [-50], 0.025) == (50.0, 150.1)
@@ -104,7 +104,7 @@ def test_coverage_errors(grid_100_200):
 
 def test_second_moment_against_quadrature_oracle(grid_100_200):
     spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.0)
-    results, _ = moments.moment_report(spec, grid_100_200)
+    results, _ = moments.moment_report(spec, grid_100_200, 1.0)
     rel = abs(results["moment"] - SECOND_MOMENT_100_200) / SECOND_MOMENT_100_200
     assert rel < 1e-8
     assert results["quadrature_step"] == 0.025
@@ -129,7 +129,7 @@ def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
 
 def test_halving_delta_matches_recomputation(grid_100_200):
     spec = ShiftSpec(alpha=(0.0, 2.0), beta=(1.0, 1.0), t_height=100.0)
-    results, _ = moments.moment_report(spec, grid_100_200)
+    results, _ = moments.moment_report(spec, grid_100_200, 1.0)
     pub = replace(grid_100_200, step=2 * grid_100_200.step,
                   values=grid_100_200.values[::2])
     coarse = moments.shifted_moment(spec, pub)[1]

@@ -47,12 +47,17 @@ def test_grid_sum_matches_a_direct_sum(terms, count, start, step, seed):
 
 
 def test_grid_sum_ranges_and_empty_terms():
+    # the row width is the grid's, so a sum cut at `stop` is the whole
+    # grid's sum cut there, bit for bit, on either side of a row boundary,
+    # also within the first row (a one-row product would go to gemv)
     grid = sums.UniformGrid(1e3, 0.5, 3 * K + 7)
+    width = sums._row_width(grid.count)
     amp, freqs = np.array([1.0, -0.5]), np.array([0.3, 2.0])
     whole = sums.grid_sum(amp, freqs, grid)
-    part = sums.grid_sum(amp, freqs, grid, K, 2 * K + 3)
-    assert np.allclose(part, whole[K:2 * K + 3], rtol=0.0, atol=1e-12)
-    assert sums.grid_sum(amp, freqs, grid, K, K).shape == (0,)
+    for stop in (1, width - 1, width, width + 1, K - 1, K + 1, 3 * K + 6):
+        part = sums.grid_sum(amp, freqs, grid, stop=stop)
+        assert part.tobytes() == whole[:stop].tobytes()
+    assert sums.grid_sum(amp, freqs, grid, stop=0).shape == (0,)
     none = sums.grid_sum(np.zeros(0), np.zeros(0), grid)
     assert none.shape == (grid.count,) and not none.any()
 
@@ -63,16 +68,21 @@ from zetacorr import primes, zeta
 from zetacorr.sums import UniformGrid
 grid = zeta.sample_critical_line(2.0e4, 2.14e4, 0.01, correction_terms=4,
                                  workers=int(sys.argv[1]))
+# a window from 1 below its anchor: lattice chunks -1 and 0
+below = zeta.sample_critical_line(1.0e4 - 1.0, 1.0e4 + 1.0, 0.01, anchor=1.0e4,
+                                  correction_terms=4, workers=int(sys.argv[1]))
 table = primes.sieve_primes(100_000)
 vals = primes.tapered_block_sum(table, primes.PrimeInterval(1.0, 1e5), 1e5,
                                 0.55, UniformGrid(1.0e5, 1.0, 70_000))
-print(hashlib.sha256(grid.values.tobytes() + vals.tobytes()).hexdigest())
+print(hashlib.sha256(grid.values.tobytes() + below.values.tobytes()
+                     + vals.tobytes()).hexdigest())
 """
 
 
 def test_bytes_do_not_depend_on_blas_or_sampler_threads():
-    # three sampling chunks; a prime sum of five term blocks whose
-    # products are 256 x 2048 by 2048 x 256, large enough to thread
+    # three sampling chunks, a window over two chunks from a negative
+    # lattice index, and a prime sum of five term blocks whose products
+    # are 256 x 2048 by 2048 x 256, large enough to thread
     src = pathlib.Path(__file__).parents[1] / "src"
     digests = set()
     for blas in ("1", "2"):

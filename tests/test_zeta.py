@@ -175,14 +175,16 @@ def test_grid_spot_check_against_direct():
 
 def test_grid_drops_the_terms_above_each_nodes_cut():
     # N(t) = floor(sqrt(t / 2 pi)) steps from 39 to 40 at 2 pi 40^2 =
-    # 10053.1 inside the first sampling chunk, so the nodes below it
-    # take the 40th term off the chunk's main sum
-    grid = zeta.sample_critical_line(10040.0, 10070.0, 0.005, correction_terms=4)
-    t = grid.t_start + np.arange(grid.count) * grid.step
-    cut = np.floor(np.sqrt(t / (2.0 * math.pi)))
-    assert cut[0] == 39 and cut[-1] == 40 and grid.count < zeta._GRID_CHUNK
-    direct = np.abs(zeta.riemann_siegel_Z(t, 4))
-    assert np.max(np.abs(grid.values - direct)) <= 1e-9
+    # 10053.1 inside the first sampling chunk, whose last lattice node,
+    # 10367.7, has N = 40: the chunk sums 40 terms, and the nodes below
+    # the step take the 40th off, also in a window that ends below it
+    for t_stop, top in ((10070.0, 40), (10050.0, 39)):
+        grid = zeta.sample_critical_line(10040.0, t_stop, 0.005, correction_terms=4)
+        t = grid.t_start + np.arange(grid.count) * grid.step
+        cut = np.floor(np.sqrt(t / (2.0 * math.pi)))
+        assert cut[0] == 39 and cut[-1] == top and grid.count < zeta._GRID_CHUNK
+        direct = np.abs(zeta.riemann_siegel_Z(t, 4))
+        assert np.max(np.abs(grid.values - direct)) <= 1e-9
 
 
 def test_grid_and_scattered_paths_against_siegelz():
@@ -209,6 +211,29 @@ def test_grid_workers_bit_identical():
     for workers in (2, 3):
         got = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
         assert got.values.tobytes() == one.values.tobytes()
+
+
+def test_grid_samples_depend_only_on_their_lattice_node():
+    # chunks are aligned on the lattice from the anchor, and each sums
+    # every n up to the N of its last node, so windows that end 4 464 and
+    # 34 464 nodes into the second chunk agree bit for bit
+    h = 0.0125
+    short = zeta.sample_critical_line(100.0, 100.0 + 69_999 * h, h,
+                                      correction_terms=4)
+    long = zeta.sample_critical_line(100.0, 100.0 + 99_999 * h, h,
+                                     correction_terms=4)
+    assert (short.count, long.count) == (70_000, 100_000)
+    assert short.values.tobytes() == long.values[:70_000].tobytes()
+    # so do windows from nodes -80 and -3 of the lattice from 100, the
+    # second ending in the first row of chunk 0
+    below = zeta.sample_critical_line(99.0, 100.0 + 69_999 * h, h, anchor=100.0,
+                                      correction_terms=4)
+    assert below.t_start == 99.0 and below.count == 70_080
+    assert below.values[80:].tobytes() == short.values.tobytes()
+    near = zeta.sample_critical_line(100.0 - 3 * h, 100.0 + 200 * h, h,
+                                     anchor=100.0, correction_terms=4)
+    assert near.count == 204
+    assert near.values.tobytes() == below.values[77:281].tobytes()
 
 
 def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
@@ -252,6 +277,8 @@ def test_grid_range_validation():
         zeta.sample_critical_line(50.0, 60.0, 0.2)
     with pytest.raises(DomainError):
         zeta.sample_critical_line(50.0, 60.0, 0.0)
+    with pytest.raises(DomainError):        # no lattice node in the window
+        zeta.sample_critical_line(100.0, 100.001, 0.01, anchor=99.995)
 
 
 def test_grid_cache_round_trip():
