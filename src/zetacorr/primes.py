@@ -64,7 +64,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     limit = int(limit)
     if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise ConfigError(
-            f"sieve limit must lie in [2, {SIEVE_LIMIT_MAX}], got {limit}")
+            f"sieve limit must lie in [2, {SIEVE_LIMIT_MAX}], got {limit:.6g}")
 
     root = int(math.isqrt(limit))
     # base sieve over odds up to root

@@ -251,6 +251,18 @@ def test_grid_count_over_cap_exits_5(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "grid.zgrd").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma26", "--x-cutoff", "1e300"],
+    ["verify", "lemma21", "--t-height", "1e300"],
+])
+def test_sieve_limit_error_is_one_short_line(capsys, argv):
+    # the refused limit is printed in short form, not as 301 digits
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 def test_cache_mismatch_exits_3(tmp_path, capsys):
     cache = tmp_path / "grid.zgrd"
     rc = cli.main(["sample", "--t0", "98", "--t1", "204.2",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetacorr import _rs_series, zeta
+from zetacorr import _rs_series, sums, zeta
 from zetacorr.errors import CacheFormatError, ConfigError, DomainError
 
 
@@ -187,17 +187,36 @@ def test_grid_drops_the_terms_above_each_nodes_cut():
         assert np.max(np.abs(grid.values - direct)) <= 1e-9
 
 
+def test_grid_chunk_folds_in_its_origin_shift():
+    # a chunk from the real number 1000 + 1e-7, given as its float start
+    # 1000 and that shift: its main sum, theta and the terms taken off
+    # above N(t) (which steps from 12 to 16) all move with the shift
+    chunk = sums.UniformGrid(1000.0, 0.01, zeta._GRID_CHUNK)
+    got = zeta._z_on_grid(chunk, 1e-7, 0, chunk.count, 4)
+    t = 1000.0 + 1e-7 + np.arange(chunk.count) * chunk.step
+    assert np.max(np.abs(got - zeta.riemann_siegel_Z(t, 4))) <= 1e-8
+
+
 def test_grid_and_scattered_paths_against_siegelz():
-    # eight nodes over four rows of the grid kernel at each height; the
-    # grid path's worst error is at most twice the scattered path's
-    nodes = [0, 37, 255, 256, 411, 512, 700, 999]
+    # at each height, nodes over four rows of the grid kernel, the last of
+    # chunk 0, the first of chunk 1 and one at lattice index -3.  The grid
+    # path is compared at the real node t0 + k h, the scattered path at its
+    # own float64 node; the grid path's worst error is at most twice the
+    # scattered path's, and t_at is within two ulp of the real node
+    h = 0.01
+    nodes = np.array([-3, 0, 37, 255, 256, 411, 512, 700, 999, 65_535, 65_536])
     for t0 in (1000.37, 100000.37, 1000000.37):
-        grid = zeta.sample_critical_line(t0, t0 + 9.99, 0.01, correction_terms=4)
-        t = np.array([grid.t_at(k) for k in nodes])
+        grid = zeta.sample_critical_line(t0 - 3 * h, t0 + 65_537 * h, h,
+                                         anchor=t0, correction_terms=4)
+        assert grid.count >= 65_540
+        t = np.array([grid.t_at(k) for k in nodes + 3])
         with mpmath.workdps(30):
-            exact = np.array([abs(float(mpmath.siegelz(x))) for x in t])
-        scattered = np.max(np.abs(np.abs(zeta.riemann_siegel_Z(t, 4)) - exact))
-        on_grid = np.max(np.abs(grid.values[nodes] - exact))
+            real = [mpmath.mpf(t0) + int(k) * mpmath.mpf(h) for k in nodes]
+            assert all(abs(float(x - y)) <= 2 * np.spacing(y) for x, y in zip(real, t))
+            at_node = np.array([abs(float(mpmath.siegelz(x))) for x in real])
+            at_float = np.array([abs(float(mpmath.siegelz(x))) for x in t])
+        scattered = np.max(np.abs(np.abs(zeta.riemann_siegel_Z(t, 4)) - at_float))
+        on_grid = np.max(np.abs(grid.values[nodes + 3] - at_node))
         assert on_grid <= 2.0 * scattered
 
 
