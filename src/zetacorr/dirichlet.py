@@ -10,12 +10,18 @@ lattice of their primes.
 
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
-the two are compared in tests, so keep them independent.
+the two are compared in tests, so keep them independent.  Their pair
+sums fill reused buffers max(1, _PAIR_CHUNK // n) rows at a time with a
+per-row loop's bits: each element takes the same operations (1 / (i lam)
+as numer.imag / lam - i numer.real / lam is numpy's complex division at
+a zero real part), and the np.add.reduce row sums merge in row order.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -193,26 +199,38 @@ def _frequency_logs(ns):
 
 
 def _log_gaps(table: CoeffTable, what: str):
-    """(ns, logs, rows): a table's frequencies ascending (at most
-    _MEAN_VALUE_MAX), their logs, and per row i (lam, near): lam[j] =
-    log(n_j / n_i), a placeholder 1.0 at j = i, and near the j whose gap,
-    under _NEAR_LOG_EPS, is formed from the integer difference."""
+    """(ns, logs, blocks): a table's frequencies ascending (at most
+    _MEAN_VALUE_MAX), their logs, and the log-gap matrix in blocks of
+    rows, each (rows, lam, near) with lam[r, j] = log(n_j / n_i) at row
+    i = rows.start + r, a placeholder 1.0 at j = i, in one reused buffer
+    that the caller may overwrite; near lists the block's (i, j, gap) whose
+    gap is under _NEAR_LOG_EPS, formed from the integer difference.  The
+    logs ascend, so near pairs lie in runs of close neighbours, found once."""
     ns = sorted(table.entries)
-    if len(ns) > _MEAN_VALUE_MAX:
+    n = len(ns)
+    if n > _MEAN_VALUE_MAX:
         raise ResourceError(
-            f"{what} over {len(ns)} frequencies exceeds cap {_MEAN_VALUE_MAX}")
+            f"{what} over {n} frequencies exceeds cap {_MEAN_VALUE_MAX}")
     logs = _frequency_logs(ns)
+    pairs = [(i, j) for i in np.flatnonzero(np.diff(logs) < _NEAR_LOG_EPS).tolist()
+             for j in itertools.takewhile(
+                 lambda j: logs[j] - logs[i] < _NEAR_LOG_EPS, range(i + 1, n))]
+    near = sorted((i, j, math.log1p((ns[j] - ns[i]) / ns[i]))
+                  for pair in pairs for i, j in (pair, pair[::-1]))
+    step = max(1, _PAIR_CHUNK // max(1, n))
 
-    def rows():
-        for i in range(len(ns)):
-            lam = logs - logs[i]
-            lam[i] = 1.0
-            near = np.nonzero(np.abs(lam) < _NEAR_LOG_EPS)[0]
-            for j in near:
-                lam[j] = math.log1p((ns[j] - ns[i]) / ns[i])
-            yield lam, near
+    def blocks():
+        buf = np.empty((min(step, n), n))
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            lam = np.subtract(logs, logs[rows, None], out=buf[:rows.stop - start])
+            lam.reshape(-1)[start::n + 1] = 1.0
+            here = near[bisect.bisect(near, (start,)):bisect.bisect(near, (rows.stop,))]
+            for i, j, gap in here:
+                lam[i - start, j] = gap
+            yield rows, lam, here
 
-    return ns, logs, rows()
+    return ns, logs, blocks()
 
 
 def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
@@ -222,11 +240,12 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
     |D(t)|^2 over [T, 2T] is T * sum |c(n)|^2 plus the closed-form
     oscillatory cross terms (no quadrature): (e^(2iT lam) - e^(iT lam))
     / (i lam) at log gap lam, or for a near pair, where that difference
-    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.
+    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.  Row blocks keep the
+    per-row sum's bits (module docstring).
     """
-    if t_len <= 0:
-        raise DomainError(f"window base must be positive, got {t_len}")
-    ns, logs, rows = _log_gaps(table, "mean value")
+    if not 0 < t_len < math.inf:
+        raise DomainError(f"window base must be positive and finite, got {t_len}")
+    ns, logs, blocks = _log_gaps(table, "mean value")
     if not ns:
         return 0.0
     a = np.array([table.entries[n] for n in ns], dtype=np.complex128)
@@ -234,32 +253,43 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
     u = np.exp(1j * t_len * logs)        # (n)^(iT)
     v = u * u                            # (n)^(2iT)
     diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
-    acc = KahanAccumulator(0.0 + 0.0j)
-    for i, (lam, near) in enumerate(rows):
-        numer = v * np.conj(v[i]) - u * np.conj(u[i])
-        integ = numer / (1j * lam)
-        integ[i] = 0.0
-        for j in near:
-            integ[j] = (cmath.exp(1.5j * t_len * lam[j])
-                        * (2.0 * math.sin(0.5 * t_len * lam[j]) / lam[j]))
-        acc.add(a[i] * complex(np.add.reduce(np.conj(a) * integ)))
-    return float(diag + acc.total.real)
+    acc = KahanAccumulator(0.0)          # per component: the real parts suffice
+    for rows, lam, near in blocks:
+        numer, integ = (numer[:len(lam)], integ[:len(lam)]) if rows.start else (
+            np.empty((2, *lam.shape), dtype=np.complex128))
+        np.subtract(np.multiply(v, np.conj(v[rows, None]), out=numer),
+                    np.multiply(u, np.conj(u[rows, None]), out=integ), out=numer)
+        inv = np.divide(1.0, lam, out=lam)
+        np.multiply(numer.imag, inv, out=integ.real)
+        np.multiply(numer.real, np.negative(inv, out=inv), out=integ.imag)
+        integ.reshape(-1)[rows.start::len(ns) + 1] = 0.0
+        for i, j, gap in near:
+            integ[i - rows.start, j] = (cmath.exp(1.5j * t_len * gap)
+                                        * (2.0 * math.sin(0.5 * t_len * gap) / gap))
+        sums = np.add.reduce(np.multiply(np.conj(a), integ, out=integ), axis=1)
+        for term in (a.real[rows] * sums.real - a.imag[rows] * sums.imag).tolist():
+            acc.add(term)
+    return float(diag + acc.total)
 
 
 def off_diagonal_bound(table: CoeffTable) -> float:
     """sum over ordered pairs m != n of 2|c(m) c(n)| / |log(m/n)|.
 
-    Window-independent bound on the cross terms of the mean square.
+    Window-independent bound on the cross terms of the mean square; row
+    blocks keep the per-row sum's bits (module docstring).
     """
-    ns, _, rows = _log_gaps(table, "bound")
+    ns, _, blocks = _log_gaps(table, "bound")
     if len(ns) < 2:
         return 0.0
     mags = np.array([abs(table.entries[n]) for n in ns], dtype=np.float64)
     acc = KahanAccumulator(0.0)
-    for i, (lam, _) in enumerate(rows):
-        contrib = 2.0 * mags[i] * mags / np.abs(lam)
-        contrib[i] = 0.0
-        acc.add(float(np.add.reduce(contrib)))
+    for rows, lam, _ in blocks:
+        contrib = contrib[:len(lam)] if rows.start else np.empty_like(lam)
+        np.multiply(2.0 * mags[rows, None], mags, out=contrib)
+        np.divide(contrib, np.abs(lam, out=lam), out=contrib)
+        contrib.reshape(-1)[rows.start::len(ns) + 1] = 0.0
+        for row in np.add.reduce(contrib, axis=1).tolist():
+            acc.add(row)
     return acc.total
 
 

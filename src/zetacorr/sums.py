@@ -16,14 +16,16 @@ only on the column, so one twiddle matrix serves every row, and a block
 of rows is one complex matrix product (rows x N) . (N x K): the
 simplest form of the Odlyzko-Schonhage scheme.  Row and column factors
 are powers of one phase per term, built from one exponential per power
-of two and products of those, so a block takes N (2 + log2 rows +
-log2 K) exponentials instead of one per node and term.  The row width
-K is the power of two at or above the square root of the grid's node
-count, at most _ROW.  Terms are cut into blocks of _TERMS and rows into
-blocks of _ROWS at fixed boundaries from node 0, and the term blocks
-are merged in order with `KahanAccumulator`, so each value depends only
-on the grid, its node and the terms, never on a thread count or on
-where the sum stops, and no temporary exceeds 8 MB.
+of two and products of those, so a block of rows takes N (2 + log2
+rows) exponentials, and the twiddles N log2 K, instead of one per node
+and term.  The row width K is the power of two at or above the square
+root of the grid's node count, at most _ROW.  Terms are cut into blocks
+of _TERMS and rows into blocks of _ROWS at fixed boundaries from node
+0.  Each term block's twiddles are built once for every row block, and
+each row block merges its term blocks in order with its own
+`KahanAccumulator`, so each value depends only on the grid, its node
+and the terms, never on a thread count or on where the sum stops, and
+no temporary exceeds 8 MB.
 """
 
 from __future__ import annotations
@@ -113,21 +115,21 @@ def grid_sum(amp, freqs, grid: UniformGrid, stop: int | None = None) -> np.ndarr
     pad = (0, -len(freqs) % 16)
     freqs, amp = np.pad(np.asarray(freqs, dtype=np.float64), pad), np.pad(amp, pad)
     out = np.zeros((rows, width), dtype=np.complex128)
-    for r in range(0, rows, _ROWS):
-        value = out[r:r + _ROWS]
-        hi, lo = lattice_node(grid.start, grid.step, r * width)
-        acc = None
-        for n in range(0, freqs.size, _TERMS):
-            # the first term block writes in place; later ones are merged
-            lam, a = freqs[n:n + _TERMS], amp[n:n + _TERMS]
-            twiddle = _powers(lam, grid.step, width).T
+    blocks = [(out[r:r + _ROWS], *lattice_node(grid.start, grid.step, r * width))
+              for r in range(0, rows, _ROWS)]
+    accs = []       # one per row block, from the second term block on
+    for n in range(0, freqs.size, _TERMS):
+        # the first term block writes in place; later ones are merged
+        lam, a = freqs[n:n + _TERMS], amp[n:n + _TERMS]
+        twiddle = _powers(lam, grid.step, width).T
+        for b, (value, hi, lo) in enumerate(blocks):
             base = _powers(lam, width * grid.step, len(value))
             base *= np.exp(-1j * hi * lam) * np.exp(-1j * lo * lam) * a
             part = np.matmul(base, twiddle, out=None if n else value)
             if n:
-                if acc is None:
-                    acc = KahanAccumulator(value)
-                acc.add(part)
-        if acc is not None:
-            value[...] = acc.total
+                if b == len(accs):
+                    accs.append(KahanAccumulator(value))
+                accs[b].add(part)
+    for (value, _, _), acc in zip(blocks, accs):
+        value[...] = acc.total
     return out.ravel()[:count]

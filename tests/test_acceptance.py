@@ -98,12 +98,15 @@ def test_check_01_pretentious_sum_tracks_one_line_zeta(
 
 
 def test_check_02_mean_value_oracle_consistency(announce):
+    t0 = time.monotonic()
     rep = _verify_once("lemma23", seed=22, trials=100)
+    wall = time.monotonic() - t0
     res = rep.payload["results"]
     ok = res["trials"] == 100 and res["violations"] == 0
     announce(2, ok,
              f"{res['trials']} random tables, {res['violations']} "
-             f"violations, worst gap/bound {res['worst_gap_to_bound']:.3f}")
+             f"violations, worst gap/bound {res['worst_gap_to_bound']:.3f}, "
+             f"{wall:.1f}s")
 
 
 def test_check_03_disjoint_product_splitting(announce):

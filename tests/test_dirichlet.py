@@ -1,5 +1,6 @@
 """Coefficient tables, exact mean values, and the inequality checks."""
 
+import cmath
 import math
 import random
 
@@ -354,6 +355,82 @@ def test_off_diagonal_bound_near_pair_logs():
         oracle = _pair_terms(entries,
                              lambda a, b, lam: 2 * abs(a) * abs(b) / abs(lam))
         assert abs(got - oracle) <= 1e-12 * oracle
+
+
+def _per_row_gaps(table):
+    # the per-row gap scan the block kernels replaced, kept as their reference
+    ns = sorted(table.entries)
+    logs = np.array([math.log(n) for n in ns])
+    for i in range(len(ns)):
+        lam = logs - logs[i]
+        lam[i] = 1.0
+        near = np.nonzero(np.abs(lam) < dirichlet._NEAR_LOG_EPS)[0]
+        for j in near:
+            lam[j] = math.log1p((ns[j] - ns[i]) / ns[i])
+        yield i, lam, near
+
+
+def _per_row_mean_value(table, t_len):
+    ns = sorted(table.entries)
+    a = np.array([table.entries[n] for n in ns], dtype=np.complex128)
+    logs = np.array([math.log(n) for n in ns])
+    u = np.exp(1j * t_len * logs)
+    v = u * u
+    diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
+    acc = KahanAccumulator(0.0 + 0.0j)
+    for i, lam, near in _per_row_gaps(table):
+        numer = v * np.conj(v[i]) - u * np.conj(u[i])
+        integ = numer / (1j * lam)
+        integ[i] = 0.0
+        for j in near:
+            integ[j] = (cmath.exp(1.5j * t_len * lam[j])
+                        * (2.0 * math.sin(0.5 * t_len * lam[j]) / lam[j]))
+        acc.add(a[i] * complex(np.add.reduce(np.conj(a) * integ)))
+    return float(diag + acc.total.real)
+
+
+def _per_row_bound(table):
+    mags = np.array([abs(table.entries[n]) for n in sorted(table.entries)])
+    acc = KahanAccumulator(0.0)
+    for i, lam, _ in _per_row_gaps(table):
+        contrib = 2.0 * mags[i] * mags / np.abs(lam)
+        contrib[i] = 0.0
+        acc.add(float(np.add.reduce(contrib)))
+    return acc.total if len(mags) > 1 else 0.0
+
+
+def _assert_blocks_match_per_row(tab):
+    for t_len in (1e6, 100.0, 12345.678):
+        assert dirichlet.exact_mv_integral(tab, t_len) == _per_row_mean_value(tab, t_len)
+    assert dirichlet.off_diagonal_bound(tab) == _per_row_bound(tab)
+
+
+@pytest.mark.parametrize("count", [1, 2, 33, 1000])
+def test_block_kernels_match_the_per_row_loop(count):
+    # 1000 entries take 65 rows a block, so the last block is short
+    rng = random.Random(count)
+    entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for n in rng.sample(range(1, 10_001), count)}
+    _assert_blocks_match_per_row(dirichlet.CoeffTable(
+        entries=entries, primes=(), max_omega=0,
+        interval=primes.PrimeInterval(1.0, 10_000.0)))
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 24, 1 << 16])
+def test_near_run_across_block_boundary(chunk, monkeypatch):
+    # rows 4..7 are the near run 10^15 .. 10^15 + 3; blocks of 1, 2 and 3
+    # of the 8 rows cut it, and one block of all 8 holds it whole
+    monkeypatch.setattr(dirichlet, "_PAIR_CHUNK", chunk)
+    rng = random.Random(chunk)
+    entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for n in (1, 7, 10**9, 10**12, 10**15, 10**15 + 1, 10**15 + 2, 10**15 + 3)}
+    _assert_blocks_match_per_row(_near_table(entries))
+
+
+@pytest.mark.parametrize("t_len", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_mean_value_needs_a_finite_positive_window(t_len):
+    with pytest.raises(DomainError):
+        dirichlet.exact_mv_integral(_near_table(_NEAR_TABLES[0]), t_len)
 
 
 def test_mean_value_remainder_bound():
