@@ -11,7 +11,7 @@ lattice of their primes.
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
 the two are compared in tests, so keep them independent.  Their pair
-sums fill reused buffers max(1, _PAIR_CHUNK // n) rows at a time with a
+sums fill reused buffers max(1, _GAP_BLOCK // n) rows at a time with a
 per-row loop's bits: each element takes the same operations (1 / (i lam)
 as numer.imag / lam - i numer.real / lam is numpy's complex division at
 a zero real part), and the np.add.reduce row sums merge in row order.
@@ -38,6 +38,7 @@ _MEAN_VALUE_MAX = 10_000
 # |log(m/n)| below this is recomputed pairwise from integers
 _NEAR_LOG_EPS = 1e-9
 _PAIR_CHUNK = 1 << 16       # coefficient pairs formed at once in a product
+_GAP_BLOCK = 1 << 14        # pairs per mean-value row block, to stay in L2
 
 
 @dataclass
@@ -217,7 +218,7 @@ def _log_gaps(table: CoeffTable, what: str):
                  lambda j: logs[j] - logs[i] < _NEAR_LOG_EPS, range(i + 1, n))]
     near = sorted((i, j, math.log1p((ns[j] - ns[i]) / ns[i]))
                   for pair in pairs for i, j in (pair, pair[::-1]))
-    step = max(1, _PAIR_CHUNK // max(1, n))
+    step = max(1, _GAP_BLOCK // max(1, n))
 
     def blocks():
         buf = np.empty((min(step, n), n))
@@ -252,6 +253,7 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
     t_len = float(t_len)
     u = np.exp(1j * t_len * logs)        # (n)^(iT)
     v = u * u                            # (n)^(2iT)
+    conj_a = np.conj(a)
     diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
     acc = KahanAccumulator(0.0)          # per component: the real parts suffice
     for rows, lam, near in blocks:
@@ -266,7 +268,7 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
         for i, j, gap in near:
             integ[i - rows.start, j] = (cmath.exp(1.5j * t_len * gap)
                                         * (2.0 * math.sin(0.5 * t_len * gap) / gap))
-        sums = np.add.reduce(np.multiply(np.conj(a), integ, out=integ), axis=1)
+        sums = np.add.reduce(np.multiply(conj_a, integ, out=integ), axis=1)
         for term in (a.real[rows] * sums.real - a.imag[rows] * sums.imag).tolist():
             acc.add(term)
     return float(diag + acc.total)

@@ -11,8 +11,9 @@ Predictions multiply T * (log T)^(sum beta_k^2) by pairwise one-line
 zeta moduli at separation alpha_j - alpha_k, offset 1/log T.  Every
 published moment carries a step-halving delta: the grid is sampled at
 half the publication step and one pass forms both quadratures, the
-published one reusing every other fine integrand value, in blocks
-that stay in cache and two chunk buffers of memory.
+published one reusing every other fine integrand value.  Each block
+of integrand values, formed in cache, adds its parity sums and end
+corrections to each rule's Kahan sum: the pass keeps a block and sums.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .primes import PrimeInterval, half_square_sum, tapered_block_sum
 from .sums import KahanAccumulator, UniformGrid
 from .zeta import ZetaGrid, zeta_one_line
 
-_Q_CHUNK = 1 << 20          # quadrature nodes per chunk; fixed for determinism
 _BLOCK = 1 << 14            # fine nodes per product block, to stay in L2; even
 STEP_LIMIT = 0.05           # moment grids must resolve the unit-scale wiggle
 _SNAP_WARN = 1e-12          # residuals above this get reported
@@ -44,10 +44,13 @@ class ShiftSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        object.__setattr__(self, "t_height", float(self.t_height))
         if len(self.alpha) != len(self.beta) or not self.alpha:
             raise DomainError(
                 f"need matching nonempty shift/exponent vectors, got "
                 f"{len(self.alpha)} and {len(self.beta)}")
+        if not all(map(math.isfinite, (*self.alpha, *self.beta, self.t_height))):
+            raise DomainError(f"shifts, exponents and T must be finite: {self}")
         if self.t_height < 16.0:
             raise DomainError(f"height must be >= 16, got {self.t_height}")
         half_t = self.t_height / 2.0
@@ -106,55 +109,50 @@ def _simpson_rule(t_len: float, h: float, r: int):
 
     Simpson weights step/3 * (1, 4, 2, 4, ..., 4, 1) need an even
     interval count; an odd count ends in one trapezoid cell, weights
-    step/2 on its two nodes.  Interior nodes weigh 2/3 or 4/3 (times
-    step) by parity; `ends` maps the other node indices to their weight.
+    step/2 on its two nodes.  Nodes weigh 2/3 or 4/3 (times step) by
+    parity; `ends` maps each end node to what its weight adds to that.
     """
     step = r * h
     n_steps = int(math.floor(t_len / step + 1e-9))
     partial = t_len - n_steps * step
     if partial < 1e-9 * step:
         partial = 0.0
-    ends = {0: 1.0 / 3.0}
+    ends = {0: -1.0 / 3.0}
     if n_steps % 2:
-        ends.update({n_steps - 1: 1.0 / 3.0 + 0.5, n_steps: 0.5})
+        # 1/3 + 1/2 on an even node, 1/2 on an odd one
+        ends.update({n_steps - 1: 1.0 / 6.0, n_steps: -5.0 / 6.0})
     else:
-        ends[n_steps] = 1.0 / 3.0
+        ends[n_steps] = -1.0 / 3.0
     return r, step, n_steps, partial, ends
 
 
 def _simpson_pass(moduli, groups, rules) -> tuple:
     """The sum of each rule over prod moduli[base + i]^(2*beta), where
     rule r samples the fine nodes i = 0, r, 2r, ...: one product per
-    fine node, formed in blocks of _BLOCK nodes.
-
-    Rule r's weighted values fill a buffer of _Q_CHUNK nodes; each full
-    buffer is one np.add.reduce, and the chunk sums and the partial end
-    cell merge in order in a Kahan sum.  A buffer spans r fine chunks,
-    so every length and sum order is fixed: bit-deterministic.
+    fine node, formed in blocks of _BLOCK nodes from node 0.  Each block
+    adds step * (2/3 * sum at the rule's even nodes + 4/3 * sum at its
+    odd ones + its end corrections) to the rule's Kahan sum, each sum one
+    np.add.reduce over a strided view; the partial end cell comes last.
+    _BLOCK fixes every sum order, and the pass keeps only a block.
     """
     top = max(r * n_steps for r, _, n_steps, _, _ in rules)
-    bufs = [np.empty(_Q_CHUNK) for _ in rules]
     accs = [KahanAccumulator() for _ in rules]
-    for c0 in range(0, top + 1, _Q_CHUNK):
-        for s in range(c0, min(c0 + _Q_CHUNK, top + 1), _BLOCK):
-            e = min(s + _BLOCK, c0 + _Q_CHUNK, top + 1)
-            vals = _products(moduli, groups, s, e)
-            # blocks start at even nodes, so rule r's first is node s
-            for (r, step, n_steps, _, ends), buf, acc in zip(rules, bufs, accs):
-                k0, k1 = s // r, min((e - 1) // r, n_steps) + 1
-                if k1 <= k0:
-                    continue
-                sub = vals[::r][:k1 - k0]
-                j0 = k0 - k0 % _Q_CHUNK
-                dst = buf[k0 - j0:k1 - j0]
-                even = k0 % 2
-                np.multiply(sub[even::2], 2.0 / 3.0, out=dst[even::2])
-                np.multiply(sub[1 - even::2], 4.0 / 3.0, out=dst[1 - even::2])
-                for k, w in ends.items():
-                    if k0 <= k < k1:
-                        dst[k - k0] = sub[k - k0] * w
-                if k1 == j0 + _Q_CHUNK or k1 == n_steps + 1:
-                    acc.add(float(np.add.reduce(buf[:k1 - j0])) * step)
+    for s in range(0, top + 1, _BLOCK):
+        e = min(s + _BLOCK, top + 1)
+        vals = _products(moduli, groups, s, e)
+        # _BLOCK is even, so rule r's first node in the block is node s
+        for (r, step, n_steps, _, ends), acc in zip(rules, accs):
+            k0, k1 = s // r, min((e - 1) // r, n_steps) + 1
+            if k1 <= k0:
+                continue
+            sub = vals[::r][:k1 - k0]
+            even = k0 % 2           # sub[even::2] sits on even rule nodes
+            total = (2.0 / 3.0 * float(np.add.reduce(sub[even::2]))
+                     + 4.0 / 3.0 * float(np.add.reduce(sub[1 - even::2])))
+            for k, w in ends.items():
+                if k0 <= k < k1:
+                    total += w * float(sub[k - k0])
+            acc.add(total * step)
     for (r, step, n_steps, partial, _), acc in zip(rules, accs):
         if partial > 0.0:
             f_lo, f_hi = (float(_products(moduli, groups, i, i + 1)[0])
@@ -171,7 +169,8 @@ def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> tuple:
     With h the grid step, `fine` is the sum at step h and `published`
     the sum at step 2h on every other node from each shift's window
     start.  One pass serves both: the published sum reuses every other
-    fine integrand value, and memory is two chunk buffers.  Shifts
+    fine integrand value, and memory is a few blocks (`_simpson_pass`
+    has the block rule).  Both values are Python floats.  Shifts
     snap to multiples of 2h and the window start T must lie on the
     grid.  2h is at most STEP_LIMIT and T >= 16, so the published
     window spans at least 320 steps.

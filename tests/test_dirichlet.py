@@ -407,7 +407,7 @@ def _assert_blocks_match_per_row(tab):
 
 @pytest.mark.parametrize("count", [1, 2, 33, 1000])
 def test_block_kernels_match_the_per_row_loop(count):
-    # 1000 entries take 65 rows a block, so the last block is short
+    # 1000 entries take 16 rows a block, so the last block is short
     rng = random.Random(count)
     entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for n in rng.sample(range(1, 10_001), count)}
@@ -416,14 +416,24 @@ def test_block_kernels_match_the_per_row_loop(count):
         interval=primes.PrimeInterval(1.0, 10_000.0)))
 
 
-@pytest.mark.parametrize("chunk", [8, 16, 24, 1 << 16])
+@pytest.mark.parametrize("chunk", [8, 16, 24, 1 << 16, None])
 def test_near_run_across_block_boundary(chunk, monkeypatch):
     # rows 4..7 are the near run 10^15 .. 10^15 + 3; blocks of 1, 2 and 3
-    # of the 8 rows cut it, and one block of all 8 holds it whole
-    monkeypatch.setattr(dirichlet, "_PAIR_CHUNK", chunk)
-    rng = random.Random(chunk)
-    entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-               for n in (1, 7, 10**9, 10**12, 10**15, 10**15 + 1, 10**15 + 2, 10**15 + 3)}
+    # of the 8 rows cut it, and one block of all 8 holds it whole.  At
+    # the default block (None), 200 rows come 81 to a block and the run
+    # sits at rows 79..82, across the first boundary
+    run = [10**15, 10**15 + 1, 10**15 + 2, 10**15 + 3]
+    if chunk is None:
+        rng = random.Random(0)
+        ns = (rng.sample(range(1, 10**6), 79) + run
+              + rng.sample(range(10**16, 10**18, 10**13), 117))
+        assert sorted(ns).index(run[0]) < dirichlet._GAP_BLOCK // len(ns) \
+            <= sorted(ns).index(run[-1])
+    else:
+        monkeypatch.setattr(dirichlet, "_GAP_BLOCK", chunk)
+        rng = random.Random(chunk)
+        ns = [1, 7, 10**9, 10**12] + run
+    entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns}
     _assert_blocks_match_per_row(_near_table(entries))
 
 

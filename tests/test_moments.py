@@ -34,6 +34,19 @@ def test_spec_validation():
     assert spec.alpha == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha,beta,t_height", [
+    ((math.nan,), (1.0,), 100.0),
+    ((0.0, -math.inf), (1.0, 1.0), 100.0),
+    ((0.0,), (math.nan,), 100.0),
+    ((0.0, 1.0), (1.0, math.inf), 100.0),
+    ((0.0,), (1.0,), math.nan),
+    ((0.0,), (1.0,), math.inf),
+])
+def test_spec_refuses_numbers_that_are_not_finite(alpha, beta, t_height):
+    with pytest.raises(DomainError, match="finite"):
+        ShiftSpec(alpha=alpha, beta=beta, t_height=t_height)
+
+
 def test_zero_exponents_integrate_the_constant(grid_100_200):
     spec = ShiftSpec(alpha=(0.0, 3.0), beta=(0.0, 0.0), t_height=100.0)
     assert moments.shifted_moment(spec, grid_100_200) == (100.0, 100.0)
@@ -140,11 +153,9 @@ def test_halving_delta_matches_recomputation(grid_100_200):
     assert results["step_halving_delta"] < 1e-6
 
 
-def _two_simpson_sums(spec, grid, chunk):
-    """Reference for `shifted_moment`: the published Simpson sum on
-    values[::2] (from the parity of T's node) at step 2h and the fine
-    one on every value at step h, each with an explicit weight array,
-    chunks of `chunk` nodes and their sums merged in a Kahan sum."""
+def _rule_values(spec, grid, r):
+    """(step, n, partial, values) of the rule at step r*h: the product
+    at the rule's nodes 0 .. n + 1, from the parity of T's node."""
     h = grid.step
     snapped, _ = moments.snap_shifts(spec.alpha, 2 * h)
     groups = {}
@@ -152,18 +163,60 @@ def _two_simpson_sums(spec, grid, chunk):
         if b != 0.0:
             base = grid.index_of(spec.t_height + a)
             groups[base] = groups.get(base, 0.0) + b
+    step = r * h
+    n = int(math.floor(spec.t_height / step + 1e-9))
+    partial = spec.t_height - n * step
+    if partial < 1e-9 * step:
+        partial = 0.0
+    vals = None
+    for base, b in sorted(groups.items()):
+        line = grid.values[base % r::r][base // r:base // r + n + 2]
+        power = np.power(line, 2.0 * b)
+        vals = power if vals is None else vals * power
+    return step, n, partial, vals
+
+
+def _partial_cell(step, n, partial, vals):
+    f_lo, f_hi = float(vals[n]), float(vals[n + 1])
+    return partial * (f_lo + (f_lo + (partial / step) * (f_hi - f_lo))) / 2.0
+
+
+def _block_simpson_sums(spec, grid, block):
+    """Reference for `shifted_moment`: the published Simpson sum at step
+    2h and the fine one at step h, each restated per block of `block`
+    fine nodes with explicit parity and end-correction arrays, the block
+    sums merged in a Kahan sum."""
     sums = []
     for r in (2, 1):
-        step = r * h
-        n = int(math.floor(spec.t_height / step + 1e-9))
-        partial = spec.t_height - n * step
-        if partial < 1e-9 * step:
-            partial = 0.0
-        vals = None
-        for base, b in sorted(groups.items()):
-            line = grid.values[base % r::r][base // r:base // r + n + 2]
-            power = np.power(line, 2.0 * b)
-            vals = power if vals is None else vals * power
+        step, n, partial, vals = _rule_values(spec, grid, r)
+        parity = np.arange(n + 1) % 2
+        ends = np.zeros(n + 1)
+        ends[0] = -1.0 / 3.0
+        if n % 2:
+            ends[n - 1], ends[n] = 1.0 / 6.0, -5.0 / 6.0
+        else:
+            ends[n] = -1.0 / 3.0
+        acc = KahanAccumulator()
+        for i0 in range(0, r * n + 1, block):
+            k0, k1 = i0 // r, min((i0 + block - 1) // r, n) + 1
+            f, p = vals[k0:k1], parity[k0:k1]
+            total = (2.0 / 3.0 * float(np.add.reduce(f[p == 0]))
+                     + 4.0 / 3.0 * float(np.add.reduce(f[p == 1])))
+            for k in np.flatnonzero(ends[k0:k1]):
+                total += ends[k0 + k] * float(f[k])
+            acc.add(total * step)
+        if partial > 0.0:
+            acc.add(_partial_cell(step, n, partial, vals))
+        sums.append(acc.total)
+    return tuple(sums)
+
+
+def _fsum_simpson_sums(spec, grid):
+    """(sums, scales): both rules summed by math.fsum, and the scale
+    step * sum |w_k f_k| of each."""
+    sums, scales = [], []
+    for r in (2, 1):
+        step, n, partial, vals = _rule_values(spec, grid, r)
         w = np.full(n + 1, 2.0 / 3.0)
         w[1::2] = 4.0 / 3.0
         w[0] = 1.0 / 3.0
@@ -172,25 +225,24 @@ def _two_simpson_sums(spec, grid, chunk):
             w[-1] = 0.5
         else:
             w[-1] = 1.0 / 3.0
-        acc = KahanAccumulator()
-        for i0 in range(0, n + 1, chunk):
-            i1 = min(i0 + chunk, n + 1)
-            acc.add(float(np.add.reduce(vals[i0:i1] * w[i0:i1])) * step)
+        terms = (w * vals[:n + 1] * step).tolist()
         if partial > 0.0:
-            f_lo, f_hi = float(vals[n]), float(vals[n + 1])
-            f_end = f_lo + (partial / step) * (f_hi - f_lo)
-            acc.add(partial * (f_lo + f_end) / 2.0)
-        sums.append(acc.total)
-    return tuple(sums)
+            terms.append(_partial_cell(step, n, partial, vals))
+        sums.append(math.fsum(terms))
+        scales.append(math.fsum(abs(x) for x in terms))
+    return sums, scales
 
 
 _H = 0.0125     # grid_100_200's step
 
 
-@pytest.mark.parametrize("chunk,block", [
-    (1 << 20, None),    # one chunk
-    (1002, None),       # many chunks, each one block; 1002 = 2 mod 4
-    (1002, 256),        # blocks that do not divide a chunk
+# each case runs the pass at two values of _BLOCK, None the default:
+# one block for the window, and blocks of 1002 (2 mod 4), 4098, 256 and
+# 1024 fine nodes, which cut the window of about 8000 nodes unevenly
+@pytest.mark.parametrize("block,other_block", [
+    (1 << 20, None),
+    (1002, None),
+    (1002, 256),
     (4098, 1024),
 ])
 @pytest.mark.parametrize("t_height,t_start", [
@@ -207,16 +259,22 @@ _H = 0.0125     # grid_100_200's step
     ((-1.0, 0.5, 0.5), (0.5, 1.25, 0.75)),     # two shifts merge
     ((0.5, -1.0, 1.0), (1.0, 0.0, 1.25)),      # a zero exponent drops out
 ])
-def test_one_pass_equals_the_two_simpson_sums(grid_100_200, monkeypatch, chunk,
-                                              block, t_height, t_start, alpha,
-                                              beta):
-    monkeypatch.setattr(moments, "_Q_CHUNK", chunk)
-    if block is not None:
-        monkeypatch.setattr(moments, "_BLOCK", block)
+def test_one_pass_equals_the_two_simpson_sums(grid_100_200, monkeypatch, block,
+                                              other_block, t_height, t_start,
+                                              alpha, beta):
     # the identity needs no zeta values: a moved start puts T on a node
     grid = replace(grid_100_200, t_start=t_start)
     spec = ShiftSpec(alpha=alpha, beta=beta, t_height=t_height)
-    assert moments.shifted_moment(spec, grid) == _two_simpson_sums(spec, grid, chunk)
+    exact, scales = _fsum_simpson_sums(spec, grid)
+    for size in (block, other_block):
+        if size is not None:
+            monkeypatch.setattr(moments, "_BLOCK", size)
+        got = moments.shifted_moment(spec, grid)
+        # the block rule pins the order of summation bit for bit
+        assert got == _block_simpson_sums(spec, grid, moments._BLOCK)
+        for value, ref, scale in zip(got, exact, scales):
+            assert abs(value - ref) <= 4 * np.finfo(float).eps * scale
+        monkeypatch.undo()
 
 
 def test_the_pass_refuses_what_the_published_rule_cannot_cover():
@@ -240,25 +298,24 @@ def test_the_pass_refuses_what_the_published_rule_cannot_cover():
         moments.shifted_moment(spec, replace(full, values=values[:-1]))
 
 
-def test_the_pass_holds_two_chunk_buffers(monkeypatch):
-    # the pass holds two chunk buffers and a few product blocks, and no
-    # chunk-sized temporaries
-    chunk, block = 1 << 18, 1 << 14
-    monkeypatch.setattr(moments, "_Q_CHUNK", chunk)
-    monkeypatch.setattr(moments, "_BLOCK", block)
+def test_the_pass_holds_a_few_product_blocks():
+    # the pass keeps a few sums and product blocks, whatever the window
     rng = np.random.default_rng(3)
-    grid = zeta.ZetaGrid(16.0, 2e-5, rng.random(802_200) + 0.5, 0)
-    spec = ShiftSpec(alpha=(0.0, 0.02, 0.04), beta=(0.75, 1.25, 0.5),
-                     t_height=16.0)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        moments.shifted_moment(spec, grid)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert 16.0 / 2e-5 > 3 * chunk
-    assert peak <= (2 * chunk + 4 * block) * 8
+    grid = zeta.ZetaGrid(16.0, 1e-4, rng.random(1_121_000) + 0.5, 0)
+    peaks = []
+    for t_height in (16.0, 64.0):
+        spec = ShiftSpec(alpha=(0.0, 0.02, 0.04), beta=(0.75, 1.25, 0.5),
+                         t_height=t_height)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            values = moments.shifted_moment(spec, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert all(type(v) is float for v in values)
+    assert 16.0 / 1e-4 > 8 * moments._BLOCK
+    assert max(peaks) <= 4 * moments._BLOCK * 8
 
 
 def test_prediction_closed_form_single_shift():
