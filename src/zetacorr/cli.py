@@ -616,8 +616,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for shifted moments on the "
                     "critical line.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="sampling threads in one process (default: cores)")
+    # the CPUs this process may run on, not the host's
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    common.add_argument("--threads", type=int, default=cpus,
+                        help="sampling threads in one process, one core each: "
+                             "BLAS runs one thread under them (default: the "
+                             "CPUs this process may use)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in, and driving, the run")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -26,10 +26,19 @@ each row block merges its term blocks in order with its own
 `KahanAccumulator`, so each value depends only on the grid, its node
 and the terms, never on a thread count or on where the sum stops, and
 no temporary exceeds 8 MB.
+
+`one_blas_thread` runs OpenBLAS at one thread for a caller that runs
+these products on threads of its own, such as the critical-line
+sampler: OpenBLAS's helper threads would otherwise compete with that
+caller's threads for the same cores.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import importlib
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,3 +142,60 @@ def grid_sum(amp, freqs, grid: UniformGrid, stop: int | None = None) -> np.ndarr
     for (value, _, _), acc in zip(blocks, accs):
         value[...] = acc.total
     return out.ravel()[:count]
+
+
+def _openblas_threads():
+    """The (get, set) pair of numpy's OpenBLAS thread count, or None.
+
+    numpy's own extension is opened, and dlsym on its handle searches
+    the libraries it links, so no wheel path is looked up.
+    """
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):   # no such module, or a Python shim
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
+                            for op in ("get", "set"))
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+        return None
+    return None
+
+
+_OPENBLAS = _openblas_threads()
+# the thread count is the process's, so its users are counted process-wide
+_blas_lock = threading.Lock()
+_blas_users = 0        # the callers inside `one_blas_thread`
+_blas_saved = 0        # the thread count before the first of them
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """OpenBLAS at one thread inside the block, where OpenBLAS is found.
+
+    Nested and concurrent blocks are counted under one lock: the first
+    to enter saves the thread count and sets one, and the last to exit,
+    also by an exception, puts the saved count back.
+    """
+    global _blas_users, _blas_saved
+    if _OPENBLAS is None:
+        yield
+        return
+    get, put = _OPENBLAS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_saved)

@@ -15,6 +15,7 @@ Two independent routes are deliberately kept separate:
     lattice anchor + k step in aligned chunks of 2^16 nodes and forms
     it as a Dirichlet polynomial per chunk through `sums.grid_sum`, so
     a sample is taken at its real lattice node and depends on it alone.
+    Its threads own the cores: OpenBLAS runs at one thread under them.
 
 Do not route one through the other; agreement between them is itself a
 tested claim.
@@ -40,7 +41,7 @@ from .errors import (
     DomainError,
     ResourceError,
 )
-from .sums import KahanAccumulator, UniformGrid, grid_sum, lattice_node
+from .sums import KahanAccumulator, UniformGrid, grid_sum, lattice_node, one_blas_thread
 
 # ZGRD cache layout, little-endian: prefix, header, the float64 moduli,
 # and a zlib.crc32 of every byte before it
@@ -352,7 +353,10 @@ def sample_critical_line(
     `UniformGrid` from anchor + c 2^16 step whose main sum runs up to the
     N of its last node however much of it the window uses, so a sample
     depends only on the anchor, step, depth and k.  Up to `workers`
-    threads (numpy and BLAS release the GIL) fill the chunks in place.
+    threads (numpy and BLAS release the GIL) fill the chunks in place,
+    and OpenBLAS runs at one thread while they do (`sums.one_blas_thread`;
+    the count before is restored, also when a chunk raises), so
+    `workers` threads use `workers` cores.
 
     A sample is |Z| at the real node anchor + k step: a chunk's start is
     formed exactly, its rounding folded into the main sum's amplitudes,
@@ -390,7 +394,8 @@ def sample_critical_line(
             correction_terms))
 
     chunks = range(first // _GRID_CHUNK, (first + count - 1) // _GRID_CHUNK + 1)
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(
+            max_workers=min(workers, len(chunks))) as pool:
         list(pool.map(fill, chunks))      # list() re-raises a task's error
     return ZetaGrid(t_first, float(step), values, correction_terms)
 

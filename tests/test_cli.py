@@ -1087,7 +1087,10 @@ def test_readme_config_table_matches_the_rows():
 # the command line itself: pinned, and fuzzed
 
 
-_COMMON_FLAGS = {"--threads": ("int", False, os.cpu_count() or 1),
+# the default thread count is the CPUs this process may run on
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_COMMON_FLAGS = {"--threads": ("int", False, _CPUS),
                  "--seed": ("int", False, 0), "--report": ("str", False, None)}
 _GRID_FLAGS = {"--t0": ("float", True, None), "--t1": ("float", True, None),
                "--step": ("float", True, None)}

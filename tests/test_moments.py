@@ -125,19 +125,23 @@ def test_second_moment_against_quadrature_oracle(grid_100_200):
 
 
 def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
-    # 8001 intervals: Simpson weights over nodes 0..8000, then h/2 on
-    # each end of the last cell; one chunk, so the sum order is known
+    # T = 100 + j h, j odd: 8000 + j intervals, Simpson weights over
+    # nodes 0 .. 7999 + j, then h/2 on each end of the last cell
     h = grid_100_200.step
-    n = 8001
-    spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.0 + h)
-    w = np.array([1.0] + [4.0 if i % 2 else 2.0 for i in range(1, n - 1)]
-                 + [1.0]) / 3.0
-    w[-1] += 0.5
-    w = np.append(w, 0.5)
-    base = grid_100_200.index_of(100.0 + h)
-    vals = np.power(grid_100_200.values[base:base + n + 1], 2.0)
-    expect = float(np.add.reduce(vals * w)) * h
-    assert moments.shifted_moment(spec, grid_100_200)[1] == expect
+    for j in range(1, 40, 2):
+        n = 8000 + j
+        spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.0 + j * h)
+        w = np.array([1.0] + [4.0 if i % 2 else 2.0 for i in range(1, n - 1)]
+                     + [1.0]) / 3.0
+        w[-1] += 0.5
+        w = np.append(w, 0.5)
+        base = grid_100_200.index_of(100.0 + j * h)
+        terms = np.power(grid_100_200.values[base:base + n + 1], 2.0) * w * h
+        fine = moments.shifted_moment(spec, grid_100_200)[1]
+        # the block rule pins the order of summation bit for bit
+        assert fine == _block_simpson_sums(spec, grid_100_200, moments._BLOCK)[1]
+        bound = 4 * np.finfo(float).eps * math.fsum(np.abs(terms).tolist())
+        assert abs(fine - math.fsum(terms.tolist())) <= bound
 
 
 def test_halving_delta_matches_recomputation(grid_100_200):

@@ -6,6 +6,8 @@ import math
 import pathlib
 import random
 import struct
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetacorr import _rs_series, sums, zeta
-from zetacorr.errors import CacheFormatError, ConfigError, DomainError
+from zetacorr.errors import (
+    CacheFormatError,
+    ConfigError,
+    DomainError,
+    ResourceError,
+)
 
 
 def test_em_classical_values():
@@ -285,6 +292,94 @@ def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
     monkeypatch.setattr(zeta, "ThreadPoolExecutor", InlinePool)
     zeta.sample_critical_line(200.0, 260.0, 0.01, workers=10 ** 6)
     assert sizes == [1]
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's (get, set) pair, its count set to 2 for the test so
+    that one thread under the sampler shows, and restored after."""
+    if sums._OPENBLAS is None:
+        pytest.skip("numpy's OpenBLAS thread count is not reachable")
+    get, put = sums._OPENBLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _recording_chunks(monkeypatch, get, seen, barrier=None):
+    """Wrap `zeta._z_on_grid` so that each chunk records the BLAS thread
+    count it runs under, after waiting at `barrier` if one is given."""
+    z_on_grid = zeta._z_on_grid
+
+    def recorded(*args):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        seen.append(get())
+        return z_on_grid(*args)
+
+    monkeypatch.setattr(zeta, "_z_on_grid", recorded)
+
+
+def test_sampler_runs_blas_at_one_thread_and_restores_it(blas_threads, monkeypatch):
+    get, seen = blas_threads, []
+    _recording_chunks(monkeypatch, get, seen)
+    for workers in (1, 2):
+        # 80 001 nodes: two chunks
+        zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
+        assert get() == 2
+    assert seen == [1] * 4
+
+
+def test_sampler_restores_blas_threads_after_a_chunk_raises(blas_threads,
+                                                            monkeypatch):
+    get = blas_threads
+
+    def fails(*args):
+        assert get() == 1
+        raise ResourceError("chunk failed")
+
+    monkeypatch.setattr(zeta, "_z_on_grid", fails)
+    for workers in (1, 2):
+        with pytest.raises(ResourceError):
+            zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
+        assert get() == 2
+
+
+def test_concurrent_samplers_leave_the_blas_count_they_found(blas_threads,
+                                                             monkeypatch):
+    # four one-chunk samplers are inside their pools at once, under a
+    # short switch interval; the last to exit restores the count from
+    # before the first
+    get, seen, errors = blas_threads, [], []
+    _recording_chunks(monkeypatch, get, seen, threading.Barrier(4))
+
+    def sample():
+        try:
+            zeta.sample_critical_line(200.0, 260.0, 0.01, workers=2)
+        except Exception as exc:          # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sample) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and seen == [1] * 4
+    assert get() == 2
+
+
+def test_sampling_without_a_blas_handle_gives_the_same_bytes(monkeypatch):
+    capped = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=2)
+    monkeypatch.setattr(sums, "_OPENBLAS", None)
+    free = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=2)
+    assert free.values.tobytes() == capped.values.tobytes()
 
 
 def test_grid_range_validation():
