@@ -11,9 +11,10 @@ The package splits into five layers:
   replacing long products by short ones.
 * `blocks`: the multiscale decomposition of a height range into
   good/bad/square classes, with measure bounds for the rare classes.
-* `moments`: shared-grid quadrature for shifted moments, the span of
-  the line its grid must cover, and the size prediction.  A
-  decorrelation curve is one moment per separation delta.
+* `moments`: shared-grid quadrature for shifted moments, the grid it
+  integrates on (sampled over the span its shifts need, or read from a
+  cache), and the size prediction.  A decorrelation curve is one
+  moment per separation delta.
 
 `cli` ties the layers into reproducible experiments with canonical
 JSON reports; `verify` holds the seeded drivers of its lemma checks.

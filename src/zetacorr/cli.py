@@ -6,7 +6,9 @@ Every run produces one JSON report with two top-level parts: `payload`
 serialized, byte-stable across thread counts) and `meta` (wall time,
 timestamps, thread count).  Artifacts (caches, CSV, report files)
 are written all together after the computation finishes, or not at
-all, so failed runs leave nothing behind.
+all, so failed runs leave nothing behind.  `moment` and `curve` pass
+their shift specs to `moments.moment_rows`, which samples or reads the
+grid they integrate.
 
 Exit codes: 0 success, 2 configuration, 3 cache, 4 domain, 5 resource.
 """
@@ -27,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks, moments, primes, verify, zeta
-from .errors import (
-    CacheFormatError,
-    ConfigError,
-    CoverageError,
-    DomainError,
-    ZetaLabError,
-)
+from .errors import ConfigError, DomainError, ZetaLabError
 from .sums import UniformGrid
 
 _CLASSIFY_STEP_NOTE = 0.05   # measure grids should resolve this scale
@@ -288,6 +284,7 @@ _BETA = ("beta", _reals, _REQUIRED)
 _STEP = ("step", _step, _REQUIRED)
 _RS_TERMS = ("rs_terms", _rs_terms, 4)
 _T0 = ("t0", _real, _REQUIRED)
+_T1 = ("t1", _t1, _REQUIRED)
 _GRID_STEP = ("step", _positive, _REQUIRED)
 # paths, so not in README's table
 _OUT = ("out", _path, _REQUIRED)
@@ -335,50 +332,6 @@ def read_config(rows, values: dict, what: str) -> dict:
         else:
             fields[key] = default
     return fields
-
-
-# ---------------------------------------------------------------------------
-# grid provisioning for moment runs
-
-
-def _provision_grid(t_height, alpha, step, rs_terms, threads, cache_path):
-    """Fine grid (at step/2) over `moments.moment_window` of the shifts,
-    sampled on the lattice from T.
-
-    With a cache the file must already match: half the config step, the
-    config's RS depth, full coverage, and T on a node.  Returns (grid,
-    cache_version_records).
-    """
-    fine_step = step / 2.0
-    t_lo, t_hi = moments.moment_window(t_height, alpha, step)
-    if cache_path is not None:
-        grid = zeta.cache_read(cache_path)
-        if abs(grid.step - fine_step) > 1e-12 * fine_step:
-            raise CacheFormatError(
-                f"cache step {grid.step} does not match config step/2 = "
-                f"{fine_step}")
-        if grid.correction_terms != rs_terms:
-            raise CacheFormatError(f"cache RS depth {grid.correction_terms} does "
-                                   f"not match config rs_terms = {rs_terms}")
-        if grid.t_start > t_lo or grid.t_stop < t_hi:
-            raise CacheFormatError(
-                f"cache span [{grid.t_start}, {grid.t_stop}] does not cover "
-                f"[{t_lo}, {t_hi}]")
-        try:
-            grid.index_of(t_height)
-        except CoverageError:
-            raise CacheFormatError(
-                f"cache {cache_path}: T = {t_height} is not a node of its "
-                f"grid at step {grid.step} from {grid.t_start}") from None
-        version = [{
-            "path": str(cache_path), "version": zeta.CACHE_VERSION,
-            "count": grid.count, "step": grid.step,
-            "rs_terms": grid.correction_terms,
-        }]
-        return grid, version
-    grid = zeta.sample_critical_line(t_lo, t_hi, fine_step, anchor=t_height,
-                                     correction_terms=rs_terms, workers=threads)
-    return grid, []
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +395,8 @@ def _handle_classify(config: ExperimentConfig, f: dict):
 
 def _handle_moment(config: ExperimentConfig, f: dict):
     spec = moments.ShiftSpec(alpha=f["alpha"], beta=f["beta"], t_height=f["T"])
-    prediction = moments.predict_bound(spec)    # exits 4 before any sampling
-    grid, versions = _provision_grid(
-        f["T"], f["alpha"], f["step"], f["rs_terms"], config.threads, f["cache"])
-    results, warnings = moments.moment_report(spec, grid, prediction)
+    (results,), warnings, versions = moments.moment_rows(
+        [spec], f["step"], f["rs_terms"], config.threads, f["cache"])
     return results, warnings, versions, []
 
 
@@ -477,24 +428,16 @@ def curve_csv(rows) -> str:
 def _handle_curve(config: ExperimentConfig, f: dict):
     specs = [moments.ShiftSpec(alpha=(0.0, d), beta=(f["beta"], f["beta"]),
                                t_height=f["T"]) for d in f["deltas"]]
-    predictions = [moments.predict_bound(spec) for spec in specs]
-    # every row's shifts are (0, delta), so the window holds shift 0
-    grid, versions = _provision_grid(f["T"], (0.0, *f["deltas"]), f["step"],
-                                     f["rs_terms"], config.threads, f["cache"])
-    rows, warnings = [], []
-    for d, spec, prediction in zip(f["deltas"], specs, predictions):
-        res, warns = moments.moment_report(spec, grid, prediction)
-        row = dict(res, delta=d)
-        rows.append({k: row[k] for k in _CURVE_COLUMNS})
-        warnings += warns
+    reports, warnings, versions = moments.moment_rows(
+        specs, f["step"], f["rs_terms"], config.threads, f["cache"])
+    rows = [{k: dict(res, delta=d)[k] for k in _CURVE_COLUMNS}
+            for d, res in zip(f["deltas"], reports)]
     results = {
         "rows": rows,
         "T": f["T"],
         "beta": f["beta"],
         "quadrature_step": f["step"],
     }
-    # in delta order, each distinct warning once
-    warnings = list(dict.fromkeys(warnings))
     return results, warnings, versions, [(f["out"], curve_csv(rows))]
 
 
@@ -518,11 +461,9 @@ def _handle_verify(config: ExperimentConfig, f: dict):
 # _CONFIG_FIELDS also take `--config`, and `verify` its property.
 _COMMANDS = {
     "sample": (_handle_sample, "sample the critical line into a cache",
-               (_REPORT, _T0, ("t1", _real, _REQUIRED), _GRID_STEP, _RS_TERMS,
-                _OUT)),
+               (_REPORT, _T0, _T1, _GRID_STEP, _RS_TERMS, _OUT)),
     "classify": (_handle_classify, "classify a t grid into good/bad/square sets",
-                 (_REPORT, _T0, ("t1", _t1, _REQUIRED), _GRID_STEP,
-                  ("out", _path, None))),
+                 (_REPORT, _T0, _T1, _GRID_STEP, ("out", _path, None))),
     "moment": (_handle_moment, "one shifted moment with prediction and ratio",
                (_REPORT, _CACHE)),
     "predict": (_handle_predict, "the size prediction alone", (_REPORT,)),

@@ -1,4 +1,4 @@
-"""Shifted moment quadrature and the matching size prediction.
+"""Shifted moment quadrature, its grid, and the matching size prediction.
 
 The central quantity is the window integral over [T, 2T] of
 prod_k |zeta(1/2 + i(t + alpha_k))|^(2*beta_k), evaluated on a shared
@@ -14,6 +14,9 @@ half the publication step and one pass forms both quadratures, the
 published one reusing every other fine integrand value.  Each block
 of integrand values, formed in cache, adds its parity sums and end
 corrections to each rule's Kahan sum: the pass keeps a block and sums.
+
+`moment_rows` owns a run's grid: it samples the span its shifts need
+on the lattice from T, or reads and checks a `ZGRD` cache.
 """
 
 from __future__ import annotations
@@ -23,10 +26,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CoverageError, DomainError
+from .errors import CacheFormatError, CoverageError, DomainError
 from .primes import PrimeInterval, half_square_sum, tapered_block_sum
 from .sums import KahanAccumulator, UniformGrid
-from .zeta import ZetaGrid, zeta_one_line
+from .zeta import (
+    CACHE_VERSION,
+    ZetaGrid,
+    cache_read,
+    sample_critical_line,
+    zeta_one_line,
+)
 
 _BLOCK = 1 << 14            # fine nodes per product block, to stay in L2; even
 STEP_LIMIT = 0.05           # moment grids must resolve the unit-scale wiggle
@@ -79,17 +88,21 @@ def snap_shifts(alpha, step: float):
     return tuple(snapped), tuple(residuals)
 
 
-def _shift_groups(grid: ZetaGrid, t_lo: float, snapped, beta):
+def _shift_groups(grid: ZetaGrid, t_height: float, alpha, beta):
     """Merge shifts landing on the same grid node; drop zero exponents.
 
-    Returns sorted (base_index, exponent_sum) pairs, so products are
-    evaluated in a canonical order regardless of input permutation.
+    A base index is T's node plus 2 round(alpha / 2h): the shift snapped
+    at step 2h, as in `snap_shifts`.  Returns sorted (base_index,
+    exponent_sum) pairs, so products are evaluated in a canonical order
+    regardless of input permutation.
     """
+    t_node = grid.index_of(t_height)
+    pub_step = 2 * grid.step
     groups: dict[int, float] = {}
-    for a, b in zip(snapped, beta):
+    for a, b in zip(alpha, beta):
         if b == 0.0:
             continue
-        base = grid.index_of(t_lo + a)
+        base = t_node + 2 * round(a / pub_step)
         groups[base] = groups.get(base, 0.0) + b
     return sorted(groups.items())
 
@@ -180,8 +193,7 @@ def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> tuple:
         raise CoverageError(
             f"publication step {2 * h} exceeds the {STEP_LIMIT} resolution bound")
     t_len = spec.t_height
-    snapped, _ = snap_shifts(spec.alpha, 2 * h)
-    groups = _shift_groups(grid, t_len, snapped, spec.beta)
+    groups = _shift_groups(grid, t_len, spec.alpha, spec.beta)
     rules = [_simpson_rule(t_len, h, 2), _simpson_rule(t_len, h, 1)]
     for base, _ in groups:
         for r, _, n_steps, partial, _ in rules:
@@ -249,8 +261,7 @@ def nsw_F(alpha1: float, alpha2: float, t_height: float) -> float:
 def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid, prediction: float):
     """Published moment at step 2*fine_grid.step with its halving delta,
     as (results, warnings): the results are the `moment` payload's.
-    `prediction` is the spec's `predict_bound`, which callers form before
-    they sample, so that one beyond the float range exits first.
+    `prediction` is the spec's `predict_bound`.
 
     The fine grid is sampled at half the publication step; the
     published value is the Simpson quadrature on every other sample and
@@ -258,7 +269,7 @@ def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid, prediction: float):
     """
     step = 2 * fine_grid.step
     snapped, residuals = snap_shifts(spec.alpha, step)
-    moment, fine_val = shifted_moment(replace(spec, alpha=snapped), fine_grid)
+    moment, fine_val = shifted_moment(spec, fine_grid)
 
     warnings = []
     worst = max(abs(r) for r in residuals)
@@ -277,6 +288,51 @@ def moment_report(spec: ShiftSpec, fine_grid: ZetaGrid, prediction: float):
         "snap_residuals": list(residuals),
     }
     return results, warnings
+
+
+def moment_rows(specs, step: float, rs_terms: int, workers: int, cache=None):
+    """(rows, warnings, cache_versions) of specs at one height T: each
+    spec's `moment_report` at publication step `step`, and each distinct
+    warning once, in spec order.  The predictions come first, so one
+    beyond the float range exits before any sampling or cache read.  The
+    grid at step/2 is sampled over the specs' `moment_window` on the
+    lattice from T, or read from the `ZGRD` file `cache`, whose step and
+    depth must match; one short of a node the quadrature reads is a
+    CacheFormatError naming it."""
+    t_height = specs[0].t_height
+    predictions = [predict_bound(spec) for spec in specs]
+    fine_step = step / 2.0
+    if cache is None:
+        t_lo, t_hi = moment_window(
+            t_height, [a for spec in specs for a in spec.alpha], step)
+        grid = sample_critical_line(t_lo, t_hi, fine_step, anchor=t_height,
+                                    correction_terms=rs_terms, workers=workers)
+        versions = []
+    else:
+        grid = cache_read(cache)
+        if abs(grid.step - fine_step) > 1e-12 * fine_step:
+            raise CacheFormatError(
+                f"cache step {grid.step} does not match config step/2 = "
+                f"{fine_step}")
+        if grid.correction_terms != rs_terms:
+            raise CacheFormatError(f"cache RS depth {grid.correction_terms} does "
+                                   f"not match config rs_terms = {rs_terms}")
+        versions = [{
+            "path": str(cache), "version": CACHE_VERSION, "count": grid.count,
+            "step": grid.step, "rs_terms": grid.correction_terms,
+        }]
+    rows, warnings = [], []
+    try:
+        for spec, prediction in zip(specs, predictions):
+            results, warns = moment_report(spec, grid, prediction)
+            rows.append(results)
+            warnings += warns
+    except CoverageError as exc:
+        if cache is None:
+            raise
+        raise CacheFormatError(f"cache {cache} does not hold every node the "
+                               f"quadrature reads: {exc}") from None
+    return rows, list(dict.fromkeys(warnings)), versions
 
 
 def lemma21_rhs(

@@ -62,6 +62,7 @@ T_MIN = 10.0              # asymptotics below this are not supported
 T_MAX = 1.0e8
 STEP_MAX = 0.1
 _COUNT_MAX = 200_000_000
+_NODE_TOL = 1e-6          # index_of's tolerance, in steps
 _EM_IMAG_MAX = 1.0e5
 
 # t/2*log(t/(2*pi)) - t/2 - pi/8 + sum c[n] * t^(1-2n); the c[n] are the
@@ -316,14 +317,14 @@ class ZetaGrid:
     def t_at(self, index: int) -> float:
         return self.t_start + index * self.step
 
-    def index_of(self, t: float, *, tol: float = 1e-6) -> int:
+    def index_of(self, t: float) -> int:
         """Index of the grid node at t; t must lie on the grid."""
         k = round((t - self.t_start) / self.step)
         if k < 0 or k >= self.count:
             raise CoverageError(
                 f"t={t} outside grid [{self.t_start}, {self.t_stop}]")
-        if abs(self.t_at(k) - t) > tol * self.step:
-            raise CoverageError(f"t={t} does not lie on the sample grid")
+        if abs(self.t_at(k) - t) > _NODE_TOL * self.step:
+            raise CoverageError(f"t={t} is not a node of the sample grid")
         return int(k)
 
 

@@ -343,6 +343,63 @@ def test_cache_with_t_on_an_odd_node_runs(tmp_path, monkeypatch, capsys, kind):
     assert got[0] == pytest.approx(got[1], rel=1e-14, abs=0.0)
 
 
+# the shifts (0, -1) at T = 100 and step 0.025 read the cache from 99
+# to 200
+_SHORT_CACHE_CONFIGS = {
+    "moment": {"T": 100.0, "alpha": [0.0, -1.0], "beta": [1.0, 1.0],
+               "step": 0.025},
+    "curve": {"T": 100.0, "beta": 1.0, "deltas": [-1.0], "step": 0.025},
+}
+
+
+@pytest.mark.parametrize("t0,t1", [
+    ("98", "199.9"),          # stops short at the top
+    ("99.5", "204.2"),        # holds T but not the shift -1 below it
+    ("100.5", "204.2"),       # starts above T
+])
+@pytest.mark.parametrize("kind", ["moment", "curve"])
+def test_cache_short_of_the_window_exits_3(tmp_path, monkeypatch, capsys,
+                                           kind, t0, t1):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample", "--t0", t0, "--t1", t1, "--step", "0.0125",
+                     "--out", "grid.zgrd"]) == 0
+    capsys.readouterr()
+    cfg = _write_json(tmp_path / "cfg.json", _SHORT_CACHE_CONFIGS[kind])
+    rc = cli.main([kind, "--config", cfg, "--cache", "grid.zgrd",
+                   "--report", "r.json",
+                   *(["--out", "curve.csv"] if kind == "curve" else [])])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("zetacorr: cache grid.zgrd does not hold every node")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "grid.zgrd"]
+
+
+@pytest.mark.parametrize("kind,config", [
+    ("moment", {"T": 100.03, "alpha": [0, 50.015], "beta": [1.0, 1.0],
+                "step": 0.025}),
+    ("curve", {"T": 100.03, "beta": 1.0, "deltas": {"formula": "[0, T/2]"},
+               "step": 0.025}),
+])
+def test_shift_of_half_t_snapping_past_it_runs(tmp_path, monkeypatch, capsys,
+                                                kind, config):
+    # alpha = T/2 = 50.015 lies in the domain; it snaps to 50.025, past
+    # T/2, and the moment integrates the snapped shift
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_json(tmp_path / "cfg.json", config)
+    assert cli.main([kind, "--config", cfg, "--threads", "1",
+                     *(["--out", "curve.csv"] if kind == "curve" else [])]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["warnings"] == [
+        "shifts snapped to step 0.025 grid, max residual 1.000e-02"]
+    res = payload["results"]
+    rows = res["rows"] if kind == "curve" else [res]
+    assert all(row["moment"] > 0.0 for row in rows)
+    if kind == "moment":
+        assert res["snapped_alpha"] == [0.0, pytest.approx(50.025, abs=1e-12)]
+        assert res["snap_residuals"] == [0.0, pytest.approx(-0.01, abs=1e-12)]
+
+
 @pytest.mark.parametrize("cache", ["absent.zgrd", "."])
 def test_unreadable_cache_exits_2(tmp_path, monkeypatch, capsys, cache):
     monkeypatch.chdir(tmp_path)
@@ -819,6 +876,7 @@ _CLASSIFY_CONFIG = {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5}
                   "step": -1.0}),
     ("classify", {"config": _CLASSIFY_CONFIG, "t0": 1e5, "t1": 0.9e5,
                   "step": 1.0}),
+    ("sample", {"t0": 99.0, "t1": 98.0, "step": 0.0125, "out": "grid.zgrd"}),
 ])
 def test_run_checks_parameter_values(kind, params):
     # `run` parses its dict through the rows that flags and config
@@ -890,7 +948,7 @@ _MALFORMED = (math.nan, math.inf, -math.inf, True, False, "1", [[1.0]],
 _MALFORMED_FOR = {cli._count: (0, -3), cli._band_count: (0, -3, 20),
                   cli._positive: (0.0, -1.0),
                   cli._step: (0.0, -1.0), cli._rs_terms: (-1, 7),
-                  cli._t1: (1e5 - 1.0,)}
+                  cli._t1: (97.0,)}      # below sample's t0 and classify's
 _ROWS = ([("config", kind, row) for kind, rows in cli._CONFIG_FIELDS.items()
           for row in rows]
          + [("flags", kind, row) for kind, (_, _, rows) in cli._COMMANDS.items()
