@@ -500,6 +500,9 @@ _CLASSIFY_ARGS = ["--t0", "1e5", "--t1", "1.0001e5", "--step", "1.0"]
                   "band_count": -3}, _CLASSIFY_ARGS),
     ("classify", {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5,
                   "band_count": True}, _CLASSIFY_ARGS),
+    ("predict", {"T": 1e4, "alpha": {"formula": "[]"}, "beta": [1]}, []),
+    ("curve", {"T": 100.0, "beta": [1.0, 2.0], "step": 0.05,
+               "deltas": [0.0]}, ["--out", "curve.csv"]),
 ])
 def test_config_boundary_exits_2(tmp_path, monkeypatch, capsys, kind, cfg, args):
     monkeypatch.chdir(tmp_path)
@@ -904,6 +907,49 @@ def test_band_count_past_the_sieve_from_a_config_file(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("zetacorr: ") and err.count("\n") == 1
     assert "band_count" in err and "19" in err
+
+
+def test_documented_classify_inputs_run():
+    # a band_count below the sieve's cap, the abscissa "one", and the
+    # default exponent scale, whose scheme is degenerate at this height
+    grid = {"t0": 1e5, "t1": 1.0001e5, "step": 1.0}
+    res = _run("classify", config={**_CLASSIFY_CONFIG, "band_count": 7},
+               **grid).payload["results"]
+    assert res["band_count"] == 7 and len(res["square_fractions"]) == 7
+    one = _run("classify", config={**_CLASSIFY_CONFIG, "abscissa": "one"},
+               **grid).payload
+    assert one["config"]["abscissa"] == "one" and one["results"]["points"] == 11
+    default = _run("classify", config={"T": 1e5, "beta": [1, 1]}, **grid).payload
+    assert default["results"]["degenerate"] is True
+    assert any("degenerate" in w for w in default["warnings"])
+
+
+def test_curve_beta_pair_reads_as_its_number(tmp_path):
+    runs = []
+    for i, beta in enumerate((1.0, [1.0, 1.0])):
+        out = tmp_path / f"curve{i}.csv"
+        rep = _run("curve", out=str(out), config={**_CURVE_CONFIG, "beta": beta})
+        runs.append((cli.canonical_json(rep.payload["results"]), out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("depth,step,message", [
+    (4, 0.0, "bad grid geometry"),
+    (7, 0.0125, "RS depth 7"),
+])
+def test_cache_with_a_valid_checksum_and_bad_header_exits_3(
+        tmp_path, capsys, depth, step, message):
+    count = 8497                                  # 98 .. 204.2 at 0.0125
+    body = struct.pack("<4sIIIddQ", b"ZGRD", 2, 1, depth, 98.0, step, count) \
+        + np.ones(count, dtype="<f8").tobytes()
+    cache = tmp_path / "grid.zgrd"
+    cache.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    cfg = _write_json(tmp_path / "m.json", {"T": 100.0, "alpha": [0.0],
+                                            "beta": [1.0], "step": 0.025})
+    rc = cli.main(["moment", "--config", cfg, "--cache", str(cache)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err and err.count("\n") == 1
 
 
 def test_null_parameter_takes_its_default():

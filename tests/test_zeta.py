@@ -1,6 +1,7 @@
 """Critical-line evaluators, the one-line helper, and grid caches."""
 
 import importlib.util
+import inspect
 import io
 import math
 import pathlib
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetacorr import _rs_series, sums, zeta
+from zetacorr import _rs_series, blocks, cli, dirichlet, moments, primes, sums, zeta
 from zetacorr.errors import (
     CacheFormatError,
     ConfigError,
@@ -80,8 +81,29 @@ def test_em_domain_errors():
         zeta.zeta_euler_maclaurin(1.0 + 0.0j)
     with pytest.raises(DomainError):
         zeta.zeta_euler_maclaurin(complex(0.5, 2e5))
-    with pytest.raises(DomainError):
-        zeta.zeta_euler_maclaurin(2.0 + 0.0j, precision_target=1e-15)
+    # outside -3 <= Re s <= 100; below it the float64 sum goes wrong
+    # (5e-2 relative at -8 + 1e5 i, 5e3 at -10 + 1e5 i) or overflows
+    for s in (100.01, -3.01, complex(-8.0, 1e5), complex(-10.0, 1e5),
+              complex(-49.9, 10.0)):
+        with pytest.raises(DomainError, match="reference strip"):
+            zeta.zeta_euler_maclaurin(s)
+
+
+def test_em_matches_mpmath_at_the_strips_corners():
+    for sigma in (-3.0, 0.5, 3.0, 100.0):
+        for height in (3.0, 3e3, 1e5):
+            for s in (complex(sigma, height), complex(sigma, -height)):
+                want = mpmath.zeta(mpmath.mpc(s.real, s.imag))
+                got = mpmath.mpc(zeta.zeta_euler_maclaurin(s))
+                assert abs(got - want) <= 1e-6 * abs(want), s
+
+
+def test_em_tail_bound_not_met_is_a_resource_error(monkeypatch):
+    monkeypatch.setattr(zeta, "_EM_TAIL", 0.0)
+    with pytest.raises(ResourceError, match="tail bound"):
+        zeta.zeta_euler_maclaurin(2.0 + 3.0j)
+    with pytest.raises(ResourceError, match="tail bound"):
+        zeta.zeta_one_line(3.0, 0.5)
 
 
 def test_first_zero_by_bisection():
@@ -160,13 +182,13 @@ def test_grid_shapes_and_coverage():
     for k in range(3):
         direct = abs(zeta.riemann_siegel_Z(grid.t_at(k), 2))
         assert abs(grid.values[k] - direct) <= 1e-9
-    single = zeta.sample_critical_line(100.0, 100.0, 0.05)
+    single = zeta.sample_critical_line(100.0, 100.0, 0.05, correction_terms=2)
     assert single.count == 1
     assert single.t_at(0) == 100.0
 
 
 def test_grid_last_sample_covers_t1():
-    grid = zeta.sample_critical_line(50.0, 51.0, 0.09)
+    grid = zeta.sample_critical_line(50.0, 51.0, 0.09, correction_terms=2)
     assert grid.t_stop >= 51.0 - 0.09
     assert grid.t_stop <= 51.0 + 0.09
 
@@ -228,14 +250,15 @@ def test_grid_and_scattered_paths_against_siegelz():
 
 
 def test_grid_workers_bit_identical():
-    a = zeta.sample_critical_line(200.0, 260.0, 0.01, workers=1)
-    b = zeta.sample_critical_line(200.0, 260.0, 0.01, workers=3)
+    a = zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=1)
+    b = zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=3)
     assert np.array_equal(a.values, b.values)
     # 80 001 nodes: two chunks, so more than one thread runs
-    one = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=1)
+    one = zeta.sample_critical_line(200.0, 1000.0, 0.01, correction_terms=2, workers=1)
     assert one.count == 80_001 > zeta._GRID_CHUNK
     for workers in (2, 3):
-        got = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
+        got = zeta.sample_critical_line(200.0, 1000.0, 0.01,
+                                        correction_terms=2, workers=workers)
         assert got.values.tobytes() == one.values.tobytes()
 
 
@@ -263,13 +286,13 @@ def test_grid_samples_depend_only_on_their_lattice_node():
 
 
 def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
-    one = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=1)
+    one = zeta.sample_critical_line(200.0, 1000.0, 0.01, correction_terms=2, workers=1)
 
     def no_fork():
         raise AssertionError("sampling forked a process")
 
     monkeypatch.setattr("os.fork", no_fork)
-    two = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=2)
+    two = zeta.sample_critical_line(200.0, 1000.0, 0.01, correction_terms=2, workers=2)
     assert two.values.tobytes() == one.values.tobytes()
 
     sizes = []
@@ -290,7 +313,7 @@ def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(zeta, "ThreadPoolExecutor", InlinePool)
-    zeta.sample_critical_line(200.0, 260.0, 0.01, workers=10 ** 6)
+    zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=10 ** 6)
     assert sizes == [1]
 
 
@@ -326,7 +349,8 @@ def test_sampler_runs_blas_at_one_thread_and_restores_it(blas_threads, monkeypat
     _recording_chunks(monkeypatch, get, seen)
     for workers in (1, 2):
         # 80 001 nodes: two chunks
-        zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
+        zeta.sample_critical_line(200.0, 1000.0, 0.01,
+                                  correction_terms=2, workers=workers)
         assert get() == 2
     assert seen == [1] * 4
 
@@ -342,7 +366,8 @@ def test_sampler_restores_blas_threads_after_a_chunk_raises(blas_threads,
     monkeypatch.setattr(zeta, "_z_on_grid", fails)
     for workers in (1, 2):
         with pytest.raises(ResourceError):
-            zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=workers)
+            zeta.sample_critical_line(200.0, 1000.0, 0.01,
+                                      correction_terms=2, workers=workers)
         assert get() == 2
 
 
@@ -356,7 +381,7 @@ def test_concurrent_samplers_leave_the_blas_count_they_found(blas_threads,
 
     def sample():
         try:
-            zeta.sample_critical_line(200.0, 260.0, 0.01, workers=2)
+            zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=2)
         except Exception as exc:          # reported below
             errors.append(exc)
 
@@ -375,24 +400,59 @@ def test_concurrent_samplers_leave_the_blas_count_they_found(blas_threads,
     assert get() == 2
 
 
+def test_sampler_threads_call_no_public_layer_function(monkeypatch):
+    # a tracer that wraps every public module-level function of the
+    # layers keeps one stack of spans, so none may run on a sampler thread
+    main, off_main = threading.get_ident(), []
+    for module in (primes, zeta, dirichlet, blocks, moments, cli):
+        for name, fn in list(vars(module).items()):
+            if name.startswith("_") or not inspect.isfunction(fn) \
+                    or fn.__module__ != module.__name__:
+                continue
+
+            def recorded(*args, _fn=fn, _name=name, **kwargs):
+                if threading.get_ident() != main:
+                    off_main.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+    # 80 001 nodes: two chunks on two threads
+    zeta.sample_critical_line(200.0, 1000.0, 0.01, correction_terms=2, workers=2)
+    assert off_main == []
+
+
 def test_sampling_without_a_blas_handle_gives_the_same_bytes(monkeypatch):
-    capped = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=2)
+    capped = zeta.sample_critical_line(200.0, 1000.0, 0.01,
+                                       correction_terms=2, workers=2)
     monkeypatch.setattr(sums, "_OPENBLAS", None)
-    free = zeta.sample_critical_line(200.0, 1000.0, 0.01, workers=2)
+    free = zeta.sample_critical_line(200.0, 1000.0, 0.01, correction_terms=2, workers=2)
     assert free.values.tobytes() == capped.values.tobytes()
+
+
+def test_rs_depth_has_no_default():
+    for fn in (zeta.riemann_siegel_Z, zeta.sample_critical_line):
+        param = inspect.signature(fn).parameters["correction_terms"]
+        assert param.default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        zeta.sample_critical_line(100.0, 100.1, 0.05)
 
 
 def test_grid_range_validation():
     with pytest.raises(DomainError):
-        zeta.sample_critical_line(5.0, 50.0, 0.05)
+        zeta.sample_critical_line(5.0, 50.0, 0.05, correction_terms=2)
     with pytest.raises(DomainError):
-        zeta.sample_critical_line(100.0, 50.0, 0.05)
+        zeta.sample_critical_line(100.0, 50.0, 0.05, correction_terms=2)
     with pytest.raises(DomainError):
-        zeta.sample_critical_line(50.0, 60.0, 0.2)
+        zeta.sample_critical_line(50.0, 60.0, 0.2, correction_terms=2)
     with pytest.raises(DomainError):
-        zeta.sample_critical_line(50.0, 60.0, 0.0)
+        zeta.sample_critical_line(50.0, 60.0, 0.0, correction_terms=2)
     with pytest.raises(DomainError):        # no lattice node in the window
-        zeta.sample_critical_line(100.0, 100.001, 0.01, anchor=99.995)
+        zeta.sample_critical_line(100.0, 100.001, 0.01, anchor=99.995,
+                                  correction_terms=2)
+    for workers in (0, -1, 1.0):
+        with pytest.raises(ConfigError, match="workers"):
+            zeta.sample_critical_line(100.0, 100.1, 0.05, correction_terms=2,
+                                      workers=workers)
 
 
 def test_grid_cache_round_trip():
@@ -405,7 +465,7 @@ def test_grid_cache_round_trip():
 
 
 def test_grid_cache_rejects_corruption():
-    grid = zeta.sample_critical_line(30.0, 31.0, 0.05)
+    grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=2)
     blob = zeta.cache_bytes(grid)
     with pytest.raises(CacheFormatError):
         zeta.cache_read(io.BytesIO(blob[: len(blob) // 2]))
