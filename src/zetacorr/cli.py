@@ -338,7 +338,7 @@ def read_config(rows, values: dict, what: str) -> dict:
 # handlers take the request and one dict of its flags and config fields,
 # parsed through their rows; each returns (results, warnings,
 # cache_versions, artifacts)
-# artifacts: list of (path, bytes) written by run() on success
+# artifacts: list of (path, str or bytes-like parts) written by run() on success
 
 
 def _handle_sample(config: ExperimentConfig, f: dict):
@@ -518,10 +518,10 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def _write_all(outputs) -> None:
-    """Write each (path, str or bytes) output to a temp file beside its
-    target, then, once every temp file is written, move each onto its
-    target.  An OSError removes the temp files left and becomes a
-    ConfigError, so an unwritable path leaves no output behind."""
+    """Write each (path, str or sequence of bytes-like parts) output to a
+    temp file beside its target, then, once every temp file is written,
+    move each onto its target.  An OSError removes the temp files left and
+    becomes a ConfigError, so an unwritable path leaves no output behind."""
     temps = []
     try:
         for i, (path, content) in enumerate(outputs):
@@ -530,8 +530,9 @@ def _write_all(outputs) -> None:
             tmp = f"{path}.{os.getpid()}-{i}.tmp"
             with open(tmp, "xb") as fh:
                 temps.append(tmp)
-                fh.write(content if isinstance(content, bytes)
-                         else content.encode("utf-8"))
+                for part in ((content.encode("utf-8"),)
+                             if isinstance(content, str) else content):
+                    fh.write(part)
         for (path, _), tmp in zip(outputs, temps):
             os.replace(tmp, path)
     except OSError as exc:

@@ -25,6 +25,7 @@ tested claim.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
@@ -55,6 +56,9 @@ _CRC = struct.Struct("<I")
 _FLAGS = 1                # bit 0: moduli; set in every grid written
 
 _GRID_CHUNK = 1 << 16     # lattice nodes per sampling chunk; fixed for determinism
+_REM_BLOCK = 512          # chunk nodes per remainder interpolant, from node 0
+_REM_DEGREE = 11          # the interpolant's degree
+_REM_SPAN = 0.06          # widest block in sqrt(t / 2 pi) an interpolant serves
 _EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
 _EM_MAX_K = 28            # tail-correction orders a pass may add
 _EM_TAIL = 5e-13          # the tail bound a pass must meet
@@ -199,6 +203,52 @@ def _remainder(a, n_cut, correction_terms):
     return sign * corr / np.sqrt(a)
 
 
+@functools.cache
+def _lobatto_basis():
+    """A block's Chebyshev-Lobatto points as node offsets 0 .. _REM_BLOCK - 1,
+    and their Lagrange basis at each offset, a row a point; formed on
+    first use, so an import that samples nothing does not grow."""
+    at = 0.5 * (_REM_BLOCK - 1) * (
+        1.0 - np.cos(np.pi * np.arange(_REM_DEGREE + 1) / _REM_DEGREE))
+    return at, np.array([
+        np.prod([(np.arange(_REM_BLOCK) - x) / (y - x) for x in at if x != y], axis=0)
+        for y in at])
+
+
+def _remainder_on_grid(chunk: UniformGrid, a, n_cut, lo: int, stop: int,
+                       correction_terms: int) -> np.ndarray:
+    """The remainder at a chunk's float64 nodes lo <= j < stop, whose
+    sqrt(t / 2 pi) and N are `a` and `n_cut`.
+
+    The chunk's blocks of _REM_BLOCK nodes from node 0 take it from the
+    degree-_REM_DEGREE interpolant of its values at their Chebyshev-Lobatto
+    points (the first and last node among them), a fixed-order elementwise
+    sum; a block over which N steps or sqrt(t / 2 pi) moves more than
+    _REM_SPAN takes the series node by node.  Both depend on the block
+    alone, never on the window.
+    """
+    at, basis = _lobatto_basis()
+    first = lo // _REM_BLOCK
+    blocks = np.arange(first, -(-stop // _REM_BLOCK), dtype=np.float64)
+    ab = np.sqrt((chunk.start + (blocks[:, None] * _REM_BLOCK + at)
+                  * chunk.step) / (2.0 * math.pi))
+    nb = np.floor(ab)
+    smooth = (nb[:, 0] == nb[:, -1]) & (ab[:, -1] - ab[:, 0] <= _REM_SPAN)
+    if not smooth.any():
+        return _remainder(a, n_cut, correction_terms)
+    exact = _remainder(ab[smooth], nb[smooth], correction_terms)
+    fit = exact[:, :1] * basis[0]
+    for m in range(1, _REM_DEGREE + 1):
+        fit += exact[:, m:m + 1] * basis[m]
+    out = np.empty((blocks.size, _REM_BLOCK))
+    out[smooth] = fit
+    cut = slice(lo - first * _REM_BLOCK, stop - first * _REM_BLOCK)
+    out, direct = out.ravel()[cut], np.repeat(~smooth, _REM_BLOCK)[cut]
+    if direct.any():
+        out[direct] = _remainder(a[direct], n_cut[direct], correction_terms)
+    return out
+
+
 def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
     """Hardy Z on scattered float64 points (t >= 10), one pass per term."""
     th = _theta(t)
@@ -224,9 +274,10 @@ def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
     The main sum is 2 Re(e^(i theta) S) with S = sum_{n <= N(t)}
     n^(-1/2) e^(-i t log n): `grid_sum` forms S at the chunk's nodes
     below `stop` over every n up to the N of its last node, with `shift`
-    folded into the amplitudes, and the terms above N(t) come off each
-    node.  theta is moved from the float64 node t to the real node by
-    its slope log sqrt(t / 2 pi); N(t) and the remainder are taken at t.
+    folded into the amplitudes; each term above N(t) comes off the nodes
+    below its jump by a one-term `grid_sum`.  theta is moved from the
+    float64 node t to the real node by its slope log sqrt(t / 2 pi); N(t)
+    and the remainder (`_remainder_on_grid`) are taken at t.
     """
     step = chunk.step
     off = np.arange(lo, stop, dtype=np.float64)    # j, for now
@@ -239,15 +290,15 @@ def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
     n_cut = np.floor(a)
     # theta and the remainder first, while fewer arrays are live
     th = _theta(t) + np.log(a) * off
-    rem = _remainder(a, n_cut, correction_terms)
+    rem = _remainder_on_grid(chunk, a, n_cut, lo, stop, correction_terms)
     last = chunk.start + (chunk.count - 1) * step
     n = np.arange(1.0, math.floor(math.sqrt(last / (2.0 * math.pi))) + 1.0)
-    amp, freqs = 1.0 / np.sqrt(n), np.log(n)
-    s = grid_sum(amp * np.exp(-1j * shift * freqs), freqs, chunk, stop)[lo:]
+    freqs = np.log(n)
+    amp = 1.0 / np.sqrt(n) * np.exp(-1j * shift * freqs)
+    s = grid_sum(amp, freqs, chunk, stop)[lo:]
     for m in range(int(n_cut[0]), n.size):
         below = int(np.searchsorted(n_cut, m + 1))   # nodes with N(t) <= m
-        phase = t[:below] * freqs[m] + off[:below] * freqs[m]
-        s[:below] -= amp[m] * np.exp(-1j * phase)
+        s[:below] -= grid_sum(amp[m:m + 1], freqs[m:m + 1], chunk, lo + below)[lo:]
     return 2.0 * (np.cos(th) * s.real - np.sin(th) * s.imag) + rem
 
 
@@ -283,7 +334,9 @@ def riemann_siegel_Z(t, correction_terms: int):
 
     These points are scattered: the main sum takes one pass per term.
     The grid path of `sample_critical_line` carries the same two terms,
-    at the real lattice node; its docstring has their size.
+    at the real lattice node, and a third: its remainder comes from an
+    interpolant per block of nodes, within 1e-13 of this path's series.
+    Its docstring has their size.
     """
     _check_depth(correction_terms)
     arr = np.asarray(t, dtype=np.float64)
@@ -359,8 +412,13 @@ def sample_critical_line(
 
     A sample is |Z| at the real node anchor + k step: a chunk's start is
     formed exactly, its rounding folded into the main sum's amplitudes,
-    and theta moved to the node to first order.  The error is
-    `riemann_siegel_Z`'s float64 phase rounding; at depth 4 and step
+    and theta moved to the node to first order.  The remainder at the
+    float64 node comes from a degree-11 interpolant on each aligned block
+    of 512 nodes (blocks over an N jump, or too wide in sqrt(t / 2 pi),
+    take the series node by node); against the series it is within
+    1e-13, and was within 3.6e-14 over T from 20 to 9.99e7, steps 0.005
+    to 0.1 and depths 0 to 6, about the series' own rounding.  The error
+    is `riemann_siegel_Z`'s float64 phase rounding; at depth 4 and step
     0.005, the worst |value - mpmath.siegelz(node)| over 22 nodes of the
     first two chunks (20 seeded, chunk 0's last, chunk 1's first) was:
 
@@ -373,7 +431,7 @@ def sample_critical_line(
             f"got [{t_start}, {t_stop}]")
     if not (0.0 < step <= STEP_MAX):
         raise DomainError(f"step must be in (0, {STEP_MAX}]")
-    if not (isinstance(workers, int) and workers >= 1):
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ConfigError(f"workers must be a positive int, got {workers}")
     anchor = t_start if anchor is None else anchor
     first = math.ceil((t_start - anchor) / step - 1e-9)
@@ -399,12 +457,13 @@ def sample_critical_line(
     return ZetaGrid(t_first, float(step), values, correction_terms)
 
 
-def cache_bytes(grid: ZetaGrid) -> bytes:
-    """The grid as a `ZGRD` cache file."""
+def cache_bytes(grid: ZetaGrid) -> tuple:
+    """The grid as a `ZGRD` cache file in three parts to write in order: the
+    header, the moduli (the grid's own buffer, not a copy) and the checksum."""
     head = _PREFIX.pack(_GRID_MAGIC, CACHE_VERSION) + _HEADER.pack(
         _FLAGS, grid.correction_terms, grid.t_start, grid.step, grid.count)
     data = np.ascontiguousarray(grid.values, dtype="<f8")
-    return b"".join((head, data, _CRC.pack(zlib.crc32(data, zlib.crc32(head)))))
+    return head, data, _CRC.pack(zlib.crc32(data, zlib.crc32(head)))
 
 
 def cache_read(path) -> ZetaGrid:

@@ -453,8 +453,8 @@ def test_output_naming_another_file_exits_2(tmp_path, monkeypatch, capsys,
     _write_json(tmp_path / "m.json", _VALID_CONFIGS["moment"])
     _write_json(tmp_path / "c.json", {**_VALID_CONFIGS["curve"], "step": 0.025})
     _write_json(tmp_path / "k.json", _CLASSIFY_CONFIG)
-    (tmp_path / "g.zgrd").write_bytes(zeta.cache_bytes(
-        zeta.sample_critical_line(98.0, 204.2, 0.0125, correction_terms=4)))
+    (tmp_path / "g.zgrd").write_bytes(b"".join(zeta.cache_bytes(
+        zeta.sample_critical_line(98.0, 204.2, 0.0125, correction_terms=4))))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     rc = cli.main([kind, *args])
     captured = capsys.readouterr()

@@ -285,6 +285,59 @@ def test_grid_samples_depend_only_on_their_lattice_node():
     assert near.values.tobytes() == below.values[77:281].tobytes()
 
 
+def test_interpolated_remainder_matches_the_direct_series():
+    # whole chunks, some with blocks over an N jump; at T = 20 and step
+    # 0.1 every block is too wide in sqrt(t / 2 pi) and takes the series
+    # node by node, bit for bit
+    straddled = interpolated = 0
+    for T in (20.0, 200.0, 2e3, 2e4, 1e5, 1e6, 1e7, 9.99e7):
+        for step in (0.005, 0.02, 0.1):
+            chunk = sums.UniformGrid(T, step, zeta._GRID_CHUNK)
+            t = chunk.nodes()
+            a = np.sqrt(t / (2.0 * math.pi))
+            n_cut = np.floor(a)
+            ends = n_cut.reshape(-1, zeta._REM_BLOCK)[:, [0, -1]]
+            straddled += int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
+            spans = np.diff(a.reshape(-1, zeta._REM_BLOCK)[:, [0, -1]])
+            interpolated += int(np.count_nonzero(spans <= zeta._REM_SPAN))
+            for depth in range(zeta.MAX_CORRECTION_TERMS + 1):
+                got = zeta._remainder_on_grid(chunk, a, n_cut, 0, chunk.count, depth)
+                direct = zeta._remainder(a, n_cut, depth)
+                if T == 20.0 and step == 0.1:
+                    assert got.tobytes() == direct.tobytes()
+                assert np.max(np.abs(got - direct)) <= 1e-13, (T, step, depth)
+    assert straddled >= 10 and interpolated >= 1000
+
+
+def test_grid_chunk_values_do_not_depend_on_the_window():
+    # windows that start and stop inside a remainder block, one block,
+    # one node, and blocks over an N jump (56 -> 57 at node 20 704) give
+    # the bytes of the whole chunk's run
+    chunk = sums.UniformGrid(2e4, 0.02, zeta._GRID_CHUNK)
+    whole = zeta._z_on_grid(chunk, 3e-12, 0, chunk.count, 4)
+    block = zeta._REM_BLOCK
+    for lo, stop in ((1000, 1900), (3000, 4200), (7 * block, 8 * block),
+                     (777, 778), (0, 1), (20_600, 20_800), (20_704, 20_705),
+                     (65_535, 65_536), (40_000, 65_536)):
+        got = zeta._z_on_grid(chunk, 3e-12, lo, stop, 4)
+        assert got.tobytes() == whole[lo:stop].tobytes(), (lo, stop)
+
+
+def test_sample_bytes_match_across_threads(tmp_path, monkeypatch):
+    # three chunks at T = 2e4 over which N steps from 56 to 61
+    monkeypatch.chdir(tmp_path)
+    blobs = set()
+    for threads in (1, 2, 3):
+        assert cli.main(["sample", "--t0", "20000", "--t1", "23932.14",
+                         "--step", "0.02", "--threads", str(threads),
+                         "--out", f"g{threads}.zgrd"]) == 0
+        blobs.add((tmp_path / f"g{threads}.zgrd").read_bytes())
+    grid = zeta.cache_read(tmp_path / "g1.zgrd")
+    assert grid.count == 196_608 and len(blobs) == 1
+    cut = np.floor(np.sqrt(grid.t_at(grid.count - 1) / (2.0 * math.pi)))
+    assert (np.floor(np.sqrt(grid.t_start / (2.0 * math.pi))), cut) == (56, 61)
+
+
 def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
     one = zeta.sample_critical_line(200.0, 1000.0, 0.01, correction_terms=2, workers=1)
 
@@ -449,7 +502,8 @@ def test_grid_range_validation():
     with pytest.raises(DomainError):        # no lattice node in the window
         zeta.sample_critical_line(100.0, 100.001, 0.01, anchor=99.995,
                                   correction_terms=2)
-    for workers in (0, -1, 1.0):
+    # True is an int to isinstance, but not a worker count
+    for workers in (0, -1, 1.0, True, False):
         with pytest.raises(ConfigError, match="workers"):
             zeta.sample_critical_line(100.0, 100.1, 0.05, correction_terms=2,
                                       workers=workers)
@@ -457,7 +511,7 @@ def test_grid_range_validation():
 
 def test_grid_cache_round_trip():
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=3)
-    back = zeta.cache_read(io.BytesIO(zeta.cache_bytes(grid)))
+    back = zeta.cache_read(io.BytesIO(b"".join(zeta.cache_bytes(grid))))
     assert back.t_start == grid.t_start
     assert back.step == grid.step
     assert back.correction_terms == 3
@@ -466,7 +520,7 @@ def test_grid_cache_round_trip():
 
 def test_grid_cache_rejects_corruption():
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=2)
-    blob = zeta.cache_bytes(grid)
+    blob = b"".join(zeta.cache_bytes(grid))
     with pytest.raises(CacheFormatError):
         zeta.cache_read(io.BytesIO(blob[: len(blob) // 2]))
     with pytest.raises(CacheFormatError):
@@ -485,8 +539,8 @@ def test_grid_cache_rejects_corruption():
         zeta.cache_read(io.BytesIO(v1))
 
 
-_BLOB = zeta.cache_bytes(
-    zeta.sample_critical_line(30.0, 30.3, 0.05, correction_terms=3))
+_BLOB = b"".join(zeta.cache_bytes(
+    zeta.sample_critical_line(30.0, 30.3, 0.05, correction_terms=3)))
 
 
 @settings(max_examples=100, deadline=None)
