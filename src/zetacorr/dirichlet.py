@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -373,14 +374,35 @@ def _lemma22_dps(beta_star: float, k_bound: float) -> int:
 
 
 def _lemma22_domain(p_value, beta, beta_star, k_bound) -> None:
+    p_value = complex(p_value)
+    if not all(map(math.isfinite,
+                   (p_value.real, p_value.imag, beta, beta_star, k_bound))):
+        raise DomainError(
+            f"need finite P, beta, beta_star and K, got "
+            f"{p_value}, {beta}, {beta_star}, {k_bound}")
     if beta < 0 or beta_star < max(beta, 1.0):
         raise DomainError("need 0 <= beta <= beta_star and beta_star >= 1")
     if k_bound <= 0:
         raise DomainError(f"block bound must be positive, got {k_bound}")
-    if abs(complex(p_value)) > 2.0 * k_bound * (1 + 1e-12):
+    if abs(p_value) > 2.0 * k_bound * (1 + 1e-12):
         raise DomainError(
-            f"|P| = {abs(complex(p_value))} exceeds the claimed disc radius "
+            f"|P| = {abs(p_value)} exceeds the claimed disc radius "
             f"2K = {2 * k_bound}; the inequality is not asserted there")
+
+
+def _mpc_power(w, d: int):
+    """w ** d for d >= 1 by binary powering in mpc products, each rounded
+    once at the working precision.  mpmath's own power goes through a
+    complex log and exp once d times the mantissa length passes 10 000
+    bits, which is most of the cost of a tail."""
+    out = None
+    while True:
+        if d & 1:
+            out = w if out is None else out * w
+        d >>= 1
+        if not d:
+            return out
+        w = w * w
 
 
 def lemma22_n_value(
@@ -396,21 +418,42 @@ def lemma22_n_value(
     takes none of the ascending series' cap terms and none of its
     cancellation: on the claimed disc |w| <= 2 K beta* < (cap + 2) / 10,
     so each tail term is under a tenth of the one before, and they are
-    summed until one no longer changes the result.  Raises the
-    DomainErrors of `lemma22_check`.
+    summed until one no longer changes the result.
+
+    With d = cap + 1, e^w is returned at once when a float bound puts
+    the first tail term |w|^d / d! more than dps + 5 digits below
+    |e^w| = e^(Re w).  The tail left out is then about 1e-4 of the
+    working precision's last place relative to |e^w|: the summation
+    would round it away unless one part of e^w were some 1e4 times
+    smaller than the other, and it lies far below the margin
+    e^(-10 K beta*) of `lemma22_check`.  Otherwise w^d comes from
+    binary powering in mpc products (`_mpc_power`), not from a complex
+    log and exp.  Raises the DomainErrors of `lemma22_check`.
     """
     _lemma22_domain(p_value, beta, beta_star, k_bound)
-    cap = int(math.floor(20.0 * beta_star * k_bound))
-    with mp.workdps(_lemma22_dps(beta_star, k_bound)):
+    d = int(math.floor(20.0 * beta_star * k_bound)) + 1
+    dps = _lemma22_dps(beta_star, k_bound)
+    with mp.workdps(dps):
         w = mp.mpc(p_value) * beta
         total = mp.exp(w)
-        d = cap + 1
-        term = w ** d / mp.factorial(d)
+        w_float = complex(p_value) * beta
+        if w_float == 0 or (
+                d * math.log(abs(w_float)) - math.lgamma(d + 1) - w_float.real
+                < -(dps + 5) * math.log(10.0)):
+            return total
+        term = _mpc_power(w, d) / mp.factorial(d)
         while total - term != total:
             total -= term
             d += 1
             term = term * w / d
         return total
+
+
+@functools.lru_cache(maxsize=64)
+def _one_plus_margin(beta_star: float, k_bound: float):
+    """1 + e^(-10 K beta*) at the working precision of (K, beta*)."""
+    with mp.workdps(_lemma22_dps(beta_star, k_bound)):
+        return 1 + mp.exp(mp.mpf(-10.0) * k_bound * beta_star)
 
 
 def lemma22_check(
@@ -429,16 +472,23 @@ def lemma22_check(
     than 1 (reciprocal form) is falsified already at P = 0.  Settled in
     extended precision; `n_value` should come from `lemma22_n_value` or
     carry comparable precision, since the margin is far below 1e-16.
+
+    Both sides are compared as they stand, with |N|^2 as
+    Re N^2 + Im N^2 and no square root or logarithm, and 1 + eps formed
+    once per (K, beta*).  The margin is at least eps = e^(-10 K beta*)
+    of the right side, and the working precision `_lemma22_dps` rounds
+    at about 10^-50 e^(-14 K beta*) of it, so no rounding can move a
+    decision.  A non-finite N is refused with DomainError, like the
+    other non-finite inputs.
     """
     _lemma22_domain(p_value, beta, beta_star, k_bound)
     with mp.workdps(_lemma22_dps(beta_star, k_bound)):
-        n_mag = abs(mp.mpc(n_value))
-        if n_mag == 0:
-            return False
-        lhs = 2 * mp.mpf(beta) * mp.mpc(p_value).real
-        eps = mp.exp(mp.mpf(-10.0) * k_bound * beta_star)
-        rhs = mp.log1p(eps) + 2 * mp.log(n_mag)
-        return bool(lhs <= rhs)
+        n_value = mp.mpc(n_value)
+        if not mp.isfinite(n_value):
+            raise DomainError(f"N must be finite, got {n_value}")
+        lhs = mp.exp(2 * mp.mpf(beta) * mp.mpf(complex(p_value).real))
+        n_sq = n_value.real * n_value.real + n_value.imag * n_value.imag
+        return bool(lhs <= _one_plus_margin(beta_star, k_bound) * n_sq)
 
 
 def splitting_check(tables, t_len: float) -> tuple:

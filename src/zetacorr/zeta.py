@@ -150,6 +150,8 @@ def zeta_one_line(delta: float, sigma_offset: float) -> complex:
     """zeta(1 + sigma_offset + i*delta), the correlation-factor abscissa."""
     if not (0.0 < sigma_offset <= 1.0):
         raise DomainError(f"sigma_offset must be in (0, 1], got {sigma_offset}")
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     if abs(delta) > 1.0e7:
         raise DomainError(f"|delta| = {abs(delta)} exceeds 1e7")
     # wider imaginary range than the reference wrapper: on the 1-line

@@ -4,6 +4,13 @@ Each check prints one PASS/FAIL line straight to the terminal (past
 the capture layer) and then asserts.  The expensive experiment runs
 are shared through session fixtures; the determinism check reuses the
 same reports rather than re-running them.
+
+The line ends with the check's own wall time, from the set-up of its
+`announce` fixture to the verdict.  pytest sets up session fixtures
+before function fixtures, so that time excludes the shared session
+runs (the sweep, curve and classification reports, the quadrature
+grid); checks 01 and 10 print the wall of their one-thread run in
+the detail.
 """
 
 import math
@@ -19,9 +26,13 @@ from zetacorr.moments import ShiftSpec
 
 @pytest.fixture
 def announce(capsys):
+    start = time.monotonic()
+
     def _go(num, ok, detail):
+        own = time.monotonic() - start
         with capsys.disabled():
-            print(f"\ncheck {num:02d}: {'PASS' if ok else 'FAIL'}  {detail}")
+            print(f"\ncheck {num:02d}: {'PASS' if ok else 'FAIL'}  {detail}"
+                  f"  [own {own:.1f}s]")
         assert ok, f"check {num:02d} failed: {detail}"
     return _go
 

@@ -522,6 +522,22 @@ def test_inverse_bound_degenerate_inputs():
     assert dirichlet.lemma22_check(3.0 + 1.0j, 0.0, 2.0, 5.0, n)
 
 
+def test_inverse_bound_refuses_non_finite_inputs():
+    nan, inf = math.nan, math.inf
+    bad_inputs = [(1j, nan, 1.0, 5.0), (complex(nan), 0.5, 1.0, 5.0),
+                  (complex(1.0, inf), 0.5, 1.0, 5.0), (1j, 0.5, nan, 5.0),
+                  (1j, 0.5, inf, 5.0), (1j, 0.5, 1.0, nan), (1j, 0.5, 1.0, inf),
+                  (1j, inf, inf, 5.0)]
+    for args in bad_inputs:
+        with pytest.raises(DomainError, match="finite"):
+            dirichlet.lemma22_n_value(*args)
+        with pytest.raises(DomainError, match="finite"):
+            dirichlet.lemma22_check(*args, 1.0 + 0.0j)
+    for n_val in (complex(nan), complex(1.0, inf), mpmath.mpc(nan, 0.0)):
+        with pytest.raises(DomainError, match="N must be finite"):
+            dirichlet.lemma22_check(1j, 0.5, 1.0, 5.0, n_val)
+
+
 def test_inverse_bound_rejects_outside_disc():
     for check in (
             lambda p, b, bs, k: dirichlet.lemma22_check(p, b, bs, k, 1.0 + 0.0j),
@@ -565,6 +581,55 @@ def _ascending_n_value(p_val, beta, b_star, k_bound):
             term = term * w / d
             total += term
         return total
+
+
+def _tail_n_value(p_val, beta, b_star, k_bound):
+    """Oracle for N: e^w minus the tail from its first term, formed by
+    mpmath's own complex power."""
+    with mpmath.workdps(dirichlet._lemma22_dps(b_star, k_bound)):
+        w = mpmath.mpc(p_val) * beta
+        total = mpmath.exp(w)
+        d = math.floor(20.0 * b_star * k_bound) + 1
+        term = w ** d / mpmath.factorial(d)
+        while total - term != total:
+            total -= term
+            d += 1
+            term = term * w / d
+        return total
+
+
+def _log_form_check(p_val, beta, b_star, k_bound, n_val):
+    """Oracle for the decision: 2 beta Re P <= log1p(eps) + 2 log |N|."""
+    with mpmath.workdps(dirichlet._lemma22_dps(b_star, k_bound)):
+        n_mag = abs(mpmath.mpc(n_val))
+        if n_mag == 0:
+            return False
+        lhs = 2 * mpmath.mpf(beta) * mpmath.mpc(p_val).real
+        eps = mpmath.exp(mpmath.mpf(-10.0) * k_bound * b_star)
+        return bool(lhs <= mpmath.log1p(eps) + 2 * mpmath.log(n_mag))
+
+
+def test_inverse_bound_matches_log_form_and_mpmath_power(monkeypatch):
+    # N without mpmath's complex power, checked against the tail formed
+    # with it; the squared check against the log form on N, where the
+    # inequality holds, and on N (1 - eps), where it fails, each by a
+    # margin of about eps
+    draws = _lemma22_draws(2000, 0x22D)
+    with monkeypatch.context() as patch:
+        def no_power(*args):
+            raise AssertionError("mpmath complex power reached")
+        patch.setattr(mpmath.mpc, "__pow__", no_power)
+        got = [dirichlet.lemma22_n_value(*draw) for draw in draws]
+    for draw, n_val in zip(draws, got):
+        _, _, b_star, k_bound = draw
+        want = _tail_n_value(*draw)
+        with mpmath.workdps(dirichlet._lemma22_dps(b_star, k_bound)):
+            eps = mpmath.exp(-10.0 * k_bound * b_star)
+            assert abs(n_val - want) <= 1e-40 * eps * abs(want), draw
+            moved = n_val * (1 - eps)
+        for n_try, holds in ((n_val, True), (moved, False)):
+            assert dirichlet.lemma22_check(*draw, n_try) is holds, draw
+            assert _log_form_check(*draw, n_try) is holds, draw
 
 
 def test_inverse_bound_n_value_matches_ascending_series():

@@ -174,6 +174,11 @@ def test_one_line_offset_validation():
         zeta.zeta_one_line(0.0, 0.0)
     with pytest.raises(DomainError):
         zeta.zeta_one_line(0.0, 1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="delta must be finite"):
+            zeta.zeta_one_line(bad, 0.1)
+        with pytest.raises(DomainError):
+            zeta.zeta_one_line(0.0, bad)
 
 
 def test_grid_shapes_and_coverage():
