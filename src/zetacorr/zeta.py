@@ -14,10 +14,14 @@ Two independent routes are deliberately kept separate:
     critical line.  It has two paths that share theta and the
     remainder.  `riemann_siegel_Z` takes scattered points and forms
     the main sum one term at a time; `sample_critical_line` samples the
-    lattice anchor + k step in aligned chunks of 2^16 nodes and forms
-    it as a Dirichlet polynomial per chunk through `sums.grid_sum`, so
-    a sample is taken at its real lattice node and depends on it alone.
-    Its threads own the cores: OpenBLAS runs at one thread under them.
+    lattice anchor + k step in aligned chunks of 2^16 nodes.  It forms
+    Z as a Dirichlet polynomial through `sums.grid_sum` at every node of
+    a chunk, or, where the RS truncation is negligible, at every q-th
+    lattice node only, and takes the rest from those by band-limited
+    interpolation: Z is real, and its frequencies stay below log
+    sqrt(t / 2 pi).  Either way a sample is taken at its real lattice
+    node and depends on it alone.  Its threads own the cores: OpenBLAS
+    runs at one thread under them.
 
 Do not route one through the other; agreement between them is itself a
 tested claim.
@@ -59,12 +63,21 @@ _GRID_CHUNK = 1 << 16     # lattice nodes per sampling chunk; fixed for determin
 _REM_BLOCK = 512          # chunk nodes per remainder interpolant, from node 0
 _REM_DEGREE = 11          # the interpolant's degree
 _REM_SPAN = 0.06          # widest block in sqrt(t / 2 pi) an interpolant serves
+_HALO = 32                # taps per side of the band-limited interpolant, and
+                          # coarse nodes past each end of an interpolated chunk
+_OVERSAMPLE = 3           # coarse nodes per Nyquist spacing of Z's band
+_Q_MAX = 256              # widest coarse spacing, in steps: the weights stay 128 kB
+_WINDOW_ROWS = 1024       # coarse windows gathered per interpolation product
+_SWITCH_BOUND = 1e-12     # a chunk interpolates where RS truncation is below this
 _EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
 _EM_MAX_K = 28            # tail-correction orders a pass may add
 _EM_TAIL = 5e-13          # the tail bound a pass must meet
 _EM_IMAG_MAX = 1.0e5
 
 MAX_CORRECTION_TERMS = 6  # remainder orders shipped in _rs_series
+# riemann_siegel_Z's measured c_R in the truncation bound c_R t^(-(2R+3)/4),
+# R = 0 .. 4; deeper remainders are taken at depth 4's bound
+_RS_C = (0.12, 0.056, 0.015, 0.031, 0.015)
 T_MIN = 10.0              # asymptotics below this are not supported
 T_MAX = 1.0e8
 STEP_MAX = 0.1
@@ -271,7 +284,8 @@ def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
 def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
                correction_terms: int) -> np.ndarray:
     """Hardy Z at the real nodes chunk.start + shift + j step, lo <= j <
-    stop, of a sampling chunk (t >= 10), for a small `shift`.
+    stop, of a sampling chunk or its coarse grid (t >= 10), for a small
+    `shift`.
 
     The main sum is 2 Re(e^(i theta) S) with S = sum_{n <= N(t)}
     n^(-1/2) e^(-i t log n): `grid_sum` forms S at the chunk's nodes
@@ -302,6 +316,75 @@ def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
         below = int(np.searchsorted(n_cut, m + 1))   # nodes with N(t) <= m
         s[:below] -= grid_sum(amp[m:m + 1], freqs[m:m + 1], chunk, lo + below)[lo:]
     return 2.0 * (np.cos(th) * s.real - np.sin(th) * s.imag) + rem
+
+
+def _coarse_factor(anchor: float, step: float, c: int, correction_terms: int) -> int:
+    """q for chunk c of the lattice anchor + k step: Z there comes from
+    every q-th lattice node, q steps being a third of the Nyquist spacing
+    pi / tau of Z's band tau = log sqrt(t / 2 pi) at the chunk's top.
+    0, to sample the chunk directly, when q < 2, when the _HALO coarse
+    nodes below the chunk would dip under 2 T_MIN, or when the RS
+    truncation bound at the lowest of them exceeds _SWITCH_BOUND: the
+    truncated series steps by about that much where N(t) does, and an
+    interpolant smears a step over its taps."""
+    top = anchor + ((c + 1) * _GRID_CHUNK - 1) * step
+    q = min(math.floor(2.0 * math.pi / (
+        _OVERSAMPLE * math.log(top / (2.0 * math.pi)) * step)), _Q_MAX)
+    bottom = anchor + (c * _GRID_CHUNK - _HALO * q) * step
+    r = min(correction_terms, len(_RS_C) - 1)
+    if q < 2 or bottom < 2.0 * T_MIN \
+            or _RS_C[r] * bottom ** (-(2 * r + 3) / 4) > _SWITCH_BOUND:
+        return 0
+    return q
+
+
+@functools.lru_cache(maxsize=16)
+def _sinc_weights(q: int) -> np.ndarray:
+    """The (2 _HALO, q) weights of the lattice node a q + r on the coarse
+    nodes (a - _HALO + 1 + p) q, p < 2 _HALO, which lie x = r/q + _HALO -
+    1 - p coarse spacings H below it: sinc(x) exp(-(x H)^2 / (2 sigma^2)),
+    sigma^2 = _HALO H / (beta (1 - 1/_OVERSAMPLE)), beta = pi / H, which
+    balances the Gaussian's spectral tail past the band against its value
+    at the last tap.  Node a q takes its coarse node's value exactly."""
+    frac = np.arange(q) / q
+    m = np.arange(_HALO - 1, -_HALO - 1, -1)[:, None]
+    x = frac + m
+    # sin(pi x) = (-1)^m sin(pi r / q), an exact 0 at r = 0
+    sin = np.where(m % 2, -1.0, 1.0) * np.sin(np.pi * frac)
+    sinc = np.divide(sin, np.pi * x, out=np.ones_like(x), where=x != 0.0)
+    weights = sinc * np.exp(
+        -x * x * (math.pi * (1.0 - 1.0 / _OVERSAMPLE) / (2.0 * _HALO)))
+    weights.flags.writeable = False
+    return weights
+
+
+def _z_interpolated(anchor: float, step: float, c: int, q: int,
+                    correction_terms: int) -> np.ndarray:
+    """Hardy Z at the 2^16 real nodes of chunk c of the lattice anchor + k
+    step, band-limited interpolation from Z at every q-th of them.
+
+    `_z_on_grid` takes Z at the ceil(2^16 / q) + 2 _HALO coarse nodes from
+    lattice node c 2^16 - _HALO q, one `UniformGrid` of spacing q step in
+    float64, so coarse node i lies within i ulp(q step) of its lattice
+    node (under 1e-12 in t).  Row a of fine nodes a q + r is its window of
+    2 _HALO coarse nodes times `_sinc_weights(q)`: one real product per
+    _WINDOW_ROWS rows, gathered into one reused block.  The chunk is
+    always formed whole, so its values depend on the chunk alone.
+    """
+    rows = -(-_GRID_CHUNK // q)
+    count = rows + 2 * _HALO
+    start, shift = lattice_node(anchor, step, c * _GRID_CHUNK - _HALO * q)
+    coarse = _z_on_grid(UniformGrid(start, q * step, count), shift, 0, count,
+                        correction_terms)
+    windows = np.lib.stride_tricks.sliding_window_view(coarse[1:], 2 * _HALO)
+    weights = _sinc_weights(q)
+    out = np.empty((rows, q))
+    block = np.empty((min(rows, _WINDOW_ROWS), 2 * _HALO))
+    for a in range(0, rows, _WINDOW_ROWS):
+        n = min(_WINDOW_ROWS, rows - a)
+        np.copyto(block[:n], windows[a:a + n])
+        np.matmul(block[:n], weights, out=out[a:a + n])
+    return out.ravel()[:_GRID_CHUNK]
 
 
 def _check_depth(correction_terms) -> None:
@@ -338,7 +421,10 @@ def riemann_siegel_Z(t, correction_terms: int):
     The grid path of `sample_critical_line` carries the same two terms,
     at the real lattice node, and a third: its remainder comes from an
     interpolant per block of nodes, within 1e-13 of this path's series.
-    Its docstring has their size.
+    Above the switch, where c_R t^(-(2R+3)/4) (depths 5 and 6 taking
+    depth 4's) is at most 1e-12, it forms Z so only at every q-th node
+    and interpolates the rest, a fourth term of about 3e-15 times the
+    main sum's size, below the rounding.  Its docstring has their size.
     """
     _check_depth(correction_terms)
     arr = np.asarray(t, dtype=np.float64)
@@ -403,29 +489,46 @@ def sample_critical_line(
 ) -> ZetaGrid:
     """Sample |zeta| at the nodes anchor + k step (k of either sign) of
     the lattice from `anchor` (default t_start) in [t_start, t_stop], with
-    a tiny slack.  Chunk c, the nodes c 2^16 <= k < (c + 1) 2^16, is one
-    `UniformGrid` from anchor + c 2^16 step whose main sum runs up to the
-    N of its last node however much of it the window uses, so a sample
-    depends only on the anchor, step, depth and k.  Up to `workers`
-    threads (numpy and BLAS release the GIL) fill the chunks in place,
-    and OpenBLAS runs at one thread while they do (`sums.one_blas_thread`;
-    the count before is restored, also when a chunk raises), so
-    `workers` threads use `workers` cores.
+    a tiny slack.  Chunk c, the nodes c 2^16 <= k < (c + 1) 2^16, is
+    always formed whole, from its own grid and however much of it the
+    window uses, so a sample depends only on the anchor, step, depth and
+    k.  Up to `workers` threads fill the chunks in place, and OpenBLAS
+    runs at one thread while they do (`sums.one_blas_thread`; the count
+    before is restored, also when a chunk raises).
 
-    A sample is |Z| at the real node anchor + k step: a chunk's start is
-    formed exactly, its rounding folded into the main sum's amplitudes,
-    and theta moved to the node to first order.  The remainder at the
-    float64 node comes from a degree-11 interpolant on each aligned block
-    of 512 nodes (blocks over an N jump, or too wide in sqrt(t / 2 pi),
-    take the series node by node); against the series it is within
-    1e-13, and was within 3.6e-14 over T from 20 to 9.99e7, steps 0.005
-    to 0.1 and depths 0 to 6, about the series' own rounding.  The error
-    is `riemann_siegel_Z`'s float64 phase rounding; at depth 4 and step
-    0.005, the worst |value - mpmath.siegelz(node)| over 22 nodes of the
-    first two chunks (20 seeded, chunk 0's last, chunk 1's first) was:
+    A sample is |Z| at the real node anchor + k step.  `_coarse_factor`
+    picks one of two ways for chunk c, from the anchor, step, depth and
+    c alone:
 
-        T:      2e4      1e5      1e6     1e7     9.99e7
-        error:  1.1e-10  7.9e-10  1.6e-8  8.3e-8  6.1e-7
+      * band-limited interpolation (`_z_interpolated`).  Z is real and
+        its frequencies stay within tau = log sqrt(t / 2 pi), so its
+        values at every q-th lattice node, q step a third of the Nyquist
+        spacing pi / tau at the chunk's top, fix it: each node is a
+        Gaussian-windowed sinc over its 64 nearest coarse nodes, whose
+        truncation and aliasing are each about exp(-32 pi / 3) = 3e-15
+        of the sum's size.  Taken when q >= 2 and the 32 coarse nodes
+        below the chunk stay above 2 T_MIN with the RS truncation bound
+        c_R t^(-(2R+3)/4) there at most 1e-12: at depth 4 from about
+        T = 5 000, at depth 3 from 4.6e4, at depth 2 from 6.5e5, and at
+        depths 0 and 1 never, since below it the truncated series steps
+        where N(t) does.
+      * direct: the chunk's Dirichlet polynomial at every node.
+
+    Both form Z at their nodes through `_z_on_grid`: the grid's start is
+    formed exactly and its rounding folded into the main sum's
+    amplitudes, theta moves to the node to first order, and the
+    remainder comes from a degree-11 interpolant per aligned block of
+    512 nodes, within 1e-13 of the series (blocks over an N jump, or too
+    wide in sqrt(t / 2 pi), take the series node by node).  The error is
+    `riemann_siegel_Z`'s float64 phase rounding, and the two ways differ
+    by about that much.  At depth 4 and step 0.005, over three seeded
+    sets of 22 nodes of the first two chunks (20 drawn, chunk 0's last,
+    chunk 1's first), the worst |value - mpmath.siegelz(node)| was, with
+    the direct way's on the same nodes:
+
+        T:             2e4      1e5      1e6     1e7     9.99e7
+        interpolated:  8.2e-11  4.4e-10  8.1e-9  1.4e-7  9.9e-7
+        direct:        2.1e-10  7.9e-10  1.6e-8  1.7e-7  2.0e-6
     """
     if not (T_MIN <= t_start <= t_stop <= T_MAX):
         raise DomainError(
@@ -447,10 +550,14 @@ def sample_critical_line(
     def fill(c: int) -> None:
         k0 = c * _GRID_CHUNK - first      # the chunk's node 0 in `values`
         lo, stop = max(-k0, 0), min(count - k0, _GRID_CHUNK)
-        start, shift = lattice_node(anchor, step, c * _GRID_CHUNK)
-        values[k0 + lo:k0 + stop] = np.abs(_z_on_grid(
-            UniformGrid(start, step, _GRID_CHUNK), shift, lo, stop,
-            correction_terms))
+        q = _coarse_factor(anchor, step, c, correction_terms)
+        if q:
+            z = _z_interpolated(anchor, step, c, q, correction_terms)[lo:stop]
+        else:
+            start, shift = lattice_node(anchor, step, c * _GRID_CHUNK)
+            z = _z_on_grid(UniformGrid(start, step, _GRID_CHUNK), shift, lo,
+                           stop, correction_terms)
+        values[k0 + lo:k0 + stop] = np.abs(z)
 
     chunks = range(first // _GRID_CHUNK, (first + count - 1) // _GRID_CHUNK + 1)
     with one_blas_thread(), ThreadPoolExecutor(

@@ -254,6 +254,103 @@ def test_grid_and_scattered_paths_against_siegelz():
         assert on_grid <= 2.0 * scattered
 
 
+def _direct_chunk(anchor, step, c, depth):
+    """Chunk c of the lattice anchor + k step, sampled directly."""
+    start, shift = sums.lattice_node(anchor, step, c * zeta._GRID_CHUNK)
+    chunk = sums.UniformGrid(start, step, zeta._GRID_CHUNK)
+    return zeta._z_on_grid(chunk, shift, 0, chunk.count, depth)
+
+
+def test_interpolated_chunks_against_siegelz():
+    # 12 seeded nodes of chunk 0 at each height: the band-limited
+    # interpolant's worst error is at most twice the direct chunk's, both
+    # being float64 phase rounding, and at every node the two are within
+    # 1e-13 T of each other
+    h, rng = 0.01, random.Random(0x2E4)
+    for T in (2e4, 1e5):
+        assert zeta._coarse_factor(T, h, 0, 4) > 0
+        grid = zeta.sample_critical_line(T, T + (zeta._GRID_CHUNK - 1) * h, h,
+                                         correction_terms=4)
+        direct = np.abs(_direct_chunk(T, h, 0, 4))
+        assert np.max(np.abs(grid.values - direct)) <= 1e-13 * T
+        ks = [rng.randrange(zeta._GRID_CHUNK) for _ in range(12)]
+        with mpmath.workdps(30):
+            want = np.array([abs(float(mpmath.siegelz(mpmath.mpf(T) + k * mpmath.mpf(h))))
+                             for k in ks])
+        worst = np.max(np.abs(grid.values[ks] - want))
+        assert worst <= 2.0 * np.max(np.abs(direct[ks] - want)), T
+
+
+def test_band_limited_weights_reproduce_a_band_limited_signal():
+    # on coarse spacing H = 1, a signal whose frequencies stay below the
+    # band pi / 3 that `_coarse_factor` allows: the windowed sinc meets it
+    # to about exp(-pi _HALO / 3) times its size, and takes a coarse
+    # node's own value at residue 0, bit for bit; q stops at _Q_MAX
+    assert zeta._coarse_factor(2e4, 1e-4, 0, 4) == zeta._Q_MAX
+
+    def signal(x):
+        return 2.0 * np.cos(np.pi / 3.0 * x + 0.3) + np.sin(0.2 * x) + 0.5
+    for q in (2, 7, 25, zeta._Q_MAX):
+        weights = zeta._sinc_weights(q)
+        coarse = signal(np.arange(-zeta._HALO, 40 + zeta._HALO, dtype=np.float64))
+        windows = np.lib.stride_tricks.sliding_window_view(coarse[1:], 2 * zeta._HALO)
+        got = (np.ascontiguousarray(windows[:40]) @ weights).ravel()
+        assert np.max(np.abs(got - signal(np.arange(40 * q) / q))) <= 1e-12, q
+        assert got[::q].tobytes() == coarse[zeta._HALO:zeta._HALO + 40].tobytes()
+
+
+def test_chunks_below_the_switch_are_sampled_directly():
+    # a chunk takes the direct path, bit for bit, when the RS truncation
+    # bound at its halo's bottom exceeds 1e-12 (depth 4 below about 5 000,
+    # depth 1 at any height), when its halo would dip under 2 T_MIN, or
+    # when the coarse spacing would be under two steps
+    h = 0.01
+    assert zeta._coarse_factor(4000.0, h, 0, 4) == 0
+    assert zeta._coarse_factor(6000.0, h, 0, 4) > 0
+    assert zeta._coarse_factor(2e4, h, 0, 1) == 0
+    assert zeta._coarse_factor(15.0, h, 0, 4) == 0
+    assert zeta._coarse_factor(9e7, 0.1, 0, 6) == 0
+    for T, depth, step in ((4000.0, 4, h), (2e4, 1, h), (9e7, 6, 0.1)):
+        grid = zeta.sample_critical_line(T, T + 3000 * step, step,
+                                         correction_terms=depth)
+        direct = np.abs(_direct_chunk(T, step, 0, depth))
+        assert grid.values.tobytes() == direct[:grid.count].tobytes(), T
+    # so does chunk -1 of the lattice from 5 600, whose halo reaches down
+    # to 4 935, beside its chunk 0, which interpolates
+    assert zeta._coarse_factor(5600.0, h, -1, 4) == 0
+    assert zeta._coarse_factor(5600.0, h, 0, 4) > 0
+    below = zeta.sample_critical_line(5590.0, 5610.0, h, anchor=5600.0,
+                                      correction_terms=4)
+    assert below.values[:1000].tobytes() == np.abs(
+        _direct_chunk(5600.0, h, -1, 4))[-1000:].tobytes()
+
+
+def test_interpolated_bytes_depend_only_on_the_lattice_node(monkeypatch):
+    # T = 2e4 is above the switch at depth 4, so every chunk interpolates:
+    # workers 1, 2 and 3, windows that end in chunks 1 and 2, a window
+    # from below its anchor (chunks -1 and 0) and OpenBLAS left at its
+    # own thread count all give the same bytes
+    h = 0.01
+    one = zeta.sample_critical_line(2e4, 2e4 + 150_000 * h, h, correction_terms=4)
+    assert one.count == 150_001
+    for workers in (2, 3):
+        got = zeta.sample_critical_line(2e4, 2e4 + 150_000 * h, h,
+                                        correction_terms=4, workers=workers)
+        assert got.values.tobytes() == one.values.tobytes()
+    short = zeta.sample_critical_line(2e4, 2e4 + 70_000 * h, h, correction_terms=4)
+    assert short.values.tobytes() == one.values[:70_001].tobytes()
+    below = zeta.sample_critical_line(2e4 - 500 * h, 2e4 + 1000 * h, h, anchor=2e4,
+                                      correction_terms=4, workers=2)
+    assert below.count == 1501
+    assert below.values[500:].tobytes() == one.values[:1001].tobytes()
+    assert below.values[:500].tobytes() == np.abs(zeta._z_interpolated(
+        2e4, h, -1, zeta._coarse_factor(2e4, h, -1, 4), 4))[-500:].tobytes()
+    monkeypatch.setattr(sums, "_OPENBLAS", None)
+    free = zeta.sample_critical_line(2e4, 2e4 + 150_000 * h, h,
+                                     correction_terms=4, workers=2)
+    assert free.values.tobytes() == one.values.tobytes()
+
+
 def test_grid_workers_bit_identical():
     a = zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=1)
     b = zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=3)
