@@ -236,6 +236,16 @@ def _band_count(val, fields=None) -> int:
     return val
 
 
+def _within(lo: float, hi: float, why: str = ""):
+    """A parser of one real in [lo, hi]."""
+    def parse(val, fields=None) -> float:
+        out = _real(val)
+        if not lo <= out <= hi:
+            raise ConfigError(f"must lie in [{lo:g}, {hi:g}]{why}, got {out:g}")
+        return out
+    return parse
+
+
 def _rs_terms(val, fields=None) -> int:
     if not 0 <= _int(val) <= zeta.MAX_CORRECTION_TERMS:
         raise ConfigError(f"must lie in 0..{zeta.MAX_CORRECTION_TERMS}, got {val}")
@@ -305,11 +315,14 @@ _CONFIG_FIELDS = {
 # property -> (driver, rows); `verify` refuses every other key
 _VERIFY = {
     "lemma21": (verify.lemma21, (("points", _count, 10_000),
-                                 ("t_height", _real, 1e5))),
+                                 ("t_height", _within(
+                                     zeta.T_MIN, zeta.T_MAX / 2,
+                                     ", as its grid spans [T, 2T)"), 1e5))),
     "lemma22": (verify.lemma22, (("trials", _count, 10_000),)),
     "lemma23": (verify.lemma23, (("trials", _count, 100),)),
     "lemma24": (verify.lemma24, (("trials", _count, 50),)),
-    "lemma26": (verify.lemma26, (("x_cutoff", _real, 1e5),)),
+    "lemma26": (verify.lemma26, (("x_cutoff", _within(
+                                     math.e, primes.SIEVE_LIMIT_MAX), 1e5),)),
     "lemma33": (verify.lemma33, (("trials", _count, 1000),)),
     "prop34": (verify.prop34, (("trials", _count, 50),)),
 }

@@ -118,7 +118,8 @@ def pretentious_cos_sum(table: PrimeTable, x_cutoff: float,
     """
     if x_cutoff < 2:
         raise DomainError(f"cutoff must be >= 2, got {x_cutoff}")
-    ps = table.primes_between(1, x_cutoff).astype(np.float64)
+    # p <= X for a prime p just when p <= floor(X), the sieve's limit
+    ps = table.primes_between(1, math.floor(x_cutoff)).astype(np.float64)
     return np.ascontiguousarray(grid_sum(1.0 / ps, np.log(ps), deltas).real)
 
 

@@ -60,9 +60,6 @@ _CRC = struct.Struct("<I")
 _FLAGS = 1                # bit 0: moduli; set in every grid written
 
 _GRID_CHUNK = 1 << 16     # lattice nodes per sampling chunk; fixed for determinism
-_REM_BLOCK = 512          # chunk nodes per remainder interpolant, from node 0
-_REM_DEGREE = 11          # the interpolant's degree
-_REM_SPAN = 0.06          # widest block in sqrt(t / 2 pi) an interpolant serves
 _HALO = 32                # taps per side of the band-limited interpolant, and
                           # coarse nodes past each end of an interpolated chunk
 _OVERSAMPLE = 3           # coarse nodes per Nyquist spacing of Z's band
@@ -173,8 +170,9 @@ def zeta_one_line(delta: float, sigma_offset: float) -> complex:
 
 
 def _theta(t: np.ndarray) -> np.ndarray:
-    """Phase function for the critical line at float64 points; the one
-    check of t >= T_MIN on the points of both Z paths."""
+    """Phase function for the critical line at float64 points; the grid
+    path's check of t >= T_MIN (an interpolated chunk's halo may pass
+    T_MAX, so `riemann_siegel_Z` checks its points' range itself)."""
     if np.any(t < T_MIN):
         raise DomainError(f"critical-line evaluator needs t >= {T_MIN}")
     half = 0.5 * t
@@ -218,52 +216,6 @@ def _remainder(a, n_cut, correction_terms):
     return sign * corr / np.sqrt(a)
 
 
-@functools.cache
-def _lobatto_basis():
-    """A block's Chebyshev-Lobatto points as node offsets 0 .. _REM_BLOCK - 1,
-    and their Lagrange basis at each offset, a row a point; formed on
-    first use, so an import that samples nothing does not grow."""
-    at = 0.5 * (_REM_BLOCK - 1) * (
-        1.0 - np.cos(np.pi * np.arange(_REM_DEGREE + 1) / _REM_DEGREE))
-    return at, np.array([
-        np.prod([(np.arange(_REM_BLOCK) - x) / (y - x) for x in at if x != y], axis=0)
-        for y in at])
-
-
-def _remainder_on_grid(chunk: UniformGrid, a, n_cut, lo: int, stop: int,
-                       correction_terms: int) -> np.ndarray:
-    """The remainder at a chunk's float64 nodes lo <= j < stop, whose
-    sqrt(t / 2 pi) and N are `a` and `n_cut`.
-
-    The chunk's blocks of _REM_BLOCK nodes from node 0 take it from the
-    degree-_REM_DEGREE interpolant of its values at their Chebyshev-Lobatto
-    points (the first and last node among them), a fixed-order elementwise
-    sum; a block over which N steps or sqrt(t / 2 pi) moves more than
-    _REM_SPAN takes the series node by node.  Both depend on the block
-    alone, never on the window.
-    """
-    at, basis = _lobatto_basis()
-    first = lo // _REM_BLOCK
-    blocks = np.arange(first, -(-stop // _REM_BLOCK), dtype=np.float64)
-    ab = np.sqrt((chunk.start + (blocks[:, None] * _REM_BLOCK + at)
-                  * chunk.step) / (2.0 * math.pi))
-    nb = np.floor(ab)
-    smooth = (nb[:, 0] == nb[:, -1]) & (ab[:, -1] - ab[:, 0] <= _REM_SPAN)
-    if not smooth.any():
-        return _remainder(a, n_cut, correction_terms)
-    exact = _remainder(ab[smooth], nb[smooth], correction_terms)
-    fit = exact[:, :1] * basis[0]
-    for m in range(1, _REM_DEGREE + 1):
-        fit += exact[:, m:m + 1] * basis[m]
-    out = np.empty((blocks.size, _REM_BLOCK))
-    out[smooth] = fit
-    cut = slice(lo - first * _REM_BLOCK, stop - first * _REM_BLOCK)
-    out, direct = out.ravel()[cut], np.repeat(~smooth, _REM_BLOCK)[cut]
-    if direct.any():
-        out[direct] = _remainder(a[direct], n_cut[direct], correction_terms)
-    return out
-
-
 def _z_kernel(t: np.ndarray, correction_terms: int) -> np.ndarray:
     """Hardy Z on scattered float64 points (t >= 10), one pass per term."""
     th = _theta(t)
@@ -293,7 +245,8 @@ def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
     folded into the amplitudes; each term above N(t) comes off the nodes
     below its jump by a one-term `grid_sum`.  theta is moved from the
     float64 node t to the real node by its slope log sqrt(t / 2 pi); N(t)
-    and the remainder (`_remainder_on_grid`) are taken at t.
+    and the remainder (`_remainder`, the scattered path's series) are
+    taken at t.
     """
     step = chunk.step
     off = np.arange(lo, stop, dtype=np.float64)    # j, for now
@@ -306,7 +259,7 @@ def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
     n_cut = np.floor(a)
     # theta and the remainder first, while fewer arrays are live
     th = _theta(t) + np.log(a) * off
-    rem = _remainder_on_grid(chunk, a, n_cut, lo, stop, correction_terms)
+    rem = _remainder(a, n_cut, correction_terms)
     last = chunk.start + (chunk.count - 1) * step
     n = np.arange(1.0, math.floor(math.sqrt(last / (2.0 * math.pi))) + 1.0)
     freqs = np.log(n)
@@ -396,7 +349,8 @@ def _check_depth(correction_terms) -> None:
 
 
 def riemann_siegel_Z(t, correction_terms: int):
-    """Hardy Z(t): real, with |Z(t)| = |zeta(1/2 + it)|.
+    """Hardy Z(t): real, with |Z(t)| = |zeta(1/2 + it)|; DomainError for
+    a point that is not finite or lies outside [T_MIN, T_MAX].
 
     `correction_terms` = R selects the remainder depth (0..6); the
     absolute error behaves like c * t^(-(2R+3)/4).  Constants measured
@@ -418,16 +372,19 @@ def riemann_siegel_Z(t, correction_terms: int):
     20 nodes gave 4.5e-9 and 9.3e-7.
 
     These points are scattered: the main sum takes one pass per term.
-    The grid path of `sample_critical_line` carries the same two terms,
-    at the real lattice node, and a third: its remainder comes from an
-    interpolant per block of nodes, within 1e-13 of this path's series.
-    Above the switch, where c_R t^(-(2R+3)/4) (depths 5 and 6 taking
-    depth 4's) is at most 1e-12, it forms Z so only at every q-th node
-    and interpolates the rest, a fourth term of about 3e-15 times the
-    main sum's size, below the rounding.  Its docstring has their size.
+    The grid path of `sample_critical_line` forms theta and the
+    remainder as here, so it carries the same two terms, at the real
+    lattice node.  Above the switch, where c_R t^(-(2R+3)/4) (depths 5
+    and 6 taking depth 4's) is at most 1e-12, it forms Z so only at
+    every q-th node and interpolates the rest, a third term of about
+    3e-15 times the main sum's size, below the rounding.  Its docstring
+    has their size.
     """
     _check_depth(correction_terms)
     arr = np.asarray(t, dtype=np.float64)
+    if not np.all((arr >= T_MIN) & (arr <= T_MAX)):     # also nan
+        raise DomainError(
+            f"critical-line evaluator needs finite {T_MIN} <= t <= {T_MAX}")
     scalar = arr.ndim == 0
     out = _z_kernel(np.atleast_1d(arr), correction_terms)
     return float(out[0]) if scalar else out
@@ -517,9 +474,7 @@ def sample_critical_line(
     Both form Z at their nodes through `_z_on_grid`: the grid's start is
     formed exactly and its rounding folded into the main sum's
     amplitudes, theta moves to the node to first order, and the
-    remainder comes from a degree-11 interpolant per aligned block of
-    512 nodes, within 1e-13 of the series (blocks over an N jump, or too
-    wide in sqrt(t / 2 pi), take the series node by node).  The error is
+    remainder is the RS series at each node.  The error is
     `riemann_siegel_Z`'s float64 phase rounding, and the two ways differ
     by about that much.  At depth 4 and step 0.005, over three seeded
     sets of 22 nodes of the first two chunks (20 drawn, chunk 0's last,

@@ -254,6 +254,10 @@ def test_grid_count_over_cap_exits_5(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["verify", "lemma26", "--x-cutoff", "1e300"],
     ["verify", "lemma21", "--t-height", "1e300"],
+    # refused by their own rows: lemma21's grid [T, 2T) would pass T_MAX,
+    # and lemma26's offset 1/log X would pass 1
+    ["verify", "lemma21", "--t-height", "6e7"],
+    ["verify", "lemma26", "--x-cutoff", "2.5"],
 ])
 def test_sieve_limit_error_is_one_short_line(capsys, argv):
     # the refused limit is printed in short form, not as 301 digits
@@ -261,6 +265,8 @@ def test_sieve_limit_error_is_one_short_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("zetacorr: ") and err.count("\n") == 1
     assert len(err) < 200
+    if argv[3] in ("6e7", "2.5"):
+        assert f"parameter '{argv[2][2:].replace('-', '_')}'" in err
 
 
 def test_cache_mismatch_exits_3(tmp_path, capsys):

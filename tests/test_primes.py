@@ -75,6 +75,9 @@ def test_prime_sum_cos_reciprocal_example(table_small):
     # delta=0, X=10: 1/2 + 1/3 + 1/5 + 1/7
     got = primes.pretentious_cos_sum(table_small, 10.0, _at(0.0))[0]
     assert math.isclose(got, 1.176190476190476, rel_tol=1e-15)
+    # a cutoff between integers needs only the sieve to its floor
+    ten = primes.sieve_primes(10)
+    assert primes.pretentious_cos_sum(ten, 10.5, _at(0.0))[0] == got
 
 
 def test_prime_sum_cos_single_term(table_small):
