@@ -153,12 +153,9 @@ def build_scheme(
     for j in range(1, levels + 1):
         log_t_seq.append(log_t * math.exp(j - 1) / (l2 * l2))
     k_seq = [l2 ** 1.5 * math.exp(-j / 2.0) for j in range(1, levels + 1)]
-    for a, b in zip(log_t_seq, log_t_seq[1:]):
-        if not a < b:
-            raise DomainError("block boundaries failed to increase")
-    for a, b in zip(k_seq, k_seq[1:]):
-        if not a > b:
-            raise DomainError("block cutoffs failed to decrease")
+    # log T_1 >= e^2 / 4 > log 2, and each next is e times it, unless inf
+    if not math.isfinite(log_t_seq[-1]):
+        raise DomainError(f"log T_{levels} overflows at log T = {log_t:g}")
     return BlockScheme(
         log_t=float(log_t),
         levels=levels,

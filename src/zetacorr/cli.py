@@ -95,7 +95,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bytes not UTF-8, ints past 4 300 digits and deep nesting
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")

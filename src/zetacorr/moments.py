@@ -33,6 +33,7 @@ from .zeta import (
     CACHE_VERSION,
     ZetaGrid,
     cache_read,
+    lattice_bracket,
     sample_critical_line,
     zeta_one_line,
 )
@@ -80,12 +81,8 @@ def snap_shifts(alpha, step: float):
 
     Returns (snapped, residuals); residual = alpha_k - snapped_k.
     """
-    snapped, residuals = [], []
-    for a in alpha:
-        s = step * round(a / step)
-        snapped.append(s)
-        residuals.append(a - s)
-    return tuple(snapped), tuple(residuals)
+    snapped = tuple(step * round(a / step) for a in alpha)
+    return snapped, tuple(a - s for a, s in zip(alpha, snapped))
 
 
 def _shift_groups(grid: ZetaGrid, t_height: float, alpha, beta):
@@ -118,7 +115,8 @@ def _products(moduli, groups, i0: int, i1: int) -> np.ndarray:
 
 def _simpson_rule(t_len: float, h: float, r: int):
     """(r, step, n_steps, partial, ends) of the rule on every r-th node
-    of a grid at step h, so at step r*h.
+    of a grid at step h, so at step r*h: a partial cell is left unless
+    t_len names a node (`zeta.lattice_bracket`).
 
     Simpson weights step/3 * (1, 4, 2, 4, ..., 4, 1) need an even
     interval count; an odd count ends in one trapezoid cell, weights
@@ -126,10 +124,8 @@ def _simpson_rule(t_len: float, h: float, r: int):
     parity; `ends` maps each end node to what its weight adds to that.
     """
     step = r * h
-    n_steps = int(math.floor(t_len / step + 1e-9))
-    partial = t_len - n_steps * step
-    if partial < 1e-9 * step:
-        partial = 0.0
+    n_steps, top = lattice_bracket(t_len / step)
+    partial = t_len - n_steps * step if top > n_steps else 0.0
     ends = {0: -1.0 / 3.0}
     if n_steps % 2:
         # 1/3 + 1/2 on an even node, 1/2 on an odd one
@@ -137,6 +133,12 @@ def _simpson_rule(t_len: float, h: float, r: int):
     else:
         ends[n_steps] = -1.0 / 3.0
     return r, step, n_steps, partial, ends
+
+
+def _reach(rules) -> int:
+    """The last fine node from a shift's window start that `_simpson_pass`
+    reads: a partial cell reads one rule node past n_steps."""
+    return max(r * (n + (partial > 0.0)) for r, _, n, partial, _ in rules)
 
 
 def _simpson_pass(moduli, groups, rules) -> tuple:
@@ -194,14 +196,11 @@ def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> tuple:
             f"publication step {2 * h} exceeds the {STEP_LIMIT} resolution bound")
     t_len = spec.t_height
     groups = _shift_groups(grid, t_len, spec.alpha, spec.beta)
-    rules = [_simpson_rule(t_len, h, 2), _simpson_rule(t_len, h, 1)]
-    for base, _ in groups:
-        for r, _, n_steps, partial, _ in rules:
-            need_top = n_steps + (2 if partial > 0.0 else 0)
-            if base < 0 or base + r * need_top >= grid.count:
-                raise CoverageError(
-                    f"grid [{grid.t_start}, {grid.t_stop}] cannot cover the "
-                    f"window [{t_len}, {2.0 * t_len}] for all shifts")
+    rules = [_simpson_rule(t_len, h, r) for r in (2, 1)]
+    if groups and (groups[0][0] < 0 or groups[-1][0] + _reach(rules) >= grid.count):
+        raise CoverageError(
+            f"grid [{grid.t_start}, {grid.t_stop}] cannot cover the "
+            f"window [{t_len}, {2.0 * t_len}] for all shifts")
     if not groups:
         # all exponents zero: the integrand is identically 1
         return t_len, t_len
@@ -212,13 +211,13 @@ def moment_window(t_height: float, alpha, step: float) -> tuple:
     """The span (t_lo, t_hi) a fine grid at step/2 must cover for the
     moments at publication step `step` with these shifts.
 
-    It is the window [T, 2T] moved by each shift, snapped at `step`,
-    plus 4*step above: twice the most that the coverage check of
-    `shifted_moment` asks past the window's end.
+    It is the window [T, 2T] moved by each shift, snapped at `step`, up
+    to the last node the quadrature reads (`_reach`, as `shifted_moment`
+    checks): 2T, or under one step past it when a partial cell is left.
     """
     snapped, _ = snap_shifts(alpha, step)
-    return (t_height + min(snapped),
-            2.0 * t_height + max(snapped) + 4.0 * step)
+    reach = _reach([_simpson_rule(t_height, step / 2.0, r) for r in (2, 1)])
+    return (t_height + min(snapped), t_height + max(snapped) + reach * step / 2.0)
 
 
 def predict_bound(spec: ShiftSpec, one_line=zeta_one_line) -> float:

@@ -77,7 +77,7 @@ def sieve_primes(limit: int) -> PrimeTable:
             base_flags[start::p] = False
     base_odd = (2 * np.nonzero(base_flags)[0] + 1).astype(np.uint64)
 
-    chunks = [np.array([2], dtype=np.uint64)] if limit >= 2 else []
+    chunks = [np.array([2], dtype=np.uint64)]
     lo = 3
     while lo <= limit:
         hi = min(lo + 2 * _SEGMENT_ODDS - 1, limit)
@@ -89,15 +89,11 @@ def sieve_primes(limit: int) -> PrimeTable:
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start % 2 == 0:
                 start += p
-            if start > hi:
-                continue
             flags[(start - lo) // 2::p] = False
         seg = (np.uint64(lo) + 2 * np.nonzero(flags)[0].astype(np.uint64))
         chunks.append(seg)
         lo = hi + 2 if hi % 2 == 1 else hi + 1
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
-    primes = primes[primes <= limit]
-    return PrimeTable(limit=limit, primes=primes)
+    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
 
 
 def taper_weight(p: float, x_cutoff: float) -> float:

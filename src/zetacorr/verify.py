@@ -8,17 +8,20 @@ generator in a fixed order, so a seed fixes every draw.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from . import dirichlet, moments, primes, zeta
+from .errors import ResourceError
 from .sums import UniformGrid
 
 _LEMMA26_CAP = 3.0      # allowed |prime cosine sum - log|zeta(1 + 1/log X + i delta)||
 _MV_WINDOW = 1e6        # mean values are taken over [T, 2T] with this T
 _COEFF_TERMS_MAX = 1000     # a lemma23 table has 1..this entries
 _COEFF_FREQ_MAX = 10_000    # at distinct frequencies in 1..this
+_LEMMA21_POINTS_MAX = 4_000_000  # about 200 B each: 782 MB peak RSS at T = 1e5
 
 
 def lemma26(rng, x_cutoff):
@@ -167,22 +170,18 @@ def prop34(rng, trials):
             tab = dirichlet.truncated_exp(spec, table)
         else:
             # synthetic multiplicative table over a few primes
-            ps = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4))
-            ps.sort()
+            ps = sorted(rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4)))
             cap = rng.randint(1, 3)
             prime_vals = {
                 q: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for q in ps
             }
-            entries = {1: 1.0 + 0.0j}
-            def extend(idx, freq, coeff, room):
-                for k in range(idx, len(ps)):
-                    q = ps[k]
-                    f, c = freq, coeff
-                    for _r in range(room):
+            entries = {1: 1.0 + 0.0j}     # one per multiset of <= cap primes
+            for r in range(1, cap + 1):
+                for combo in itertools.combinations_with_replacement(ps, r):
+                    f, c = 1, 1.0 + 0.0j
+                    for q in combo:
                         f, c = f * q, c * prime_vals[q]
-                        entries[f] = c
-                        extend(k + 1, f, c, room - _r - 1)
-            extend(0, 1, 1.0 + 0.0j, cap)
+                    entries[f] = c
             tab = dirichlet.CoeffTable(
                 entries=entries, primes=tuple(ps),
                 interval=primes.PrimeInterval(ps[0] - 0.5, ps[-1] + 0.5),
@@ -199,9 +198,8 @@ def prop34(rng, trials):
 
 
 def lemma21(rng, points, t_height):
-    # the audit samples 2 * points nodes: hold it to the sample cap of
-    # a critical-line grid before anything is allocated
-    zeta.grid_count(1.0, 2.0 * points, 1.0)
+    if points > _LEMMA21_POINTS_MAX:
+        raise ResourceError(f"points = {points} exceeds {_LEMMA21_POINTS_MAX}")
     table = primes.sieve_primes(int(t_height))
     # a left-endpoint grid whose even nodes are the grid of `points`
     # nodes, so the refined maximum can only creep up: the creep

@@ -79,7 +79,7 @@ T_MIN = 10.0              # asymptotics below this are not supported
 T_MAX = 1.0e8
 STEP_MAX = 0.1
 _COUNT_MAX = 200_000_000
-_NODE_TOL = 1e-6          # index_of's tolerance, in steps
+_NODE_TOL = 1e-6          # steps: a float this near a lattice node names it
 
 # t/2*log(t/(2*pi)) - t/2 - pi/8 + sum c[n] * t^(1-2n); the c[n] are the
 # standard phase-asymptotics rationals.
@@ -408,31 +408,39 @@ class ZetaGrid:
 
     @property
     def t_stop(self) -> float:
-        return self.t_start + (self.count - 1) * self.step
+        return self.t_at(self.count - 1)
 
     def t_at(self, index: int) -> float:
         return self.t_start + index * self.step
 
     def index_of(self, t: float) -> int:
-        """Index of the grid node at t; t must lie on the grid."""
-        k = round((t - self.t_start) / self.step)
-        if k < 0 or k >= self.count:
-            raise CoverageError(
-                f"t={t} outside grid [{self.t_start}, {self.t_stop}]")
-        if abs(self.t_at(k) - t) > _NODE_TOL * self.step:
-            raise CoverageError(f"t={t} is not a node of the sample grid")
-        return int(k)
+        """Index of the grid node that t names (`lattice_bracket`)."""
+        k, hi = lattice_bracket((t - self.t_start) / self.step)
+        if k != hi or not 0 <= k < self.count:
+            raise CoverageError(f"t={t} is not a node of the sample grid "
+                                f"[{self.t_start}, {self.t_stop}]")
+        return k
+
+
+def lattice_bracket(x: float) -> tuple[int, int]:
+    """(k, k) when x, a float position in steps from a lattice origin,
+    names node k = round(x), |x - k| <= 1e-6; else (floor x, ceil x).
+    Within the sample cap, float64 puts a node's x off by under 3e-8."""
+    k = round(x)
+    if abs(x - k) <= _NODE_TOL:
+        return k, k
+    return math.floor(x), math.ceil(x)
 
 
 def grid_count(t_start: float, t_stop: float, step: float) -> int:
-    """Nodes t_start + k * step up to t_stop (+ tiny slack so an exact
-    multiple is kept).  ResourceError when they would exceed the sample
-    cap, or when their count overflows."""
-    steps = (t_stop - t_start) / step + 1e-9
+    """Nodes t_start + k * step up to t_stop (`lattice_bracket`'s rule).
+    ResourceError when they would exceed the sample cap, or when their
+    count overflows."""
+    steps = (t_stop - t_start) / step
     if not steps < _COUNT_MAX:        # also inf and nan
         raise ResourceError(
             f"grid of {steps:.6g} steps exceeds cap {_COUNT_MAX} samples")
-    return int(math.floor(steps)) + 1
+    return lattice_bracket(steps)[0] + 1
 
 
 def sample_critical_line(
@@ -445,8 +453,8 @@ def sample_critical_line(
     workers: int = 1,
 ) -> ZetaGrid:
     """Sample |zeta| at the nodes anchor + k step (k of either sign) of
-    the lattice from `anchor` (default t_start) in [t_start, t_stop], with
-    a tiny slack.  Chunk c, the nodes c 2^16 <= k < (c + 1) 2^16, is
+    the lattice from `anchor` (default t_start) in [t_start, t_stop] by
+    `lattice_bracket`'s rule.  Chunk c, the nodes c 2^16 <= k < (c + 1) 2^16, is
     always formed whole, from its own grid and however much of it the
     window uses, so a sample depends only on the anchor, step, depth and
     k.  Up to `workers` threads fill the chunks in place, and OpenBLAS
@@ -494,7 +502,7 @@ def sample_critical_line(
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ConfigError(f"workers must be a positive int, got {workers}")
     anchor = t_start if anchor is None else anchor
-    first = math.ceil((t_start - anchor) / step - 1e-9)
+    first = lattice_bracket((t_start - anchor) / step)[1]
     t_first = lattice_node(anchor, step, first)[0]
     count = grid_count(t_first, t_stop, step)
     if count < 1:

@@ -72,6 +72,14 @@ def test_scheme_monotone_scales():
     assert all(a < b for a, b in zip(scheme.log_t_seq, scheme.log_t_seq[1:]))
     assert all(a > b for a, b in zip(scheme.k_seq, scheme.k_seq[1:]))
     assert scheme.log_t_seq[-1] < scheme.log_t
+    # from log T = log 16 up, at any scale, until log T_L overflows
+    for log_t in (math.log(16.0), math.exp(2.0), 10.0, 1e5, 1e300):
+        for scale in (0.02, 0.5, 1.0, 20.0):
+            s = blocks.build_scheme(log_t=log_t, exponent_scale_override=scale)
+            assert all(a < b for a, b in zip(s.log_t_seq, s.log_t_seq[1:]))
+            assert all(a > b for a, b in zip(s.k_seq, s.k_seq[1:]))
+    with pytest.raises(DomainError, match="overflows"):
+        blocks.build_scheme(log_t=1.7e308, exponent_scale_override=1.0)
 
 
 def test_sigma_abscissa_conventions():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetacorr import cli, moments, zeta
+from zetacorr import cli, moments, verify, zeta
 from zetacorr.errors import ConfigError
 
 
@@ -133,6 +133,29 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1,2]", encoding="utf-8")
     with pytest.raises(ConfigError):
         cli.load_config(str(arr))
+    # nesting past the recursion limit, bytes that are not UTF-8, and an
+    # integer past Python's 4 300-digit limit
+    for name, data in _UNREADABLE_CONFIGS.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=name):
+            cli.load_config(str(path))
+
+
+_UNREADABLE_CONFIGS = {
+    "deep.json": b"[" * 200_000 + b"]" * 200_000,
+    "latin1.json": b'{"T": 1e4, "note": "caf\xe9"}',
+    "digits.json": b'{"T": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE_CONFIGS))
+def test_unreadable_config_exits_2_on_one_line(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(_UNREADABLE_CONFIGS[name])
+    assert cli.main(["predict", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zetacorr: ") and err.count("\n") == 1 and name in err
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +895,20 @@ def _run(kind, **params):
 _CLASSIFY_CONFIG = {"T": 1e5, "beta": [1, 1], "exponent_scale": 0.5}
 
 
+def test_a_negative_shift_off_the_float_lattice_runs():
+    # the window starts at T - 0.018, node -6 of the lattice from T at
+    # step 0.003, which a 1e-9 step tolerance took for node -5
+    cfg = {"T": 32800.0, "alpha": [0.0, -0.02], "beta": [1.0, 1.0],
+           "step": 0.006}
+    results = _run("moment", config=cfg, cache=None).payload["results"]
+    spec = moments.ShiftSpec(alpha=cfg["alpha"], beta=cfg["beta"], t_height=32800.0)
+    t_lo, t_hi = moments.moment_window(32800.0, cfg["alpha"], 0.006)
+    wider = zeta.sample_critical_line(t_lo - 0.003, t_hi + 0.003, 0.003,
+                                      anchor=32800.0, correction_terms=4)
+    assert results == moments.moment_report(
+        spec, wider, moments.predict_bound(spec))[0]
+
+
 @pytest.mark.parametrize("kind,params", [
     ("verify", {"property": "lemma22", "trials": -3}),
     ("verify", {"property": "lemma22", "trials": 2.5}),
@@ -964,13 +1001,15 @@ def test_null_parameter_takes_its_default():
     assert payload["config"]["trials"] is None
 
 
-def test_oversized_lemma21_audit_exits_5(capsys):
-    # the doubled audit would sample 2e10 nodes: refused before any array
-    rc = cli.main(["verify", "lemma21", "--points", "10000000000",
-                   "--t-height", "1e3"])
-    err = capsys.readouterr().err
-    assert rc == 5
-    assert err.startswith("zetacorr: ") and err.count("\n") == 1
+def test_oversized_lemma21_audit_exits_5(capsys, monkeypatch):
+    # refused before the sieve or any array, also one point past the cap
+    monkeypatch.setattr(verify.primes, "sieve_primes", None)
+    for points in ("10000000000", "4000001"):
+        rc = cli.main(["verify", "lemma21", "--points", points, "--t-height", "1e3"])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("zetacorr: ") and err.count("\n") == 1
+        assert f"points = {points} exceeds" in err
 
 
 # ---------------------------------------------------------------------------

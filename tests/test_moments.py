@@ -84,17 +84,22 @@ def test_snap_shifts_and_warning(grid_100_200):
 
 
 def test_moment_window_covers_the_quadrature():
-    # T off the step grid ends in a partial cell, whose coverage check
-    # reaches furthest past 2T; a grid over exactly the window passes it
+    # T off the step grid ends in a partial cell: the published rule's
+    # reads node 4001 at step 0.025, 0.015 past 2T.  A grid over exactly
+    # the window passes the coverage check, and one node less fails it
     t, alpha, step = 100.01, (-1.0, 0.52), 0.025
     t_lo, t_hi = moments.moment_window(t, alpha, step)
-    assert math.isclose(t_lo, t - 1.0) and math.isclose(t_hi, 2 * t + 0.525 + 0.1)
+    assert math.isclose(t_lo, t - 1.0) and math.isclose(t_hi, 2 * t + 0.525 + 0.015)
     grid = zeta.sample_critical_line(t_lo, t_hi, step / 2, correction_terms=0)
     spec = ShiftSpec(alpha=alpha, beta=(1.0, 1.0), t_height=t)
     assert moments.moment_report(spec, grid, 1.0)[0]["moment"] > 0.0
-    # shifts of one sign sample no line on the far side of shift 0
-    assert moments.moment_window(100, [50], 0.025) == (150.0, 250.1)
-    assert moments.moment_window(100, [-50], 0.025) == (50.0, 150.1)
+    short = replace(grid, values=grid.values[:-1])
+    with pytest.raises(CoverageError):
+        moments.shifted_moment(spec, short)
+    # shifts of one sign sample no line on the far side of shift 0, and
+    # T on the step grid reads up to 2T and no further
+    assert moments.moment_window(100, [50], 0.025) == (150.0, 250.0)
+    assert moments.moment_window(100, [-50], 0.025) == (50.0, 150.0)
 
 
 def test_step_resolution_bound(grid_100_200):
@@ -144,6 +149,13 @@ def test_odd_interval_count_ends_in_one_trapezoid_cell(grid_100_200):
         assert abs(fine - math.fsum(terms.tolist())) <= bound
 
 
+def test_a_height_on_the_step_grid_ends_in_no_partial_cell():
+    # T / h = 28171615.999999996 in float64: T is node 28 171 616
+    assert moments._simpson_rule(281716.16, 0.01, 1)[2:4] == (28_171_616, 0.0)
+    assert moments._simpson_rule(100.01, 0.0125, 2)[2:4] == (
+        4000, pytest.approx(0.01, abs=1e-12))
+
+
 def test_halving_delta_matches_recomputation(grid_100_200):
     spec = ShiftSpec(alpha=(0.0, 2.0), beta=(1.0, 1.0), t_height=100.0)
     results, _ = moments.moment_report(spec, grid_100_200, 1.0)
@@ -167,11 +179,8 @@ def _rule_values(spec, grid, r):
         if b != 0.0:
             base = grid.index_of(spec.t_height + a)
             groups[base] = groups.get(base, 0.0) + b
-    step = r * h
-    n = int(math.floor(spec.t_height / step + 1e-9))
-    partial = spec.t_height - n * step
-    if partial < 1e-9 * step:
-        partial = 0.0
+    # the step count and partial cell are the rule's own
+    _, step, n, partial, _ = moments._simpson_rule(spec.t_height, h, r)
     vals = None
     for base, b in sorted(groups.items()):
         line = grid.values[base % r::r][base // r:base // r + n + 2]
@@ -291,15 +300,18 @@ def test_the_pass_refuses_what_the_published_rule_cannot_cover():
     over = zeta.ZetaGrid(100.0, 1.001 * h, np.ones(4100), 0)
     with pytest.raises(CoverageError):
         moments.shifted_moment(spec, over)
-    # T = 100.01 ends both rules in a partial cell, and the coverage
-    # check asks for two nodes past each rule's last whole step: fine
-    # node 8002, and published node 4002, which is fine node 8004
+    # T = 100.01 ends both rules in a partial cell, which reads one node
+    # past each rule's last whole step: fine node 8001, and published
+    # node 4001, which is fine node 8002.  The check asks for just those,
+    # and nodes past them change nothing
     spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.01)
     values = np.linspace(1.0, 2.0, 8005)
-    full = zeta.ZetaGrid(100.01, _H, values, 0)
+    full = zeta.ZetaGrid(100.01, _H, values[:8003], 0)
     assert moments.shifted_moment(spec, full)[0] > 0.0
+    longer = replace(full, values=values)
+    assert moments.shifted_moment(spec, longer) == moments.shifted_moment(spec, full)
     with pytest.raises(CoverageError):
-        moments.shifted_moment(spec, replace(full, values=values[:-1]))
+        moments.shifted_moment(spec, replace(full, values=values[:8002]))
 
 
 def test_the_pass_holds_a_few_product_blocks():

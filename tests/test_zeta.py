@@ -210,6 +210,36 @@ def test_grid_last_sample_covers_t1():
     assert grid.t_stop <= 51.0 + 0.09
 
 
+def test_a_float_position_names_the_node_it_was_formed_from():
+    # seeded single-shift moment windows within the sample cap, T from 20
+    # to 1e8: the first node of the window from its float start is the
+    # shift snapped to the publication step, counted in fine steps.  The
+    # float error reaches about 2e-8 steps, past a 1e-9 step tolerance
+    rng = random.Random(29)
+    steps = (0.001, 0.002, 0.005, 0.006, 0.01, 0.02, 0.025, 0.05)
+    for _ in range(10_000):
+        step = rng.choice(steps)
+        t = round(math.exp(rng.uniform(math.log(20.0), math.log(1e8))), 2)
+        a = round(rng.uniform(-t / 2, t / 2), rng.randrange(4))
+        if 3.0 * t / step >= zeta._COUNT_MAX:
+            continue
+        k = round(a / step)
+        t_lo = moments.moment_window(t, [a], step)[0]
+        assert zeta.lattice_bracket((t_lo - t) / (step / 2)) == (2 * k, 2 * k)
+    # a position further than 1e-6 steps from a node lies between two
+    assert zeta.lattice_bracket(2.5) == (2, 3)
+    assert zeta.lattice_bracket(-2.0 + 2e-6) == (-2, -1)
+    assert zeta.lattice_bracket(7.0 - 9e-7) == (7, 7)
+
+
+def test_a_window_ending_on_a_node_keeps_it():
+    # t1 is node 977 from t0 to within 1e-7 steps
+    t0, t1 = 11494764.63, 11494862.33
+    assert zeta.grid_count(t0, t1, 0.1) == 978
+    grid = zeta.sample_critical_line(t0, t1, 0.1, correction_terms=4)
+    assert grid.count == 978 and abs(grid.t_stop - t1) <= 1e-6
+
+
 def test_grid_spot_check_against_direct():
     rng = random.Random(0x5A17)
     grid = zeta.sample_critical_line(1000.0, 1010.0, 0.01, correction_terms=4)
