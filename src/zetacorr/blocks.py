@@ -129,12 +129,13 @@ def build_scheme(
     if (t_height is None) == (log_t is None):
         raise DomainError("pass exactly one of t_height and log_t")
     if log_t is None:
-        if t_height < T_HEIGHT_MIN:
+        if not T_HEIGHT_MIN <= t_height < math.inf:
             raise DomainError(
-                f"height must be >= {T_HEIGHT_MIN}, got {t_height}")
+                f"height must be finite and >= {T_HEIGHT_MIN}, got {t_height}")
         log_t = math.log(t_height)
-    elif log_t < math.log(T_HEIGHT_MIN):
-        raise DomainError(f"log height {log_t} below log {T_HEIGHT_MIN}")
+    elif not math.log(T_HEIGHT_MIN) <= log_t < math.inf:
+        raise DomainError(
+            f"log height must be finite and >= log {T_HEIGHT_MIN}, got {log_t}")
     bs = beta_star(betas)       # checks the exponents, override or not
     scale = (default_exponent_scale(bs) if exponent_scale_override is None
              else float(exponent_scale_override))

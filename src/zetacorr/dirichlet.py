@@ -11,10 +11,12 @@ lattice of their primes.
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
 the two are compared in tests, so keep them independent.  Their pair
-sums fill reused buffers max(1, _GAP_BLOCK // n) rows at a time with a
-per-row loop's bits: each element takes the same operations (1 / (i lam)
-as numer.imag / lam - i numer.real / lam is numpy's complex division at
-a zero real part), and the np.add.reduce row sums merge in row order.
+sums factor through K[i, j] = 1 / log(n_j / n_i), formed in one buffer
+max(1, _GAP_BLOCK // n) rows at a time: a block of rows is one real
+product of K with a few columns, its row sums merged in row order.  They
+are an ulp or two off a per-pair sum, and as far as it is from a
+40-digit one (6e-13 of T sum |c|^2 + bound, the bound 1.2e-12 relative),
+through the float64 log gaps; no bit depends on OpenBLAS's thread count.
 """
 
 from __future__ import annotations
@@ -200,19 +202,30 @@ def _frequency_logs(ns):
     return np.array([math.log(n) for n in ns], dtype=np.float64)
 
 
-def _log_gaps(table: CoeffTable, what: str):
-    """(ns, logs, blocks): a table's frequencies ascending (at most
-    _MEAN_VALUE_MAX), their logs, and the log-gap matrix in blocks of
-    rows, each (rows, lam, near) with lam[r, j] = log(n_j / n_i) at row
-    i = rows.start + r, a placeholder 1.0 at j = i, in one reused buffer
-    that the caller may overwrite; near lists the block's (i, j, gap) whose
-    gap is under _NEAR_LOG_EPS, formed from the integer difference.  The
-    logs ascend, so near pairs lie in runs of close neighbours, found once."""
+def _frequencies(table: CoeffTable, what: str) -> list:
+    """The table's frequencies ascending; DomainError unless ints >= 1."""
     ns = sorted(table.entries)
-    n = len(ns)
+    if set(map(type, ns)) - {int} or ns and ns[0] < 1:
+        raise DomainError(f"{what} needs integer frequencies >= 1")
+    return ns
+
+
+def _log_gaps(table: CoeffTable, what: str):
+    """(coeffs, logs, blocks): a table's coefficients (finite, else
+    DomainError), the logs of its `_frequencies` (at most _MEAN_VALUE_MAX)
+    and the reciprocal log gaps in blocks of rows (rows, inv, near),
+    inv[r, j] = 1 / log(n_j / n_i) at row i = rows.start + r and 0 at
+    j = i, in one buffer the caller may overwrite; near lists the block's
+    (i, j, gap) whose gap is under _NEAR_LOG_EPS, from the integer
+    difference.  The logs ascend, so near runs are found once."""
+    n = len(table.entries)
     if n > _MEAN_VALUE_MAX:
         raise ResourceError(
             f"{what} over {n} frequencies exceeds cap {_MEAN_VALUE_MAX}")
+    ns = _frequencies(table, what)
+    coeffs = np.array([table.entries[f] for f in ns], dtype=np.complex128)
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"{what} needs finite coefficients")
     logs = _frequency_logs(ns)
     pairs = [(i, j) for i in np.flatnonzero(np.diff(logs) < _NEAR_LOG_EPS).tolist()
              for j in itertools.takewhile(
@@ -226,13 +239,13 @@ def _log_gaps(table: CoeffTable, what: str):
         for start in range(0, n, step):
             rows = slice(start, min(start + step, n))
             lam = np.subtract(logs, logs[rows, None], out=buf[:rows.stop - start])
-            lam.reshape(-1)[start::n + 1] = 1.0
+            lam.reshape(-1)[start::n + 1] = math.inf     # whose reciprocal is 0
             here = near[bisect.bisect(near, (start,)):bisect.bisect(near, (rows.stop,))]
             for i, j, gap in here:
                 lam[i - start, j] = gap
-            yield rows, lam, here
+            yield rows, np.divide(1.0, lam, out=lam), here
 
-    return ns, logs, blocks()
+    return coeffs, logs, blocks()
 
 
 def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
@@ -242,35 +255,30 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
     |D(t)|^2 over [T, 2T] is T * sum |c(n)|^2 plus the closed-form
     oscillatory cross terms (no quadrature): (e^(2iT lam) - e^(iT lam))
     / (i lam) at log gap lam, or for a near pair, where that difference
-    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.  Row blocks keep the
-    per-row sum's bits (module docstring).
+    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.  With K's near pairs
+    zeroed, row i's far terms are Im(c_i (n_i^(-2iT) (K b)_i - n_i^(-iT)
+    (K d)_i)), b = conj(c) n^(2iT), d = conj(c) n^(iT): one product a block.
     """
     if not 0 < t_len < math.inf:
         raise DomainError(f"window base must be positive and finite, got {t_len}")
-    ns, logs, blocks = _log_gaps(table, "mean value")
-    if not ns:
-        return 0.0
-    a = np.array([table.entries[n] for n in ns], dtype=np.complex128)
+    a, logs, blocks = _log_gaps(table, "mean value")
     t_len = float(t_len)
     u = np.exp(1j * t_len * logs)        # (n)^(iT)
     v = u * u                            # (n)^(2iT)
-    conj_a = np.conj(a)
     diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
-    acc = KahanAccumulator(0.0)          # per component: the real parts suffice
-    for rows, lam, near in blocks:
-        numer, integ = (numer[:len(lam)], integ[:len(lam)]) if rows.start else (
-            np.empty((2, *lam.shape), dtype=np.complex128))
-        np.subtract(np.multiply(v, np.conj(v[rows, None]), out=numer),
-                    np.multiply(u, np.conj(u[rows, None]), out=integ), out=numer)
-        inv = np.divide(1.0, lam, out=lam)
-        np.multiply(numer.imag, inv, out=integ.real)
-        np.multiply(numer.real, np.negative(inv, out=inv), out=integ.imag)
-        integ.reshape(-1)[rows.start::len(ns) + 1] = 0.0
+    # the columns Re b, Im b, Re d, Im d
+    bd = (np.stack([v, u], axis=1) * np.conj(a)[:, None]).view(np.float64)
+    acc = KahanAccumulator(0.0)
+    for rows, inv, near in blocks:
+        for i, j, _ in near:
+            inv[i - rows.start, j] = 0.0
+        kb, kd = np.matmul(inv, bd).view(np.complex128).T
+        terms = (a[rows] * (np.conj(v[rows]) * kb - np.conj(u[rows]) * kd)).imag
         for i, j, gap in near:
-            integ[i - rows.start, j] = (cmath.exp(1.5j * t_len * gap)
-                                        * (2.0 * math.sin(0.5 * t_len * gap) / gap))
-        sums = np.add.reduce(np.multiply(conj_a, integ, out=integ), axis=1)
-        for term in (a.real[rows] * sums.real - a.imag[rows] * sums.imag).tolist():
+            terms[i - rows.start] += (a[i] * a[j].conjugate()
+                                      * cmath.exp(1.5j * t_len * gap)
+                                      * (2.0 * math.sin(0.5 * t_len * gap) / gap)).real
+        for term in terms.tolist():
             acc.add(term)
     return float(diag + acc.total)
 
@@ -278,29 +286,27 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
 def off_diagonal_bound(table: CoeffTable) -> float:
     """sum over ordered pairs m != n of 2|c(m) c(n)| / |log(m/n)|.
 
-    Window-independent bound on the cross terms of the mean square; row
-    blocks keep the per-row sum's bits (module docstring).
+    Window-independent bound on the cross terms of the mean square: row
+    i is 2|c_i| (|K| |c|)_i, one product per block (module docstring).
     """
-    ns, _, blocks = _log_gaps(table, "bound")
-    if len(ns) < 2:
-        return 0.0
-    mags = np.array([abs(table.entries[n]) for n in ns], dtype=np.float64)
+    coeffs, _, blocks = _log_gaps(table, "bound")
+    mags = np.abs(coeffs)
     acc = KahanAccumulator(0.0)
-    for rows, lam, _ in blocks:
-        contrib = contrib[:len(lam)] if rows.start else np.empty_like(lam)
-        np.multiply(2.0 * mags[rows, None], mags, out=contrib)
-        np.divide(contrib, np.abs(lam, out=lam), out=contrib)
-        contrib.reshape(-1)[rows.start::len(ns) + 1] = 0.0
-        for row in np.add.reduce(contrib, axis=1).tolist():
+    for rows, inv, _ in blocks:
+        for row in (2.0 * mags[rows] * (np.abs(inv, out=inv) @ mags)).tolist():
             acc.add(row)
     return acc.total
 
 
 def diagonal_sum(table: CoeffTable, sigma0: float) -> float:
-    """sum |c(n)|^2 * n^(-2*sigma0), ascending in n."""
+    """sum |c(n)|^2 * n^(-2*sigma0), ascending in n; DomainError when it
+    is not finite, as a coefficient or sigma0 that is not makes it."""
+    scale = -2.0 * sigma0
     acc = KahanAccumulator(0.0)
-    for n in sorted(table.entries):
-        acc.add(abs(table.entries[n]) ** 2 * math.exp(-2.0 * sigma0 * math.log(n)))
+    for n in _frequencies(table, "diagonal sum"):
+        acc.add(abs(table.entries[n]) ** 2 * math.exp(scale * math.log(n)))
+    if not math.isfinite(acc.total):
+        raise DomainError(f"diagonal sum of finite terms needed, got {acc.total}")
     return acc.total
 
 
@@ -313,14 +319,10 @@ def prime_power_tail_c2(table: CoeffTable, sigma0: float) -> float:
     worst = 0.0
     for p in table.primes:
         tail = 0.0
-        f = p * p
-        r = 2
-        while r <= table.max_omega:
-            c = table.entries.get(f)
+        for r in range(2, table.max_omega + 1):
+            c = table.entries.get(p ** r)
             if c is not None:
                 tail += abs(c) ** 2 * math.exp(-2.0 * sigma0 * r * math.log(p))
-            f *= p
-            r += 1
         worst = max(worst, p * p * tail)
     return worst
 
@@ -507,9 +509,7 @@ def splitting_check(tables, t_len: float) -> tuple:
         if lo2 < hi1:
             raise DomainError(
                 f"factor intervals overlap: ({lo1}, {hi1}] and ({lo2}, ...]")
-    length = 1
-    for t in tables:
-        length *= max(t.entries)
+    length = math.prod(max(t.entries) for t in tables)
     cap = min(1e4, math.sqrt(t_len))
     if length > cap:
         raise ResourceError(

@@ -32,6 +32,15 @@ def test_scheme_needs_minimum_height():
         blocks.build_scheme(15.0, (1.0,))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_height", "log_t"])
+def test_scheme_refuses_a_non_finite_height(name, value):
+    # a NaN height once gave a scheme of 0 levels, an infinite one a
+    # ResourceError from its level count
+    with pytest.raises(DomainError, match="finite"):
+        blocks.build_scheme(**{name: value})
+
+
 def test_natural_scale_is_degenerate_at_desk_heights():
     # the natural exponent scale 1/(200 beta*^2) leaves no room for
     # even one block until T is astronomically large

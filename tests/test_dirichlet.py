@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -399,21 +403,45 @@ def _per_row_bound(table):
     return acc.total if len(mags) > 1 else 0.0
 
 
+_T_LENS = (1e6, 100.0, 12345.678)
+
+
+def _scale(tab, t_len, bound):
+    # what the mean value's rounding is measured against: T sum |c|^2 + bound
+    return t_len * sum(abs(c) ** 2 for c in tab.entries.values()) + bound
+
+
 def _assert_blocks_match_per_row(tab):
-    for t_len in (1e6, 100.0, 12345.678):
-        assert dirichlet.exact_mv_integral(tab, t_len) == _per_row_mean_value(tab, t_len)
-    assert dirichlet.off_diagonal_bound(tab) == _per_row_bound(tab)
+    # a block's row sums come from one product with the reciprocal gaps,
+    # not from the per-row loop's pair terms, so they agree to rounding,
+    # 1-2 ulp on the tables tried, and not bit for bit
+    bound = _per_row_bound(tab)
+    assert abs(dirichlet.off_diagonal_bound(tab) - bound) <= 1e-14 * bound
+    for t_len in _T_LENS:
+        assert abs(dirichlet.exact_mv_integral(tab, t_len)
+                   - _per_row_mean_value(tab, t_len)) <= 1e-14 * _scale(tab, t_len, bound)
 
 
 @pytest.mark.parametrize("count", [1, 2, 33, 1000])
-def test_block_kernels_match_the_per_row_loop(count):
-    # 1000 entries take 16 rows a block, so the last block is short
+def test_block_kernels_match_the_per_row_loop(count, monkeypatch):
+    # 1000 entries take 16 rows a block at the default, so the last block
+    # is short; blocks of 8, 16 and 24 pairs are one row each at 33 and
+    # 1000 entries, and hold both rows at 2 entries
     rng = random.Random(count)
     entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for n in rng.sample(range(1, 10_001), count)}
-    _assert_blocks_match_per_row(dirichlet.CoeffTable(
-        entries=entries, primes=(), max_omega=0,
-        interval=primes.PrimeInterval(1.0, 10_000.0)))
+    tab = dirichlet.CoeffTable(entries=entries, primes=(), max_omega=0,
+                               interval=primes.PrimeInterval(1.0, 10_000.0))
+    bound = _per_row_bound(tab)
+    values = []
+    for chunk in (8, 16, 24, dirichlet._GAP_BLOCK):
+        monkeypatch.setattr(dirichlet, "_GAP_BLOCK", chunk)
+        _assert_blocks_match_per_row(tab)
+        values.append([dirichlet.exact_mv_integral(tab, t_len) for t_len in _T_LENS]
+                      + [dirichlet.off_diagonal_bound(tab)])
+    scales = [_scale(tab, t_len, bound) for t_len in _T_LENS] + [bound]
+    for column, scale in zip(zip(*values), scales):
+        assert max(column) - min(column) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("chunk", [8, 16, 24, 1 << 16, None])
@@ -435,6 +463,109 @@ def test_near_run_across_block_boundary(chunk, monkeypatch):
         ns = [1, 7, 10**9, 10**12] + run
     entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns}
     _assert_blocks_match_per_row(_near_table(entries))
+
+
+def _pair_reference(tab):
+    """(mean values at _T_LENS, bound), summed pair by pair at 40 digits.
+
+    The pair (m, n), m < n, with lam = log(n/m) adds 2 Re of
+    c(m) conj(c(n)) (e^(2iT lam) - e^(iT lam)) / (i lam) to the mean
+    value, its phases as products of n^(iT) and m^(-iT), and
+    4 |c(m) c(n)| / lam to the bound."""
+    with mpmath.workdps(40):
+        ns = sorted(tab.entries)
+        a = [mpmath.mpc(tab.entries[n]) for n in ns]
+        logs = [mpmath.log(n) for n in ns]
+        inv = [[1 / (logs[j] - logs[i]) for i in range(j)] for j in range(len(ns))]
+        bound = 4 * mpmath.fsum(abs(a[j]) * mpmath.fdot(map(abs, a[:j]), inv[j])
+                                for j in range(len(ns)))
+        mvs = []
+        for t_len in _T_LENS:
+            t = mpmath.mpf(t_len)
+            u = [mpmath.expj(t * lg) for lg in logs]
+            # parts of c n^(-2iT) and c n^(-iT); the pair's
+            # Im(av_m conj(av_n) - au_m conj(au_n)) from them
+            av = [(w.real, w.imag) for w in (c * mpmath.conj(x * x) for c, x in zip(a, u))]
+            au = [(w.real, w.imag) for w in (c * mpmath.conj(x) for c, x in zip(a, u))]
+            mvs.append(float(t * mpmath.fsum(abs(c) ** 2 for c in a) + 2 * mpmath.fsum(
+                mpmath.fdot((av[i][1] * av[j][0] - av[i][0] * av[j][1]
+                             - au[i][1] * au[j][0] + au[i][0] * au[j][1]
+                             for i in range(j)), inv[j])
+                for j in range(len(ns)))))
+        return mvs, float(bound)
+
+
+@pytest.mark.parametrize("tab", [
+    *(dirichlet.CoeffTable(
+        entries={n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for n in rng.sample(range(1, 10_001), count)},
+        primes=(), max_omega=0, interval=primes.PrimeInterval(1.0, 10_000.0))
+      for count in (2, 33, 250) for rng in [random.Random(0x40D + count)]),
+    _near_table(_NEAR_TABLES[1]),
+], ids=["2", "33", "250", "near"])
+def test_block_kernels_are_as_accurate_as_the_per_row_loop(tab):
+    # against a 40-digit pair sum, the product's error is the per-row
+    # loop's to within 1e-15 of the scale: both come from the float64
+    # log gaps, which the two share
+    mvs, bound = _pair_reference(tab)
+    for t_len, mv in zip(_T_LENS, mvs):
+        assert (abs(dirichlet.exact_mv_integral(tab, t_len) - mv)
+                <= abs(_per_row_mean_value(tab, t_len) - mv)
+                + 1e-15 * _scale(tab, t_len, bound))
+    assert (abs(dirichlet.off_diagonal_bound(tab) - bound)
+            <= abs(_per_row_bound(tab) - bound) + 1e-15 * bound)
+
+
+_THREADS_SCRIPT = """
+import random
+from zetacorr import dirichlet, primes
+for count in (50, 700, 2500):
+    rng = random.Random(count)
+    ns = rng.sample(range(1, 40 * count), count)
+    if count == 700:     # a near run in the middle of a row block
+        ns[-4:] = [10**15 + k for k in range(4)]
+    tab = dirichlet.CoeffTable(
+        entries={n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns},
+        primes=(), max_omega=0, interval=primes.PrimeInterval(0.5, 2e15))
+    print(*(dirichlet.exact_mv_integral(tab, t).hex() for t in (100.0, 1e6)),
+          dirichlet.off_diagonal_bound(tab).hex())
+"""
+
+
+def test_mean_value_bits_do_not_depend_on_blas_threads():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    outputs = set()
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=300, check=True).stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("entries", [
+    {0: 1.0, 2: 1.0}, {-3: 1.0, 2: 1.0}, {2.5: 1.0, 3: 1.0},
+    {1: math.nan, 2: 1.0}, {1: complex(0.5, math.inf), 2: 1.0},
+    {1: -math.inf, 2: 1.0},
+], ids=["zero", "negative", "float", "nan", "inf_imag", "minus_inf"])
+def test_mean_values_refuse_bad_tables(entries):
+    tab = dirichlet.CoeffTable(entries=entries, primes=(), max_omega=0,
+                               interval=primes.PrimeInterval(0.5, 4.0))
+    for call in (lambda: dirichlet.exact_mv_integral(tab, 100.0),
+                 lambda: dirichlet.off_diagonal_bound(tab),
+                 lambda: dirichlet.diagonal_sum(tab, 0.5)):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("sigma0", [math.nan, math.inf, -math.inf])
+def test_diagonal_sum_refuses_a_non_finite_sigma0(sigma0):
+    tab = dirichlet.CoeffTable(entries={1: 1.0, 2: 0.5}, primes=(), max_omega=0,
+                               interval=primes.PrimeInterval(0.5, 4.0))
+    with pytest.raises(DomainError):
+        dirichlet.diagonal_sum(tab, sigma0)
 
 
 @pytest.mark.parametrize("t_len", [math.nan, math.inf, -math.inf, 0.0, -1.0])
