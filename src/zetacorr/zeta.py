@@ -9,17 +9,19 @@ Two independent routes are deliberately kept separate:
     in one pass; it is slow but works off the critical line, on the
     strip -3 <= Re s <= 100, |Im s| <= 1e5 (relative error at most
     3e-7 at its corners; its docstring has the table), and serves as
-    the cross-check reference.  `zeta_one_line` runs the same pass.
+    the cross-check reference.  `zeta_one_line` runs the same pass up
+    to |Im s| = 1e5 and `mpmath.zeta` above.
   * the Riemann-Siegel form, main sum plus remainder, specific to the
     critical line.  It has two paths that share theta and the
     remainder.  `riemann_siegel_Z` takes scattered points and forms
     the main sum one term at a time; `sample_critical_line` samples the
     lattice anchor + k step in aligned chunks of 2^16 nodes.  It forms
-    Z as a Dirichlet polynomial through `sums.grid_sum` at every node of
-    a chunk, or, where the RS truncation is negligible, at every q-th
-    lattice node only, and takes the rest from those by band-limited
-    interpolation: Z is real, and its frequencies stay below log
-    sqrt(t / 2 pi).  Either way a sample is taken at its real lattice
+    Z as a Dirichlet polynomial through `sums.grid_sum` at every q-th
+    lattice node of a chunk and takes the rest from those by
+    band-limited interpolation: Z is real, and its frequencies stay
+    below log sqrt(t / 2 pi).  Only where the coarse nodes would be
+    under two steps apart, or would reach down near T_MIN, does it form
+    Z at every node.  Either way a sample is taken at its real lattice
     node and depends on it alone.  Its threads own the cores: OpenBLAS
     runs at one thread under them.
 
@@ -65,16 +67,12 @@ _HALO = 32                # taps per side of the band-limited interpolant, and
 _OVERSAMPLE = 3           # coarse nodes per Nyquist spacing of Z's band
 _Q_MAX = 256              # widest coarse spacing, in steps: the weights stay 128 kB
 _WINDOW_ROWS = 1024       # coarse windows gathered per interpolation product
-_SWITCH_BOUND = 1e-12     # a chunk interpolates where RS truncation is below this
 _EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
 _EM_MAX_K = 28            # tail-correction orders a pass may add
 _EM_TAIL = 5e-13          # the tail bound a pass must meet
 _EM_IMAG_MAX = 1.0e5
 
 MAX_CORRECTION_TERMS = 6  # remainder orders shipped in _rs_series
-# riemann_siegel_Z's measured c_R in the truncation bound c_R t^(-(2R+3)/4),
-# R = 0 .. 4; deeper remainders are taken at depth 4's bound
-_RS_C = (0.12, 0.056, 0.015, 0.031, 0.015)
 T_MIN = 10.0              # asymptotics below this are not supported
 T_MAX = 1.0e8
 STEP_MAX = 0.1
@@ -157,16 +155,23 @@ def _euler_maclaurin(s: complex) -> complex:
 
 
 def zeta_one_line(delta: float, sigma_offset: float) -> complex:
-    """zeta(1 + sigma_offset + i*delta), the correlation-factor abscissa."""
+    """zeta(1 + sigma_offset + i*delta), the correlation-factor abscissa,
+    for |delta| <= T_MAX, the widest shift gap at a supported height.
+
+    Up to |delta| = 1e5 it is the Euler-Maclaurin pass, whose cost grows
+    like |delta|.  Above, it is `mpmath.zeta`, 0.03 to 0.05 s a value up
+    to 1e8 on a 2-CPU virtual machine; its Riemann-Siegel sum takes about
+    sqrt(|delta| / 2 pi) terms past that.  They agree to 1e-9 at 1e5."""
     if not (0.0 < sigma_offset <= 1.0):
         raise DomainError(f"sigma_offset must be in (0, 1], got {sigma_offset}")
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
-    if abs(delta) > 1.0e7:
-        raise DomainError(f"|delta| = {abs(delta)} exceeds 1e7")
-    # wider imaginary range than the reference wrapper: on the 1-line
-    # the tail corrections stay benign, so the direct core is safe
-    return _euler_maclaurin(complex(1.0 + sigma_offset, delta))
+    if abs(delta) > T_MAX:
+        raise DomainError(f"|delta| = {abs(delta)} exceeds {T_MAX:g}")
+    s = complex(1.0 + sigma_offset, delta)
+    if abs(delta) > _EM_IMAG_MAX:
+        return complex(mpmath.zeta(s))
+    return _euler_maclaurin(s)
 
 
 def _theta(t: np.ndarray) -> np.ndarray:
@@ -271,24 +276,17 @@ def _z_on_grid(chunk: UniformGrid, shift: float, lo: int, stop: int,
     return 2.0 * (np.cos(th) * s.real - np.sin(th) * s.imag) + rem
 
 
-def _coarse_factor(anchor: float, step: float, c: int, correction_terms: int) -> int:
+def _coarse_factor(anchor: float, step: float, c: int) -> int:
     """q for chunk c of the lattice anchor + k step: Z there comes from
     every q-th lattice node, q steps being a third of the Nyquist spacing
     pi / tau of Z's band tau = log sqrt(t / 2 pi) at the chunk's top.
-    0, to sample the chunk directly, when q < 2, when the _HALO coarse
-    nodes below the chunk would dip under 2 T_MIN, or when the RS
-    truncation bound at the lowest of them exceeds _SWITCH_BOUND: the
-    truncated series steps by about that much where N(t) does, and an
-    interpolant smears a step over its taps."""
+    0, to sample the chunk directly, when q < 2 or when the _HALO coarse
+    nodes below the chunk would dip under 2 T_MIN."""
     top = anchor + ((c + 1) * _GRID_CHUNK - 1) * step
     q = min(math.floor(2.0 * math.pi / (
         _OVERSAMPLE * math.log(top / (2.0 * math.pi)) * step)), _Q_MAX)
     bottom = anchor + (c * _GRID_CHUNK - _HALO * q) * step
-    r = min(correction_terms, len(_RS_C) - 1)
-    if q < 2 or bottom < 2.0 * T_MIN \
-            or _RS_C[r] * bottom ** (-(2 * r + 3) / 4) > _SWITCH_BOUND:
-        return 0
-    return q
+    return 0 if q < 2 or bottom < 2.0 * T_MIN else q
 
 
 @functools.lru_cache(maxsize=16)
@@ -374,11 +372,10 @@ def riemann_siegel_Z(t, correction_terms: int):
     These points are scattered: the main sum takes one pass per term.
     The grid path of `sample_critical_line` forms theta and the
     remainder as here, so it carries the same two terms, at the real
-    lattice node.  Above the switch, where c_R t^(-(2R+3)/4) (depths 5
-    and 6 taking depth 4's) is at most 1e-12, it forms Z so only at
-    every q-th node and interpolates the rest, a third term of about
-    3e-15 times the main sum's size, below the rounding.  Its docstring
-    has their size.
+    lattice node.  Wherever its halo fits it forms Z so only at every
+    q-th node and interpolates the rest, a third term of about 3e-15
+    times the main sum's size, below the rounding.  Its docstring has
+    their size.
     """
     _check_depth(correction_terms)
     arr = np.asarray(t, dtype=np.float64)
@@ -472,12 +469,13 @@ def sample_critical_line(
         Gaussian-windowed sinc over its 64 nearest coarse nodes, whose
         truncation and aliasing are each about exp(-32 pi / 3) = 3e-15
         of the sum's size.  Taken when q >= 2 and the 32 coarse nodes
-        below the chunk stay above 2 T_MIN with the RS truncation bound
-        c_R t^(-(2R+3)/4) there at most 1e-12: at depth 4 from about
-        T = 5 000, at depth 3 from 4.6e4, at depth 2 from 6.5e5, and at
-        depths 0 and 1 never, since below it the truncated series steps
-        where N(t) does.
-      * direct: the chunk's Dirichlet polynomial at every node.
+        below the chunk stay above 2 T_MIN, at every depth: where N(t)
+        steps, the interpolant meets the series' step as closely as the
+        direct way does (`test_interpolated_chunks_against_siegelz`
+        audits the nodes where the two ways differ most).
+      * direct: the chunk's Dirichlet polynomial at every node, for a
+        step above pi / (6 tau) (0.063 near T_MAX) or a chunk within
+        about 32 q steps of 2 T_MIN.
 
     Both form Z at their nodes through `_z_on_grid`: the grid's start is
     formed exactly and its rounding folded into the main sum's
@@ -513,7 +511,7 @@ def sample_critical_line(
     def fill(c: int) -> None:
         k0 = c * _GRID_CHUNK - first      # the chunk's node 0 in `values`
         lo, stop = max(-k0, 0), min(count - k0, _GRID_CHUNK)
-        q = _coarse_factor(anchor, step, c, correction_terms)
+        q = _coarse_factor(anchor, step, c)
         if q:
             z = _z_interpolated(anchor, step, c, q, correction_terms)[lo:stop]
         else:

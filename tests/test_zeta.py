@@ -171,6 +171,22 @@ def test_one_line_values():
     assert 0.1 <= abs(zeta.zeta_one_line(100.0, 0.05)) <= 10.0
 
 
+def test_one_line_routes_agree_at_the_crossover():
+    # Euler-Maclaurin up to |delta| = 1e5, mpmath.zeta past it: at the
+    # crossover the two meet within 1e-9, and at delta = 1e8 the second
+    # meets mpmath at 30 digits
+    for delta, offset in ((1e5, 1.0 / math.log(1e8)), (-1e5, 0.5)):
+        above = math.nextafter(delta, 2.0 * delta)
+        em = zeta.zeta_one_line(delta, offset)
+        assert em == zeta._euler_maclaurin(complex(1.0 + offset, delta))
+        assert zeta.zeta_one_line(above, offset) == complex(
+            mpmath.zeta(complex(1.0 + offset, above)))
+        assert abs(em - complex(mpmath.zeta(complex(1.0 + offset, delta)))) <= 1e-9
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(1.05, 1e8)))
+    assert abs(zeta.zeta_one_line(1e8, 0.05) - want) <= 1e-12 * abs(want)
+
+
 def test_one_line_even_modulus():
     rng = random.Random(0x11E)
     for _ in range(20):
@@ -179,6 +195,14 @@ def test_one_line_even_modulus():
         a = abs(zeta.zeta_one_line(d, s))
         b = abs(zeta.zeta_one_line(-d, s))
         assert abs(a - b) <= 1e-12 * max(1.0, a)
+
+
+def test_one_line_refuses_a_gap_beyond_t_max(monkeypatch):
+    # mpmath.zeta takes about sqrt(|delta|) terms: past T_MAX it is not called
+    monkeypatch.setattr(zeta.mpmath, "zeta", None)
+    for far in (math.nextafter(zeta.T_MAX, math.inf), -1e12, 1e300):
+        with pytest.raises(DomainError, match="exceeds 1e"):
+            zeta.zeta_one_line(far, 0.1)
 
 
 def test_one_line_offset_validation():
@@ -194,11 +218,13 @@ def test_one_line_offset_validation():
 
 
 def test_grid_shapes_and_coverage():
+    # the samples interpolate, and meet siegelz within depth 2's RS
+    # truncation bound c_2 t^(-7/4) (`riemann_siegel_Z`), 4.7e-6 at t = 100
     grid = zeta.sample_critical_line(100.0, 100.1, 0.05, correction_terms=2)
-    assert grid.count == 3
+    assert grid.count == 3 and zeta._coarse_factor(100.0, 0.05, 0) > 0
     for k in range(3):
-        direct = abs(zeta.riemann_siegel_Z(grid.t_at(k), 2))
-        assert abs(grid.values[k] - direct) <= 1e-9
+        want = abs(float(mpmath.siegelz(grid.t_at(k))))
+        assert abs(grid.values[k] - want) <= 0.015 * 100.0 ** -1.75
     single = zeta.sample_critical_line(100.0, 100.0, 0.05, correction_terms=2)
     assert single.count == 1
     assert single.t_at(0) == 100.0
@@ -308,19 +334,47 @@ def test_interpolated_chunks_against_siegelz():
     # interpolant's worst error is at most twice the direct chunk's, both
     # being float64 phase rounding, and at every node the two are within
     # 1e-13 T of each other
-    h, rng = 0.01, random.Random(0x2E4)
+    h, rng, known = 0.01, random.Random(0x2E4), {}
+
+    def siegelz(T, h, ks):
+        with mpmath.workdps(20):
+            for k in ks:
+                if (T, h, k) not in known:
+                    known[T, h, k] = abs(float(mpmath.siegelz(
+                        mpmath.mpf(T) + k * mpmath.mpf(h))))
+        return np.array([known[T, h, k] for k in ks])
+
+    seeded = {}
     for T in (2e4, 1e5):
-        assert zeta._coarse_factor(T, h, 0, 4) > 0
+        assert zeta._coarse_factor(T, h, 0) > 0
         grid = zeta.sample_critical_line(T, T + (zeta._GRID_CHUNK - 1) * h, h,
                                          correction_terms=4)
         direct = np.abs(_direct_chunk(T, h, 0, 4))
         assert np.max(np.abs(grid.values - direct)) <= 1e-13 * T
-        ks = [rng.randrange(zeta._GRID_CHUNK) for _ in range(12)]
-        with mpmath.workdps(30):
-            want = np.array([abs(float(mpmath.siegelz(mpmath.mpf(T) + k * mpmath.mpf(h))))
-                             for k in ks])
+        ks = seeded[T] = [rng.randrange(zeta._GRID_CHUNK) for _ in range(12)]
+        want = siegelz(T, h, ks)
         worst = np.max(np.abs(grid.values[ks] - want))
         assert worst <= 2.0 * np.max(np.abs(direct[ks] - want)), T
+    # where the RS series is coarse (low heights, low depths) it steps
+    # where N(t) does, and chunks 0 and 1 interpolate there too.  On 4
+    # seeded nodes (2e4's 12 above at depth 1), the 6 nodes where the two
+    # ways differ most and the nodes on either side of each step of N(t),
+    # the interpolant's worst error is again at most twice the direct
+    # chunks' (it reads 0.84-1.0 times it)
+    n = 2 * zeta._GRID_CHUNK
+    for T, h, depth in ((2e4, 0.01, 1), (200.0, 0.01, 4), (1e3, 0.01, 0),
+                        (1e3, 0.005, 6)):
+        ks = seeded.get(T) or [rng.randrange(n) for _ in range(4)]
+        assert zeta._coarse_factor(T, h, 0) > 0
+        grid = zeta.sample_critical_line(T, T + (n - 1) * h, h, correction_terms=depth)
+        direct = np.abs(np.concatenate([_direct_chunk(T, h, c, depth) for c in (0, 1)]))
+        cut = np.floor(np.sqrt(grid.t_at(np.arange(n)) / (2.0 * math.pi)))
+        jumps = np.flatnonzero(np.diff(cut))
+        assert jumps.size >= 2, T
+        ks = [*ks, *np.argsort(np.abs(grid.values - direct))[-6:], *jumps, *(jumps + 1)]
+        want = siegelz(T, h, ks)
+        worst = np.max(np.abs(grid.values[ks] - want))
+        assert worst <= 2.0 * np.max(np.abs(direct[ks] - want)), (T, h, depth)
 
 
 def test_band_limited_weights_reproduce_a_band_limited_signal():
@@ -328,7 +382,7 @@ def test_band_limited_weights_reproduce_a_band_limited_signal():
     # band pi / 3 that `_coarse_factor` allows: the windowed sinc meets it
     # to about exp(-pi _HALO / 3) times its size, and takes a coarse
     # node's own value at residue 0, bit for bit; q stops at _Q_MAX
-    assert zeta._coarse_factor(2e4, 1e-4, 0, 4) == zeta._Q_MAX
+    assert zeta._coarse_factor(2e4, 1e-4, 0) == zeta._Q_MAX
 
     def signal(x):
         return 2.0 * np.cos(np.pi / 3.0 * x + 0.3) + np.sin(0.2 * x) + 0.5
@@ -341,56 +395,69 @@ def test_band_limited_weights_reproduce_a_band_limited_signal():
         assert got[::q].tobytes() == coarse[zeta._HALO:zeta._HALO + 40].tobytes()
 
 
-def test_chunks_below_the_switch_are_sampled_directly():
-    # a chunk takes the direct path, bit for bit, when the RS truncation
-    # bound at its halo's bottom exceeds 1e-12 (depth 4 below about 5 000,
-    # depth 1 at any height), when its halo would dip under 2 T_MIN, or
-    # when the coarse spacing would be under two steps
+def test_chunks_whose_halo_does_not_fit_are_sampled_directly():
+    # a chunk takes the direct path, bit for bit, only when the coarse
+    # spacing would be under two steps or its halo would dip under 2 T_MIN;
+    # at any depth and height otherwise it interpolates, also at T = 4 000
+    # (depth 4) and at depth 1, where the RS series steps coarsely with N(t)
     h = 0.01
-    assert zeta._coarse_factor(4000.0, h, 0, 4) == 0
-    assert zeta._coarse_factor(6000.0, h, 0, 4) > 0
-    assert zeta._coarse_factor(2e4, h, 0, 1) == 0
-    assert zeta._coarse_factor(15.0, h, 0, 4) == 0
-    assert zeta._coarse_factor(9e7, 0.1, 0, 6) == 0
-    for T, depth, step in ((4000.0, 4, h), (2e4, 1, h), (9e7, 6, 0.1)):
-        grid = zeta.sample_critical_line(T, T + 3000 * step, step,
-                                         correction_terms=depth)
-        direct = np.abs(_direct_chunk(T, step, 0, depth))
-        assert grid.values.tobytes() == direct[:grid.count].tobytes(), T
-    # so does chunk -1 of the lattice from 5 600, whose halo reaches down
-    # to 4 935, beside its chunk 0, which interpolates
-    assert zeta._coarse_factor(5600.0, h, -1, 4) == 0
-    assert zeta._coarse_factor(5600.0, h, 0, 4) > 0
-    below = zeta.sample_critical_line(5590.0, 5610.0, h, anchor=5600.0,
-                                      correction_terms=4)
+    assert zeta._coarse_factor(15.0, h, 0) == 0
+    assert zeta._coarse_factor(9e7, 0.1, 0) == 0
+    grid = zeta.sample_critical_line(9e7, 9e7 + 3000 * 0.1, 0.1, correction_terms=6)
+    direct = np.abs(_direct_chunk(9e7, 0.1, 0, 6))
+    assert grid.values.tobytes() == direct[:grid.count].tobytes()
+    for T, depth in ((4000.0, 4), (2e4, 1)):
+        q = zeta._coarse_factor(T, h, 0)
+        assert q > 0
+        grid = zeta.sample_critical_line(T, T + 3000 * h, h, correction_terms=depth)
+        inter = np.abs(zeta._z_interpolated(T, h, 0, q, depth))
+        assert grid.values.tobytes() == inter[:grid.count].tobytes(), T
+    # so does chunk -1 of the lattice from 80 at step 0.001, whose halo
+    # reaches down to 6.3, beside its chunk 0, which interpolates
+    h = 0.001
+    assert zeta._coarse_factor(80.0, h, -1) == 0
+    q = zeta._coarse_factor(80.0, h, 0)
+    assert q > 0
+    below = zeta.sample_critical_line(79.0, 81.0, h, anchor=80.0, correction_terms=4)
     assert below.values[:1000].tobytes() == np.abs(
-        _direct_chunk(5600.0, h, -1, 4))[-1000:].tobytes()
+        _direct_chunk(80.0, h, -1, 4))[-1000:].tobytes()
+    assert below.values[1000:].tobytes() == np.abs(
+        zeta._z_interpolated(80.0, h, 0, q, 4))[:1001].tobytes()
 
 
 def test_interpolated_bytes_depend_only_on_the_lattice_node(monkeypatch):
-    # T = 2e4 is above the switch at depth 4, so every chunk interpolates:
-    # workers 1, 2 and 3, windows that end in chunks 1 and 2, a window
-    # from below its anchor (chunks -1 and 0) and OpenBLAS left at its
-    # own thread count all give the same bytes
+    # every chunk from T = 2e4 at depth 4 and from T = 200 at depth 0
+    # interpolates: workers 1, 2 and 3, windows that end in chunks 1 and
+    # 2, a window from below its anchor (chunks -1 and 0; chunk -1 from
+    # 200 is direct, its halo dipping under 2 T_MIN) and OpenBLAS left at
+    # its own thread count all give the same bytes
     h = 0.01
-    one = zeta.sample_critical_line(2e4, 2e4 + 150_000 * h, h, correction_terms=4)
-    assert one.count == 150_001
-    for workers in (2, 3):
-        got = zeta.sample_critical_line(2e4, 2e4 + 150_000 * h, h,
-                                        correction_terms=4, workers=workers)
-        assert got.values.tobytes() == one.values.tobytes()
-    short = zeta.sample_critical_line(2e4, 2e4 + 70_000 * h, h, correction_terms=4)
-    assert short.values.tobytes() == one.values[:70_001].tobytes()
-    below = zeta.sample_critical_line(2e4 - 500 * h, 2e4 + 1000 * h, h, anchor=2e4,
-                                      correction_terms=4, workers=2)
-    assert below.count == 1501
-    assert below.values[500:].tobytes() == one.values[:1001].tobytes()
-    assert below.values[:500].tobytes() == np.abs(zeta._z_interpolated(
-        2e4, h, -1, zeta._coarse_factor(2e4, h, -1, 4), 4))[-500:].tobytes()
+    ones = {}
+    for T, depth in ((2e4, 4), (200.0, 0)):
+        assert zeta._coarse_factor(T, h, 0) > 0 and zeta._coarse_factor(T, h, 2) > 0
+        one = ones[T] = zeta.sample_critical_line(T, T + 150_000 * h, h,
+                                                  correction_terms=depth)
+        assert one.count == 150_001
+        for workers in (2, 3):
+            got = zeta.sample_critical_line(T, T + 150_000 * h, h,
+                                            correction_terms=depth, workers=workers)
+            assert got.values.tobytes() == one.values.tobytes()
+        short = zeta.sample_critical_line(T, T + 70_000 * h, h, correction_terms=depth)
+        assert short.values.tobytes() == one.values[:70_001].tobytes()
+        below = zeta.sample_critical_line(T - 500 * h, T + 1000 * h, h, anchor=T,
+                                          correction_terms=depth, workers=2)
+        assert below.count == 1501
+        assert below.values[500:].tobytes() == one.values[:1001].tobytes()
+        q = zeta._coarse_factor(T, h, -1)
+        alone = (np.abs(zeta._z_interpolated(T, h, -1, q, depth))[-500:] if q else
+                 zeta.sample_critical_line(T - 500 * h, T - h, h, anchor=T,
+                                           correction_terms=depth).values)
+        assert below.values[:500].tobytes() == alone.tobytes(), T
     monkeypatch.setattr(sums, "_OPENBLAS", None)
-    free = zeta.sample_critical_line(2e4, 2e4 + 150_000 * h, h,
-                                     correction_terms=4, workers=2)
-    assert free.values.tobytes() == one.values.tobytes()
+    for T, depth in ((2e4, 4), (200.0, 0)):
+        free = zeta.sample_critical_line(T, T + 150_000 * h, h,
+                                         correction_terms=depth, workers=2)
+        assert free.values.tobytes() == ones[T].values.tobytes()
 
 
 def test_grid_workers_bit_identical():
