@@ -10,13 +10,15 @@ lattice of their primes.
 
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
-the two are compared in tests, so keep them independent.  Their pair
-sums factor through K[i, j] = 1 / log(n_j / n_i), formed in one buffer
-max(1, _GAP_BLOCK // n) rows at a time: a block of rows is one real
-product of K with a few columns, its row sums merged in row order.  They
-are an ulp or two off a per-pair sum, and as far as it is from a
-40-digit one (6e-13 of T sum |c|^2 + bound, the bound 1.2e-12 relative),
-through the float64 log gaps; no bit depends on OpenBLAS's thread count.
+the two are compared in tests, so keep them independent.  The window
+integral and the bound on its cross terms come from one walk over
+K[i, j] = 1 / log(n_j / n_i), formed max(1, _GAP_BLOCK // n) rows at a
+time: a block of rows is one real product of |K| with |c| for the bound
+and one of K with a few columns for the integral, their row sums merged
+in row order.  Both are an ulp or two off a per-pair sum, and as far as
+it is from a 40-digit one (6e-13 of T sum |c|^2 + bound, the bound
+1.2e-12 relative), through the float64 log gaps; no bit depends on
+OpenBLAS's thread count.
 """
 
 from __future__ import annotations
@@ -202,112 +204,94 @@ def _frequency_logs(ns):
     return np.array([math.log(n) for n in ns], dtype=np.float64)
 
 
-def _frequencies(table: CoeffTable, what: str) -> list:
-    """The table's frequencies ascending; DomainError unless ints >= 1."""
+def _frequencies(table: CoeffTable, what: str) -> tuple:
+    """(ns, coeffs, logs): the table's frequencies ascending (DomainError
+    unless ints >= 1), their coefficients (DomainError unless finite) and
+    the frequencies' logs."""
     ns = sorted(table.entries)
     if set(map(type, ns)) - {int} or ns and ns[0] < 1:
         raise DomainError(f"{what} needs integer frequencies >= 1")
-    return ns
-
-
-def _log_gaps(table: CoeffTable, what: str):
-    """(coeffs, logs, blocks): a table's coefficients (finite, else
-    DomainError), the logs of its `_frequencies` (at most _MEAN_VALUE_MAX)
-    and the reciprocal log gaps in blocks of rows (rows, inv, near),
-    inv[r, j] = 1 / log(n_j / n_i) at row i = rows.start + r and 0 at
-    j = i, in one buffer the caller may overwrite; near lists the block's
-    (i, j, gap) whose gap is under _NEAR_LOG_EPS, from the integer
-    difference.  The logs ascend, so near runs are found once."""
-    n = len(table.entries)
-    if n > _MEAN_VALUE_MAX:
-        raise ResourceError(
-            f"{what} over {n} frequencies exceeds cap {_MEAN_VALUE_MAX}")
-    ns = _frequencies(table, what)
     coeffs = np.array([table.entries[f] for f in ns], dtype=np.complex128)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"{what} needs finite coefficients")
-    logs = _frequency_logs(ns)
-    pairs = [(i, j) for i in np.flatnonzero(np.diff(logs) < _NEAR_LOG_EPS).tolist()
-             for j in itertools.takewhile(
-                 lambda j: logs[j] - logs[i] < _NEAR_LOG_EPS, range(i + 1, n))]
-    near = sorted((i, j, math.log1p((ns[j] - ns[i]) / ns[i]))
-                  for pair in pairs for i, j in (pair, pair[::-1]))
-    step = max(1, _GAP_BLOCK // max(1, n))
-
-    def blocks():
-        buf = np.empty((min(step, n), n))
-        for start in range(0, n, step):
-            rows = slice(start, min(start + step, n))
-            lam = np.subtract(logs, logs[rows, None], out=buf[:rows.stop - start])
-            lam.reshape(-1)[start::n + 1] = math.inf     # whose reciprocal is 0
-            here = near[bisect.bisect(near, (start,)):bisect.bisect(near, (rows.stop,))]
-            for i, j, gap in here:
-                lam[i - start, j] = gap
-            yield rows, np.divide(1.0, lam, out=lam), here
-
-    return coeffs, logs, blocks()
+    return ns, coeffs, _frequency_logs(ns)
 
 
-def exact_mv_integral(table: CoeffTable, t_len: float) -> float:
-    """Closed-form value of the mean square over the window [T, 2T].
+def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
+    """(integral, bound): the closed-form mean square over the window
+    [T, 2T], and the window-independent bound on its cross terms, the sum
+    over ordered pairs m != n of 2|c(m) c(n)| / |log(m/n)|.
 
     The polynomial is D(t) = sum c(n) n^(-i t); the integral of
     |D(t)|^2 over [T, 2T] is T * sum |c(n)|^2 plus the closed-form
     oscillatory cross terms (no quadrature): (e^(2iT lam) - e^(iT lam))
     / (i lam) at log gap lam, or for a near pair, where that difference
-    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.  With K's near pairs
-    zeroed, row i's far terms are Im(c_i (n_i^(-2iT) (K b)_i - n_i^(-iT)
-    (K d)_i)), b = conj(c) n^(2iT), d = conj(c) n^(iT): one product a block.
+    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.  One walk over the row
+    blocks of K (module docstring) gives both.  Bound row i is
+    2|c_i| (|K| |c|)_i, with near gaps from the integer difference;
+    with K's near pairs then zeroed, row i's far terms are
+    Im(c_i (n_i^(-2iT) (K b)_i - n_i^(-iT) (K d)_i)),
+    b = conj(c) n^(2iT), d = conj(c) n^(iT): one product each a block.
     """
     if not 0 < t_len < math.inf:
         raise DomainError(f"window base must be positive and finite, got {t_len}")
-    a, logs, blocks = _log_gaps(table, "mean value")
+    n = len(table.entries)
+    if n > _MEAN_VALUE_MAX:
+        raise ResourceError(
+            f"mean value over {n} frequencies exceeds cap {_MEAN_VALUE_MAX}")
+    ns, a, logs = _frequencies(table, "mean value")
+    # (i, j, gap) for the pairs whose log gap is under _NEAR_LOG_EPS, the
+    # gap from the integer difference; the logs ascend, so runs are found once
+    pairs = [(i, j) for i in np.flatnonzero(np.diff(logs) < _NEAR_LOG_EPS).tolist()
+             for j in itertools.takewhile(
+                 lambda j: logs[j] - logs[i] < _NEAR_LOG_EPS, range(i + 1, n))]
+    near = sorted((i, j, math.log1p((ns[j] - ns[i]) / ns[i]))
+                  for pair in pairs for i, j in (pair, pair[::-1]))
     t_len = float(t_len)
     u = np.exp(1j * t_len * logs)        # (n)^(iT)
     v = u * u                            # (n)^(2iT)
-    diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
+    mags = np.abs(a)
+    diag = t_len * float(np.add.reduce(mags ** 2))
     # the columns Re b, Im b, Re d, Im d
     bd = (np.stack([v, u], axis=1) * np.conj(a)[:, None]).view(np.float64)
-    acc = KahanAccumulator(0.0)
-    for rows, inv, near in blocks:
-        for i, j, _ in near:
-            inv[i - rows.start, j] = 0.0
+    step = max(1, _GAP_BLOCK // max(1, n))
+    buf, abs_buf = np.empty((2, min(step, n), n))
+    acc, bound = KahanAccumulator(0.0), KahanAccumulator(0.0)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        inv = np.subtract(logs, logs[start:stop, None], out=buf[:stop - start])
+        inv.reshape(-1)[start::n + 1] = math.inf     # whose reciprocal is 0
+        here = near[bisect.bisect(near, (start,)):bisect.bisect(near, (stop,))]
+        for i, j, gap in here:
+            inv[i - start, j] = gap
+        np.divide(1.0, inv, out=inv)
+        k_abs = np.abs(inv, out=abs_buf[:stop - start])
+        for row in (2.0 * mags[start:stop] * (k_abs @ mags)).tolist():
+            bound.add(row)
+        for i, j, _ in here:
+            inv[i - start, j] = 0.0
         kb, kd = np.matmul(inv, bd).view(np.complex128).T
-        terms = (a[rows] * (np.conj(v[rows]) * kb - np.conj(u[rows]) * kd)).imag
-        for i, j, gap in near:
-            terms[i - rows.start] += (a[i] * a[j].conjugate()
-                                      * cmath.exp(1.5j * t_len * gap)
-                                      * (2.0 * math.sin(0.5 * t_len * gap) / gap)).real
+        terms = (a[start:stop] * (np.conj(v[start:stop]) * kb
+                                  - np.conj(u[start:stop]) * kd)).imag
+        for i, j, gap in here:
+            terms[i - start] += (a[i] * a[j].conjugate()
+                                 * cmath.exp(1.5j * t_len * gap)
+                                 * (2.0 * math.sin(0.5 * t_len * gap) / gap)).real
         for term in terms.tolist():
             acc.add(term)
-    return float(diag + acc.total)
-
-
-def off_diagonal_bound(table: CoeffTable) -> float:
-    """sum over ordered pairs m != n of 2|c(m) c(n)| / |log(m/n)|.
-
-    Window-independent bound on the cross terms of the mean square: row
-    i is 2|c_i| (|K| |c|)_i, one product per block (module docstring).
-    """
-    coeffs, _, blocks = _log_gaps(table, "bound")
-    mags = np.abs(coeffs)
-    acc = KahanAccumulator(0.0)
-    for rows, inv, _ in blocks:
-        for row in (2.0 * mags[rows] * (np.abs(inv, out=inv) @ mags)).tolist():
-            acc.add(row)
-    return acc.total
+    return float(diag + acc.total), bound.total
 
 
 def diagonal_sum(table: CoeffTable, sigma0: float) -> float:
-    """sum |c(n)|^2 * n^(-2*sigma0), ascending in n; DomainError when it
-    is not finite, as a coefficient or sigma0 that is not makes it."""
-    scale = -2.0 * sigma0
-    acc = KahanAccumulator(0.0)
-    for n in _frequencies(table, "diagonal sum"):
-        acc.add(abs(table.entries[n]) ** 2 * math.exp(scale * math.log(n)))
-    if not math.isfinite(acc.total):
-        raise DomainError(f"diagonal sum of finite terms needed, got {acc.total}")
-    return acc.total
+    """sum |c(n)|^2 * n^(-2*sigma0) over the table; DomainError when it is
+    not finite, as a coefficient or sigma0 that is not, or an overflow,
+    makes it.  At sigma0 = 0 it is the diagonal of `exact_mv_integral`."""
+    _, coeffs, logs = _frequencies(table, "diagonal sum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.add.reduce(np.abs(coeffs) ** 2 * np.exp(-2.0 * sigma0 * logs)))
+    if not math.isfinite(total):
+        raise DomainError(f"diagonal sum of finite terms needed, got {total}")
+    return total
 
 
 def prime_power_tail_c2(table: CoeffTable, sigma0: float) -> float:
@@ -516,11 +500,11 @@ def splitting_check(tables, t_len: float) -> tuple:
             f"product length {length} exceeds min(1e4, sqrt T) = {cap}")
     if len(tables) == 1:
         # degenerate product: both sides are the same integral
-        lhs = exact_mv_integral(tables[0], t_len)
+        lhs = exact_mv_integral(tables[0], t_len)[0]
         return lhs, lhs
     product = product_coeffs([(t, 0.0) for t in tables])
-    lhs = exact_mv_integral(product, t_len)
+    lhs = exact_mv_integral(product, t_len)[0]
     rhs = float(t_len)
     for t in tables:
-        rhs *= exact_mv_integral(t, t_len) / float(t_len)
+        rhs *= exact_mv_integral(t, t_len)[0] / float(t_len)
     return lhs, rhs

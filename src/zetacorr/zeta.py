@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -537,41 +538,37 @@ def cache_bytes(grid: ZetaGrid) -> tuple:
 
 
 def cache_read(path) -> ZetaGrid:
-    """A grid from a `ZGRD` cache file (a filename or a binary file
-    object).  Checks the magic, the version, the flags, the sample
-    length and the checksum, in that order, then the geometry and the
-    RS depth."""
-    if hasattr(path, "read"):
-        blob = path.read()
-    else:
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:      # a missing file or a directory, say
-            raise ConfigError(f"cannot read cache {path}: {exc}") from exc
-    if len(blob) < _PREFIX.size or blob[:4] != _GRID_MAGIC:
-        raise CacheFormatError(f"{path}: not a ZGRD cache")
-    version = _PREFIX.unpack_from(blob)[1]
-    if version != CACHE_VERSION:
-        raise CacheFormatError(f"{path}: unsupported version {version}")
-    head = _PREFIX.size + _HEADER.size
-    if len(blob) < head + _CRC.size:
-        raise CacheFormatError(f"{path}: truncated header")
-    flags, terms, t_start, step, count = _HEADER.unpack_from(blob, _PREFIX.size)
-    if flags != _FLAGS:
-        raise CacheFormatError(
-            f"{path}: flags {flags}, not {_FLAGS}: complex grids and other "
-            "non-modulus grids are not read; sample the grid again")
-    length = len(blob) - head - _CRC.size
-    if length != 8 * count:
-        raise CacheFormatError(f"{path}: payload length {length} != 8 * {count}")
-    (crc,) = _CRC.unpack_from(blob, head + length)
-    if zlib.crc32(memoryview(blob)[:-_CRC.size]) != crc:
+    """A grid from a `ZGRD` cache file.  Checks the magic, the version and
+    the flags of its head, then the file's size against the head's sample
+    count, before it reads a sample; then the checksum, the geometry and
+    the RS depth."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_PREFIX.size + _HEADER.size)
+            if len(head) < _PREFIX.size or head[:4] != _GRID_MAGIC:
+                raise CacheFormatError(f"{path}: not a ZGRD cache")
+            version = _PREFIX.unpack_from(head)[1]
+            if version != CACHE_VERSION:
+                raise CacheFormatError(f"{path}: unsupported version {version}")
+            if len(head) < _PREFIX.size + _HEADER.size:
+                raise CacheFormatError(f"{path}: truncated header")
+            flags, terms, t_start, step, count = _HEADER.unpack_from(head, _PREFIX.size)
+            if flags != _FLAGS:
+                raise CacheFormatError(
+                    f"{path}: flags {flags}, not {_FLAGS}: complex grids and other "
+                    "non-modulus grids are not read; sample the grid again")
+            length = os.fstat(fh.fileno()).st_size - len(head) - _CRC.size
+            if length != 8 * count:
+                raise CacheFormatError(f"{path}: payload length {length} != 8 * {count}")
+            body = fh.read(length + _CRC.size)
+    except OSError as exc:      # a missing file or a directory, say
+        raise ConfigError(f"cannot read cache {path}: {exc}") from exc
+    if body[length:] != _CRC.pack(zlib.crc32(memoryview(body)[:length], zlib.crc32(head))):
         raise CacheFormatError(f"{path}: checksum mismatch")
     if step <= 0 or not math.isfinite(t_start) or not math.isfinite(step):
         raise CacheFormatError(f"{path}: bad grid geometry")
     if terms > MAX_CORRECTION_TERMS:
         raise CacheFormatError(f"{path}: RS depth {terms} above {MAX_CORRECTION_TERMS}")
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=head)
+    values = np.frombuffer(body, dtype="<f8", count=count)
     return ZetaGrid(t_start=t_start, step=step, values=values,
                     correction_terms=terms)

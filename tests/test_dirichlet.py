@@ -265,8 +265,10 @@ def test_mean_value_single_term():
         interval=primes.PrimeInterval(2.0, 7.0), max_omega=1)
     t_len = 1234.0
     want = t_len * abs(0.5 + 0.25j) ** 2
-    assert math.isclose(
-        dirichlet.exact_mv_integral(tab, t_len), want, rel_tol=1e-14)
+    mv, bound = dirichlet.exact_mv_integral(tab, t_len)
+    assert math.isclose(mv, want, rel_tol=1e-14) and bound == 0.0
+    # the diagonal at sigma0 = 0 is the integral's own, bit for bit
+    assert mv == t_len * dirichlet.diagonal_sum(tab, 0.0)
 
 
 def _simpson_mv_oracle(entries, t_len, n_cells=200_001):
@@ -290,7 +292,7 @@ def test_mean_value_against_quadrature():
         dirichlet.CoeffTable(
             entries=entries, primes=(2,),
             interval=primes.PrimeInterval(1.0, 2.0), max_omega=1),
-        t_len)
+        t_len)[0]
     oracle = _simpson_mv_oracle(entries, t_len)
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
@@ -305,7 +307,7 @@ def test_mean_value_mixed_table_against_quadrature():
     tab = dirichlet.CoeffTable(
         entries=entries, primes=(),
         interval=primes.PrimeInterval(1.0, 100.0), max_omega=0)
-    got = dirichlet.exact_mv_integral(tab, t_len)
+    got = dirichlet.exact_mv_integral(tab, t_len)[0]
     oracle = _simpson_mv_oracle(entries, t_len)
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
@@ -343,7 +345,7 @@ def test_mean_value_near_pair_logs():
     # cancels to nothing in floats: 64.0 where the integral is 64.000000024
     t_len = 100.0
     for entries in _NEAR_TABLES:
-        got = dirichlet.exact_mv_integral(_near_table(entries), t_len)
+        got = dirichlet.exact_mv_integral(_near_table(entries), t_len)[0]
         with mpmath.workdps(50):
             t = mpmath.mpf(t_len)
             oracle = t * sum(abs(mpmath.mpc(c)) ** 2 for c in entries.values())
@@ -355,7 +357,7 @@ def test_mean_value_near_pair_logs():
 
 def test_off_diagonal_bound_near_pair_logs():
     for entries in _NEAR_TABLES:
-        got = dirichlet.off_diagonal_bound(_near_table(entries))
+        got = dirichlet.exact_mv_integral(_near_table(entries), 100.0)[1]
         oracle = _pair_terms(entries,
                              lambda a, b, lam: 2 * abs(a) * abs(b) / abs(lam))
         assert abs(got - oracle) <= 1e-12 * oracle
@@ -416,10 +418,14 @@ def _assert_blocks_match_per_row(tab):
     # not from the per-row loop's pair terms, so they agree to rounding,
     # 1-2 ulp on the tables tried, and not bit for bit
     bound = _per_row_bound(tab)
-    assert abs(dirichlet.off_diagonal_bound(tab) - bound) <= 1e-14 * bound
+    bounds = set()
     for t_len in _T_LENS:
-        assert abs(dirichlet.exact_mv_integral(tab, t_len)
-                   - _per_row_mean_value(tab, t_len)) <= 1e-14 * _scale(tab, t_len, bound)
+        mv, got = dirichlet.exact_mv_integral(tab, t_len)
+        bounds.add(got.hex())
+        assert abs(got - bound) <= 1e-14 * bound
+        assert abs(mv - _per_row_mean_value(tab, t_len)) <= 1e-14 * _scale(tab, t_len, bound)
+    # the bound takes nothing from the window: one value, bit for bit
+    assert len(bounds) == 1
 
 
 @pytest.mark.parametrize("count", [1, 2, 33, 1000])
@@ -437,9 +443,8 @@ def test_block_kernels_match_the_per_row_loop(count, monkeypatch):
     for chunk in (8, 16, 24, dirichlet._GAP_BLOCK):
         monkeypatch.setattr(dirichlet, "_GAP_BLOCK", chunk)
         _assert_blocks_match_per_row(tab)
-        values.append([dirichlet.exact_mv_integral(tab, t_len) for t_len in _T_LENS]
-                      + [dirichlet.off_diagonal_bound(tab)])
-    scales = [_scale(tab, t_len, bound) for t_len in _T_LENS] + [bound]
+        values.append([x for t_len in _T_LENS for x in dirichlet.exact_mv_integral(tab, t_len)])
+    scales = [x for t_len in _T_LENS for x in (_scale(tab, t_len, bound), bound)]
     for column, scale in zip(zip(*values), scales):
         assert max(column) - min(column) <= 1e-14 * scale
 
@@ -509,11 +514,11 @@ def test_block_kernels_are_as_accurate_as_the_per_row_loop(tab):
     # log gaps, which the two share
     mvs, bound = _pair_reference(tab)
     for t_len, mv in zip(_T_LENS, mvs):
-        assert (abs(dirichlet.exact_mv_integral(tab, t_len) - mv)
-                <= abs(_per_row_mean_value(tab, t_len) - mv)
+        got, got_bound = dirichlet.exact_mv_integral(tab, t_len)
+        assert (abs(got - mv) <= abs(_per_row_mean_value(tab, t_len) - mv)
                 + 1e-15 * _scale(tab, t_len, bound))
-    assert (abs(dirichlet.off_diagonal_bound(tab) - bound)
-            <= abs(_per_row_bound(tab) - bound) + 1e-15 * bound)
+        assert (abs(got_bound - bound)
+                <= abs(_per_row_bound(tab) - bound) + 1e-15 * bound)
 
 
 _THREADS_SCRIPT = """
@@ -527,8 +532,7 @@ for count in (50, 700, 2500):
     tab = dirichlet.CoeffTable(
         entries={n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns},
         primes=(), max_omega=0, interval=primes.PrimeInterval(0.5, 2e15))
-    print(*(dirichlet.exact_mv_integral(tab, t).hex() for t in (100.0, 1e6)),
-          dirichlet.off_diagonal_bound(tab).hex())
+    print(*(x.hex() for t in (100.0, 1e6) for x in dirichlet.exact_mv_integral(tab, t)))
 """
 
 
@@ -554,14 +558,14 @@ def test_mean_values_refuse_bad_tables(entries):
     tab = dirichlet.CoeffTable(entries=entries, primes=(), max_omega=0,
                                interval=primes.PrimeInterval(0.5, 4.0))
     for call in (lambda: dirichlet.exact_mv_integral(tab, 100.0),
-                 lambda: dirichlet.off_diagonal_bound(tab),
                  lambda: dirichlet.diagonal_sum(tab, 0.5)):
         with pytest.raises(DomainError):
             call()
 
 
-@pytest.mark.parametrize("sigma0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sigma0", [math.nan, math.inf, -math.inf, -600.0])
 def test_diagonal_sum_refuses_a_non_finite_sigma0(sigma0):
+    # at -600 the finite sigma0 overflows the term 2^1200
     tab = dirichlet.CoeffTable(entries={1: 1.0, 2: 0.5}, primes=(), max_omega=0,
                                interval=primes.PrimeInterval(0.5, 4.0))
     with pytest.raises(DomainError):
@@ -586,9 +590,8 @@ def test_mean_value_remainder_bound():
         tab = dirichlet.CoeffTable(
             entries=entries, primes=(),
             interval=primes.PrimeInterval(1.0, 2000.0), max_omega=0)
-        mv = dirichlet.exact_mv_integral(tab, t_len)
+        mv, bound = dirichlet.exact_mv_integral(tab, t_len)
         diag = t_len * dirichlet.diagonal_sum(tab, 0.0)
-        bound = dirichlet.off_diagonal_bound(tab)
         assert abs(mv - diag) <= bound * (1.0 + 1e-9) + 1e-9
 
 
@@ -611,6 +614,11 @@ def test_diagonal_below_euler_bound(table_small):
         diag = dirichlet.diagonal_sum(tab, sigma0)
         bound = dirichlet.euler_bound(tab, sigma0)
         assert diag <= bound * (1.0 + 1e-12)
+        # against the per-entry sum: positive terms, each a few ulp off,
+        # and a pairwise reduction
+        assert math.isclose(diag, math.fsum(
+            abs(c) ** 2 * math.exp(-2.0 * sigma0 * math.log(n))
+            for n, c in tab.entries.items()), rel_tol=1e-14)
 
 
 def test_euler_bound_log_linearization(table_small):

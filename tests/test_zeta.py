@@ -695,34 +695,71 @@ def test_grid_range_validation():
                                       workers=workers)
 
 
-def test_grid_cache_round_trip():
+def _read_bytes(path, blob):
+    path.write_bytes(blob)
+    return zeta.cache_read(path)
+
+
+def test_grid_cache_round_trip(tmp_path):
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=3)
-    back = zeta.cache_read(io.BytesIO(b"".join(zeta.cache_bytes(grid))))
+    back = _read_bytes(tmp_path / "g.zgrd", b"".join(zeta.cache_bytes(grid)))
     assert back.t_start == grid.t_start
     assert back.step == grid.step
     assert back.correction_terms == 3
     assert np.array_equal(back.values, grid.values)
+    assert not back.values.flags.writeable
 
 
-def test_grid_cache_rejects_corruption():
+def test_grid_cache_rejects_corruption(tmp_path):
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=2)
     blob = b"".join(zeta.cache_bytes(grid))
+    path = tmp_path / "g.zgrd"
     with pytest.raises(CacheFormatError):
-        zeta.cache_read(io.BytesIO(blob[: len(blob) // 2]))
+        _read_bytes(path, blob[: len(blob) // 2])
     with pytest.raises(CacheFormatError):
-        zeta.cache_read(io.BytesIO(b"GRDZ" + blob[4:]))
+        _read_bytes(path, b"GRDZ" + blob[4:])
     bad_version = blob[:4] + b"\x09\x00\x00\x00" + blob[8:]
     with pytest.raises(CacheFormatError):
-        zeta.cache_read(io.BytesIO(bad_version))
+        _read_bytes(path, bad_version)
     flipped = bytearray(blob)
     flipped[60] ^= 0x01                   # one bit of the third sample
     with pytest.raises(CacheFormatError, match="checksum"):
-        zeta.cache_read(io.BytesIO(bytes(flipped)))
+        _read_bytes(path, bytes(flipped))
     # the version-1 layout: no RS depth, no checksum
     v1 = b"ZGRD" + struct.pack("<IIddQ", 1, 1, grid.t_start, grid.step,
                                grid.count) + grid.values.tobytes()
     with pytest.raises(CacheFormatError, match="unsupported version 1"):
-        zeta.cache_read(io.BytesIO(v1))
+        _read_bytes(path, v1)
+
+
+def test_cache_read_checks_the_head_before_any_sample(tmp_path, monkeypatch):
+    # 64 MB sparse files: one of zeros, as /dev/zero reads, and one with a
+    # grid's head whose count disagrees with the size; each is refused
+    # after the 40-byte head alone, while a good grid takes one more read
+    asked = []
+
+    class Spy(io.BufferedReader):
+        def read(self, size=-1):
+            asked.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(zeta, "open", lambda path, mode: Spy(io.FileIO(path, mode)),
+                        raising=False)
+    head, data, crc = zeta.cache_bytes(
+        zeta.sample_critical_line(30.0, 30.3, 0.05, correction_terms=3))
+    for blob, message in ((b"", "not a ZGRD cache"), (head, "payload length")):
+        path = tmp_path / "sparse.zgrd"
+        with open(path, "wb") as fh:
+            fh.write(blob)
+            fh.truncate(64 << 20)
+        asked.clear()
+        with pytest.raises(CacheFormatError, match=message):
+            zeta.cache_read(path)
+        assert asked == [len(head)]
+    asked.clear()
+    grid = _read_bytes(tmp_path / "g.zgrd", head + data.tobytes() + crc)
+    assert asked == [len(head), data.nbytes + len(crc)]
+    assert grid.values.tobytes() == data.tobytes()
 
 
 _BLOB = b"".join(zeta.cache_bytes(
@@ -731,7 +768,7 @@ _BLOB = b"".join(zeta.cache_bytes(
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_any_byte_change_or_truncation_is_refused(data):
+def test_any_byte_change_or_truncation_is_refused(tmp_path_factory, data):
     blob = bytearray(_BLOB)
     at = data.draw(st.integers(0, len(blob) - 1), label="at")
     if data.draw(st.booleans(), label="truncate"):
@@ -739,7 +776,7 @@ def test_any_byte_change_or_truncation_is_refused(data):
     else:
         blob[at] ^= data.draw(st.integers(1, 255), label="xor")
     with pytest.raises(CacheFormatError):
-        zeta.cache_read(io.BytesIO(bytes(blob)))
+        _read_bytes(tmp_path_factory.getbasetemp() / "changed.zgrd", bytes(blob))
 
 
 def test_rs_series_matches_its_generator(tmp_path, capsys):
