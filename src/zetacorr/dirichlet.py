@@ -1,11 +1,13 @@
 """Dirichlet polynomials with explicit integer-indexed coefficients.
 
-Tables keep exact integer frequencies (python ints, so prime-power
-products never overflow) with complex coefficients.  Everything
-downstream -- truncated exponentials of prime sums, shifted products,
-exact mean values over a window, diagonal/Euler-product bounds -- works
-on these tables.  Exponentials and products are computed on arrays
-of frequencies and coefficients, one entry per point of the exponent
+Tables keep exact integer frequencies, as int64, with complex
+coefficients; a table or product whose frequencies would reach 2^63 is
+refused.  The drivers' frequencies reach 1.2e7 in `prop34`'s tables and
+11^18 < 2^63 in `lemma33`'s products.  Everything downstream --
+truncated exponentials of prime sums, shifted products, exact mean
+values over a window, diagonal/Euler-product bounds -- works on these
+tables.  Exponentials and products are computed on arrays of
+frequencies and coefficients, one entry per point of the exponent
 lattice of their primes.
 
 Mean values over [T, 2T] use the closed form of the oscillatory
@@ -16,17 +18,17 @@ K[i, j] = 1 / log(n_j / n_i), formed max(1, _GAP_BLOCK // n) rows at a
 time: a block of rows is one real product of |K| with |c| for the bound
 and one of K with a few columns for the integral, their row sums merged
 in row order.  Both are an ulp or two off a per-pair sum, and as far as
-it is from a 40-digit one (6e-13 of T sum |c|^2 + bound, the bound
-1.2e-12 relative), through the float64 log gaps; no bit depends on
-OpenBLAS's thread count.
+it is from a 40-digit one, through the float64 log gaps, so the error
+grows as the least gap shrinks.  On random tables of frequencies up to
+1e4, the drivers' range, it was at most 4.2e-13 of T sum |c|^2 + bound
+and the bound 7e-13 relative; up to 9e8, 1.3e-12 and 1.1e-11.  At the
+gap 1e-8 of {10^8, 10^8 + 1} it is under 4e-10 of that scale and 3e-7
+relative.  No bit depends on OpenBLAS's thread count.
 """
 
 from __future__ import annotations
 
-import bisect
-import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,11 +39,11 @@ from .errors import DomainError, ResourceError
 from .primes import PrimeInterval, PrimeTable, taper_weight
 from .sums import KahanAccumulator
 
-_TABLE_MAX_DEFAULT = 200_000
-_PRODUCT_MAX_DEFAULT = 500_000
+_TABLE_MAX = 200_000
+_PRODUCT_MAX = 500_000
 _MEAN_VALUE_MAX = 10_000
-# |log(m/n)| below this is recomputed pairwise from integers
-_NEAR_LOG_EPS = 1e-9
+_NEAR_LOG_EPS = 1e-9        # least log gap of adjacent mean-value frequencies
+_INT64_END = 1 << 63        # frequencies are int64: every one lies below this
 _PAIR_CHUNK = 1 << 16       # coefficient pairs formed at once in a product
 _GAP_BLOCK = 1 << 14        # pairs per mean-value row block, to stay in L2
 
@@ -80,28 +82,25 @@ class CoeffTable:
         return len(self.entries)
 
 
-def truncated_exp(
-    spec: TruncSpec,
-    table: PrimeTable,
-    *,
-    max_entries: int = _TABLE_MAX_DEFAULT,
-) -> CoeffTable:
+def truncated_exp(spec: TruncSpec, table: PrimeTable) -> CoeffTable:
     """Coefficient table of sum_{d <= cap} (beta * P)^d / d!.
 
     P is the tapered prime sum over spec.interval with cutoff
     spec.x_cutoff, with weight w_p = taper(p).  The coefficient at
     prod p^(r_p) is prod (beta w_p)^(r_p) / r_p!, over the interval's
-    primes with sum r_p <= spec.degree_cap.
+    primes with sum r_p <= spec.degree_cap.  ResourceError past
+    `_TABLE_MAX` entries, or when the largest frequency would reach 2^63.
     """
     ps = [int(p) for p in table.in_interval(spec.interval)]
     live = [(p, spec.beta * taper_weight(p, spec.x_cutoff)) for p in ps]
     live = [(p, beta_w) for p, beta_w in live if beta_w != 0]
     cap = spec.degree_cap
     size = math.comb(len(live) + cap, cap)
-    if size > max_entries:
-        raise ResourceError(f"coefficient table exceeds {max_entries} entries")
-    wide = cap * math.log2(max(ps, default=2)) >= 62
-    ns = np.ones(size, dtype=object if wide else np.int64)
+    if size > _TABLE_MAX:
+        raise ResourceError(f"coefficient table exceeds {_TABLE_MAX} entries")
+    if max((p for p, _ in live), default=1) ** cap >= _INT64_END:
+        raise ResourceError("coefficient table frequencies reach 2^63")
+    ns = np.ones(size, dtype=np.int64)
     degree = np.zeros(size, dtype=np.int64)
     coeffs = np.ones(size)
     # each prime extends every entry so far that has room; r factors of
@@ -125,44 +124,41 @@ def truncated_exp(
     )
 
 
-def _convolve(a, b, max_entries: int):
+def _convolve(a, b):
     """Product of two tables given as (frequencies, coefficients) arrays.
 
     Each pair multiplies frequencies and coefficients, and the pairs
     are summed per frequency `_PAIR_CHUNK` at a time, in row-major pair
-    order, onto the sums of the chunks before.  More than `max_entries`
-    frequencies is refused as soon as they appear."""
+    order, onto the sums of the chunks before.  More than `_PRODUCT_MAX`
+    frequencies is refused as soon as they appear, and a largest
+    frequency of 2^63 or more at once."""
     (ns_a, coeffs_a), (ns_b, coeffs_b) = a, b
-    if int(ns_a.max(initial=1)) * int(ns_b.max(initial=1)) >= 1 << 63:
-        ns_a, ns_b = ns_a.astype(object), ns_b.astype(object)
-    ns = np.zeros(0, dtype=ns_a.dtype)
+    if int(ns_a.max(initial=1)) * int(ns_b.max(initial=1)) >= _INT64_END:
+        raise ResourceError("product table frequencies reach 2^63")
+    ns = np.zeros(0, dtype=np.int64)
     sums = np.zeros(0, dtype=np.complex128)
     step = max(1, _PAIR_CHUNK // max(1, len(ns_b)))
     for i in range(0, len(ns_a), step):
         keys = np.concatenate([ns, (ns_a[i:i + step, None] * ns_b).ravel()])
         pair = np.concatenate([sums, (coeffs_a[i:i + step, None] * coeffs_b).ravel()])
         ns, slots = np.unique(keys, return_inverse=True)
-        if len(ns) > max_entries:
-            raise ResourceError(f"product table exceeds {max_entries} entries")
+        if len(ns) > _PRODUCT_MAX:
+            raise ResourceError(f"product table exceeds {_PRODUCT_MAX} entries")
         sums = np.empty(len(ns), dtype=np.complex128)
         sums.real = np.bincount(slots, pair.real, len(ns))
         sums.imag = np.bincount(slots, pair.imag, len(ns))
     return ns, sums
 
 
-def product_coeffs(
-    factors,
-    table: PrimeTable | None = None,
-    *,
-    max_entries: int = _PRODUCT_MAX_DEFAULT,
-) -> CoeffTable:
+def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
     """Convolve coefficient tables, each twisted by a vertical shift.
 
     `factors` is a sequence of (factor, shift) pairs; the shift alpha
     multiplies each coefficient c(n) by n^(-i * alpha), which is how a
     factor evaluated at s + i*alpha re-indexes to the common variable.
     A factor given as a TruncSpec is expanded first (requires `table`);
-    spec factors must all share one interval and cutoff.
+    spec factors must all share one interval and cutoff.  A table key of
+    2^63 or more is a DomainError; the product's budgets are `_convolve`'s.
     """
     factors = list(factors)
     specs = [f for f, _ in factors if isinstance(f, TruncSpec)]
@@ -184,13 +180,14 @@ def product_coeffs(
     primes = tuple(sorted({p for t, _ in factors for p in t.primes}))
     acc = (np.ones(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
     for tab, alpha in factors:
-        ns = np.array(list(tab.entries), dtype=np.int64
-                      if max(tab.entries, default=1) < 1 << 63 else object)
+        if max(tab.entries, default=1) >= _INT64_END:
+            raise DomainError("table frequencies must lie below 2^63")
+        ns = np.array(list(tab.entries), dtype=np.int64)
         coeffs = np.array(list(tab.entries.values()), dtype=np.complex128)
         if alpha != 0.0:
             angle = alpha * _frequency_logs(tab.entries)
             coeffs = coeffs * (np.cos(angle) - 1j * np.sin(angle))
-        acc = _convolve(acc, (ns, coeffs), max_entries)
+        acc = _convolve(acc, (ns, coeffs))
     return CoeffTable(
         entries=dict(zip(acc[0].tolist(), acc[1].tolist())),
         primes=primes,
@@ -205,16 +202,16 @@ def _frequency_logs(ns):
 
 
 def _frequencies(table: CoeffTable, what: str) -> tuple:
-    """(ns, coeffs, logs): the table's frequencies ascending (DomainError
-    unless ints >= 1), their coefficients (DomainError unless finite) and
-    the frequencies' logs."""
+    """(coeffs, logs) in ascending frequency: the coefficients
+    (DomainError unless finite) and the logs of the frequencies
+    (DomainError unless ints >= 1)."""
     ns = sorted(table.entries)
     if set(map(type, ns)) - {int} or ns and ns[0] < 1:
         raise DomainError(f"{what} needs integer frequencies >= 1")
     coeffs = np.array([table.entries[f] for f in ns], dtype=np.complex128)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"{what} needs finite coefficients")
-    return ns, coeffs, _frequency_logs(ns)
+    return coeffs, _frequency_logs(ns)
 
 
 def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
@@ -224,12 +221,14 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
 
     The polynomial is D(t) = sum c(n) n^(-i t); the integral of
     |D(t)|^2 over [T, 2T] is T * sum |c(n)|^2 plus the closed-form
-    oscillatory cross terms (no quadrature): (e^(2iT lam) - e^(iT lam))
-    / (i lam) at log gap lam, or for a near pair, where that difference
-    cancels, e^(3iT lam/2) 2 sin(T lam/2) / lam.  One walk over the row
-    blocks of K (module docstring) gives both.  Bound row i is
-    2|c_i| (|K| |c|)_i, with near gaps from the integer difference;
-    with K's near pairs then zeroed, row i's far terms are
+    oscillatory cross terms (no quadrature), (e^(2iT lam) - e^(iT lam))
+    / (i lam) at log gap lam.  It takes up to `_MEAN_VALUE_MAX`
+    frequencies whose float64 logs lie `_NEAR_LOG_EPS` or more apart,
+    which any two below 9.9e8 are; a nearer pair is a DomainError.
+    The drivers' tables stay far inside that: `verify lemma23` and
+    `lemma24` hand it at most 1 000 frequencies, none above 1e4.  One
+    walk over the row blocks of K (module docstring) gives both values.
+    Bound row i is 2|c_i| (|K| |c|)_i, and row i's cross terms are
     Im(c_i (n_i^(-2iT) (K b)_i - n_i^(-iT) (K d)_i)),
     b = conj(c) n^(2iT), d = conj(c) n^(iT): one product each a block.
     """
@@ -239,14 +238,10 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
     if n > _MEAN_VALUE_MAX:
         raise ResourceError(
             f"mean value over {n} frequencies exceeds cap {_MEAN_VALUE_MAX}")
-    ns, a, logs = _frequencies(table, "mean value")
-    # (i, j, gap) for the pairs whose log gap is under _NEAR_LOG_EPS, the
-    # gap from the integer difference; the logs ascend, so runs are found once
-    pairs = [(i, j) for i in np.flatnonzero(np.diff(logs) < _NEAR_LOG_EPS).tolist()
-             for j in itertools.takewhile(
-                 lambda j: logs[j] - logs[i] < _NEAR_LOG_EPS, range(i + 1, n))]
-    near = sorted((i, j, math.log1p((ns[j] - ns[i]) / ns[i]))
-                  for pair in pairs for i, j in (pair, pair[::-1]))
+    a, logs = _frequencies(table, "mean value")
+    if n > 1 and np.diff(logs).min() < _NEAR_LOG_EPS:
+        raise DomainError(
+            f"mean value needs frequencies whose logs lie {_NEAR_LOG_EPS:g} apart")
     t_len = float(t_len)
     u = np.exp(1j * t_len * logs)        # (n)^(iT)
     v = u * u                            # (n)^(2iT)
@@ -261,22 +256,13 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
         stop = min(start + step, n)
         inv = np.subtract(logs, logs[start:stop, None], out=buf[:stop - start])
         inv.reshape(-1)[start::n + 1] = math.inf     # whose reciprocal is 0
-        here = near[bisect.bisect(near, (start,)):bisect.bisect(near, (stop,))]
-        for i, j, gap in here:
-            inv[i - start, j] = gap
         np.divide(1.0, inv, out=inv)
         k_abs = np.abs(inv, out=abs_buf[:stop - start])
         for row in (2.0 * mags[start:stop] * (k_abs @ mags)).tolist():
             bound.add(row)
-        for i, j, _ in here:
-            inv[i - start, j] = 0.0
         kb, kd = np.matmul(inv, bd).view(np.complex128).T
         terms = (a[start:stop] * (np.conj(v[start:stop]) * kb
                                   - np.conj(u[start:stop]) * kd)).imag
-        for i, j, gap in here:
-            terms[i - start] += (a[i] * a[j].conjugate()
-                                 * cmath.exp(1.5j * t_len * gap)
-                                 * (2.0 * math.sin(0.5 * t_len * gap) / gap)).real
         for term in terms.tolist():
             acc.add(term)
     return float(diag + acc.total), bound.total
@@ -286,7 +272,7 @@ def diagonal_sum(table: CoeffTable, sigma0: float) -> float:
     """sum |c(n)|^2 * n^(-2*sigma0) over the table; DomainError when it is
     not finite, as a coefficient or sigma0 that is not, or an overflow,
     makes it.  At sigma0 = 0 it is the diagonal of `exact_mv_integral`."""
-    _, coeffs, logs = _frequencies(table, "diagonal sum")
+    coeffs, logs = _frequencies(table, "diagonal sum")
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.add.reduce(np.abs(coeffs) ** 2 * np.exp(-2.0 * sigma0 * logs)))
     if not math.isfinite(total):
@@ -483,11 +469,11 @@ def splitting_check(tables, t_len: float) -> tuple:
 
     Near-equality is only meaningful while the product length (largest
     product frequency) stays well under T; lengths beyond
-    min(10^4, sqrt T) are refused.
+    min(10^4, sqrt T) are refused, and so are fewer than two factors.
     """
     tables = list(tables)
-    if not tables:
-        raise DomainError("splitting needs at least one factor")
+    if len(tables) < 2:
+        raise DomainError(f"splitting needs two or more factors, got {len(tables)}")
     spans = sorted((t.interval.lo, t.interval.hi) for t in tables)
     for (lo1, hi1), (lo2, _hi2) in zip(spans, spans[1:]):
         if lo2 < hi1:
@@ -498,10 +484,6 @@ def splitting_check(tables, t_len: float) -> tuple:
     if length > cap:
         raise ResourceError(
             f"product length {length} exceeds min(1e4, sqrt T) = {cap}")
-    if len(tables) == 1:
-        # degenerate product: both sides are the same integral
-        lhs = exact_mv_integral(tables[0], t_len)[0]
-        return lhs, lhs
     product = product_coeffs([(t, 0.0) for t in tables])
     lhs = exact_mv_integral(product, t_len)[0]
     rhs = float(t_len)

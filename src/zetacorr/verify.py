@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import dirichlet, moments, primes, zeta
+from . import blocks, dirichlet, moments, primes, zeta
 from .errors import ResourceError
 from .sums import UniformGrid
 
@@ -133,7 +133,7 @@ def lemma33(rng, trials):
             spec = dirichlet.TruncSpec(interval, x_cutoff, b, 6)
             factors.append((spec, a))
         prod = dirichlet.product_coeffs(factors, table)
-        beta_star = math.fsum(max(1.0, b) for b in betas)
+        beta_star = blocks.beta_star(betas)
         for prime in prod.primes:
             expect = dirichlet.prime_power_coeff(
                 prime, 1, alphas, betas, x_cutoff)

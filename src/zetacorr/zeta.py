@@ -51,7 +51,7 @@ from .errors import (
     DomainError,
     ResourceError,
 )
-from .sums import KahanAccumulator, UniformGrid, grid_sum, lattice_node, one_blas_thread
+from .sums import UniformGrid, grid_sum, lattice_node, one_blas_thread
 
 # ZGRD cache layout, little-endian: prefix, header, the float64 moduli,
 # and a zlib.crc32 of every byte before it
@@ -68,7 +68,6 @@ _HALO = 32                # taps per side of the band-limited interpolant, and
 _OVERSAMPLE = 3           # coarse nodes per Nyquist spacing of Z's band
 _Q_MAX = 256              # widest coarse spacing, in steps: the weights stay 128 kB
 _WINDOW_ROWS = 1024       # coarse windows gathered per interpolation product
-_EM_CHUNK = 1 << 20       # partial-sum block for the reference evaluator
 _EM_MAX_K = 28            # tail-correction orders a pass may add
 _EM_TAIL = 5e-13          # the tail bound a pass must meet
 _EM_IMAG_MAX = 1.0e5
@@ -130,12 +129,10 @@ def _euler_maclaurin(s: complex) -> complex:
     and tail corrections up to the first whose successor is bounded by
     _EM_TAIL; ResourceError if none is by order _EM_MAX_K."""
     n_terms = max(20, int(2.0 * abs(s.imag)) + 20)
-    acc = KahanAccumulator(0.0 + 0.0j)
-    for lo in range(1, n_terms, _EM_CHUNK):
-        n = np.arange(lo, min(lo + _EM_CHUNK, n_terms), dtype=np.float64)
-        acc.add(complex(np.add.reduce(np.exp(-s * np.log(n)))))
+    n = np.arange(1, n_terms, dtype=np.float64)
     nf = float(n_terms)
-    val = acc.total + nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s)
+    val = (complex(np.add.reduce(np.exp(-s * np.log(n))))
+           + nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s))
     # tail corrections with rising products s(s+1)...(s+2k-2)
     poch = 1.0 + 0.0j
     npow = nf ** (1.0 - s)  # N^(1 - s - 2k + 2) tracked incrementally

@@ -1,6 +1,5 @@
 """Coefficient tables, exact mean values, and the inequality checks."""
 
-import cmath
 import math
 import os
 import pathlib
@@ -135,10 +134,19 @@ def test_truncated_exp_degree_support(table_small):
     assert tab.entries.get(11, 0j) == 0.0  # outside the interval
 
 
-def test_truncated_exp_entry_budget(table_mega):
+def test_truncated_exp_entry_budget(table_mega, monkeypatch):
+    monkeypatch.setattr(dirichlet, "_TABLE_MAX", 10_000)
     spec = _spec(2, 100_000, 200_000, 1.0, 6)
     with pytest.raises(ResourceError):
-        dirichlet.truncated_exp(spec, table_mega, max_entries=10_000)
+        dirichlet.truncated_exp(spec, table_mega)
+
+
+def test_truncated_exp_refuses_frequencies_past_int64(table_mega):
+    # the primes 99989 and 99991: 99991^3 ~ 1e15 is an int64, 99991^4 ~ 1e20 not
+    tab = dirichlet.truncated_exp(_spec(99_980, 100_000, 200_000, 1.0, 3), table_mega)
+    assert max(tab.entries) == 99_991 ** 3 and len(tab) == 10
+    with pytest.raises(ResourceError):
+        dirichlet.truncated_exp(_spec(99_980, 100_000, 200_000, 1.0, 4), table_mega)
 
 
 def test_product_coeffs_prime_formula(table_small):
@@ -233,9 +241,33 @@ def test_product_coeffs_entry_budget(table_small, monkeypatch):
     factors = [(_spec(2, 11, 150, 1.2, 3), 0.4), (_spec(2, 11, 150, 0.8, 3), -1.1)]
     for chunk in (1 << 16, 7):
         monkeypatch.setattr(dirichlet, "_PAIR_CHUNK", chunk)
-        assert len(dirichlet.product_coeffs(factors, table_small, max_entries=210)) == 210
+        monkeypatch.setattr(dirichlet, "_PRODUCT_MAX", 210)
+        assert len(dirichlet.product_coeffs(factors, table_small)) == 210
+        monkeypatch.setattr(dirichlet, "_PRODUCT_MAX", 209)
         with pytest.raises(ResourceError):
-            dirichlet.product_coeffs(factors, table_small, max_entries=209)
+            dirichlet.product_coeffs(factors, table_small)
+
+
+def _keyed(*ns):
+    return dirichlet.CoeffTable(entries={n: 1.0 + 0.0j for n in ns}, primes=(),
+                                interval=primes.PrimeInterval(0.5, 2.0 ** 64), max_omega=0)
+
+
+def test_product_coeffs_refuses_frequencies_past_int64(table_small):
+    # three cap-6 factors over (2, 11] reach 11^18 < 2^63, as in lemma33;
+    # a fourth would reach 11^24
+    factors = [(_spec(2, 11, 200, 1.0, 6), 0.0)] * 3
+    assert max(dirichlet.product_coeffs(factors, table_small).entries) == 11 ** 18
+    with pytest.raises(ResourceError):
+        dirichlet.product_coeffs(factors * 2, table_small)
+    # the largest product frequency decides, to the unit
+    top = dirichlet.product_coeffs([(_keyed(1, 1 << 32), 0.0), (_keyed(1, (1 << 31) - 1), 0.0)])
+    assert max(top.entries) == (1 << 63) - (1 << 32)
+    with pytest.raises(ResourceError):
+        dirichlet.product_coeffs([(_keyed(1, 1 << 32), 0.0), (_keyed(1, 1 << 31), 0.0)])
+    # a key past int64 in a table built by hand is not a frequency
+    with pytest.raises(DomainError):
+        dirichlet.product_coeffs([(_keyed(1, 1 << 63), 0.0)])
 
 
 def test_product_coeffs_permutation_invariant(table_small):
@@ -313,7 +345,7 @@ def test_mean_value_mixed_table_against_quadrature():
 
 
 # tables with pairs of frequencies whose log gap is under
-# dirichlet._NEAR_LOG_EPS (1e-12 .. 1e-10), alone and beside far pairs
+# dirichlet._NEAR_LOG_EPS (1e-15 .. 1e-10), alone and beside far pairs
 _NEAR_TABLES = (
     {10**12: 1.0, 10**12 + 1: -1.0 + 0.5j, 10**12 + 3: 0.3j},
     {1: 0.5, 7: 0.2 - 0.1j, 10**10: 1.0, 10**10 + 1: -0.9 + 0.1j,
@@ -322,58 +354,56 @@ _NEAR_TABLES = (
 )
 
 
-def _near_table(entries):
+def _table(entries):
     ns = sorted(entries)
-    assert min(math.log1p((b - a) / a) for a, b in zip(ns, ns[1:])) \
-        < dirichlet._NEAR_LOG_EPS
     return dirichlet.CoeffTable(
         entries={n: complex(c) for n, c in entries.items()}, primes=(),
         interval=primes.PrimeInterval(0.5, 2.0 * ns[-1]), max_omega=0)
 
 
-def _pair_terms(entries, term):
-    """The sum over ordered pairs m != n of term(c(m), c(n), log(n/m)),
-    at 50 digits."""
-    with mpmath.workdps(50):
-        return sum(term(mpmath.mpc(entries[m]), mpmath.mpc(entries[n]),
-                        mpmath.log(mpmath.mpf(n) / m))
-                   for m in entries for n in entries if m != n)
+def _assert_refused_as_near(entries):
+    ns = sorted(entries)
+    assert min(math.log1p((b - a) / a) for a, b in zip(ns, ns[1:])) \
+        < dirichlet._NEAR_LOG_EPS
+    with pytest.raises(DomainError):
+        dirichlet.exact_mv_integral(_table(entries), 100.0)
 
 
 def test_mean_value_near_pair_logs():
-    # the cross term (e^(2iT lam) - e^(iT lam)) / (i lam) of a near pair
-    # cancels to nothing in floats: 64.0 where the integral is 64.000000024
-    t_len = 100.0
+    # float64 logs under 1e-9 apart, which only frequencies near 1e9 and
+    # up can have, are refused: such a gap can be off by 1e-6 relative
+    # and more
     for entries in _NEAR_TABLES:
-        got = dirichlet.exact_mv_integral(_near_table(entries), t_len)[0]
-        with mpmath.workdps(50):
-            t = mpmath.mpf(t_len)
-            oracle = t * sum(abs(mpmath.mpc(c)) ** 2 for c in entries.values())
-            oracle += _pair_terms(entries, lambda a, b, lam: a * mpmath.conj(b)
-                                  * (mpmath.exp(2j * t * lam)
-                                     - mpmath.exp(1j * t * lam)) / (1j * lam))
-            assert abs(got - oracle.real) <= 1e-12 * abs(oracle.real)
+        _assert_refused_as_near(entries)
 
 
-def test_off_diagonal_bound_near_pair_logs():
-    for entries in _NEAR_TABLES:
-        got = dirichlet.exact_mv_integral(_near_table(entries), 100.0)[1]
-        oracle = _pair_terms(entries,
-                             lambda a, b, lam: 2 * abs(a) * abs(b) / abs(lam))
-        assert abs(got - oracle) <= 1e-12 * oracle
+@pytest.mark.parametrize("chunk", [8, 16, 24, 1 << 16, None])
+def test_near_run_across_block_boundary(chunk, monkeypatch):
+    # the near run 10^15 .. 10^15 + 3 is refused before any row block is
+    # formed: at blocks of 1, 2 and 3 of 8 rows, which cut it, of all 8,
+    # and at the default (None), where 200 rows come 81 to a block and
+    # the run sits at rows 79..82, across the first boundary
+    run = [10**15, 10**15 + 1, 10**15 + 2, 10**15 + 3]
+    if chunk is None:
+        rng = random.Random(0)
+        ns = (rng.sample(range(1, 10**6), 79) + run
+              + rng.sample(range(10**16, 10**18, 10**13), 117))
+        assert sorted(ns).index(run[0]) < dirichlet._GAP_BLOCK // len(ns) \
+            <= sorted(ns).index(run[-1])
+    else:
+        monkeypatch.setattr(dirichlet, "_GAP_BLOCK", chunk)
+        rng = random.Random(chunk)
+        ns = [1, 7, 10**9, 10**12] + run
+    _assert_refused_as_near({n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns})
 
 
 def _per_row_gaps(table):
     # the per-row gap scan the block kernels replaced, kept as their reference
-    ns = sorted(table.entries)
-    logs = np.array([math.log(n) for n in ns])
-    for i in range(len(ns)):
+    logs = np.array([math.log(n) for n in sorted(table.entries)])
+    for i in range(len(logs)):
         lam = logs - logs[i]
         lam[i] = 1.0
-        near = np.nonzero(np.abs(lam) < dirichlet._NEAR_LOG_EPS)[0]
-        for j in near:
-            lam[j] = math.log1p((ns[j] - ns[i]) / ns[i])
-        yield i, lam, near
+        yield i, lam
 
 
 def _per_row_mean_value(table, t_len):
@@ -384,13 +414,10 @@ def _per_row_mean_value(table, t_len):
     v = u * u
     diag = t_len * float(np.add.reduce(np.abs(a) ** 2))
     acc = KahanAccumulator(0.0 + 0.0j)
-    for i, lam, near in _per_row_gaps(table):
+    for i, lam in _per_row_gaps(table):
         numer = v * np.conj(v[i]) - u * np.conj(u[i])
         integ = numer / (1j * lam)
         integ[i] = 0.0
-        for j in near:
-            integ[j] = (cmath.exp(1.5j * t_len * lam[j])
-                        * (2.0 * math.sin(0.5 * t_len * lam[j]) / lam[j]))
         acc.add(a[i] * complex(np.add.reduce(np.conj(a) * integ)))
     return float(diag + acc.total.real)
 
@@ -398,7 +425,7 @@ def _per_row_mean_value(table, t_len):
 def _per_row_bound(table):
     mags = np.array([abs(table.entries[n]) for n in sorted(table.entries)])
     acc = KahanAccumulator(0.0)
-    for i, lam, _ in _per_row_gaps(table):
+    for i, lam in _per_row_gaps(table):
         contrib = 2.0 * mags[i] * mags / np.abs(lam)
         contrib[i] = 0.0
         acc.add(float(np.add.reduce(contrib)))
@@ -449,27 +476,6 @@ def test_block_kernels_match_the_per_row_loop(count, monkeypatch):
         assert max(column) - min(column) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("chunk", [8, 16, 24, 1 << 16, None])
-def test_near_run_across_block_boundary(chunk, monkeypatch):
-    # rows 4..7 are the near run 10^15 .. 10^15 + 3; blocks of 1, 2 and 3
-    # of the 8 rows cut it, and one block of all 8 holds it whole.  At
-    # the default block (None), 200 rows come 81 to a block and the run
-    # sits at rows 79..82, across the first boundary
-    run = [10**15, 10**15 + 1, 10**15 + 2, 10**15 + 3]
-    if chunk is None:
-        rng = random.Random(0)
-        ns = (rng.sample(range(1, 10**6), 79) + run
-              + rng.sample(range(10**16, 10**18, 10**13), 117))
-        assert sorted(ns).index(run[0]) < dirichlet._GAP_BLOCK // len(ns) \
-            <= sorted(ns).index(run[-1])
-    else:
-        monkeypatch.setattr(dirichlet, "_GAP_BLOCK", chunk)
-        rng = random.Random(chunk)
-        ns = [1, 7, 10**9, 10**12] + run
-    entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns}
-    _assert_blocks_match_per_row(_near_table(entries))
-
-
 def _pair_reference(tab):
     """(mean values at _T_LENS, bound), summed pair by pair at 40 digits.
 
@@ -506,8 +512,7 @@ def _pair_reference(tab):
                  for n in rng.sample(range(1, 10_001), count)},
         primes=(), max_omega=0, interval=primes.PrimeInterval(1.0, 10_000.0))
       for count in (2, 33, 250) for rng in [random.Random(0x40D + count)]),
-    _near_table(_NEAR_TABLES[1]),
-], ids=["2", "33", "250", "near"])
+], ids=["2", "33", "250"])
 def test_block_kernels_are_as_accurate_as_the_per_row_loop(tab):
     # against a 40-digit pair sum, the product's error is the per-row
     # loop's to within 1e-15 of the scale: both come from the float64
@@ -521,17 +526,30 @@ def test_block_kernels_are_as_accurate_as_the_per_row_loop(tab):
                 <= abs(_per_row_bound(tab) - bound) + 1e-15 * bound)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_mean_value_at_a_log_gap_of_1e8(seed):
+    # {10^8, 10^8 + 1} lie 1e-8 apart in log, ten times the least gap
+    # taken; the float64 log gap's rounding stays within the docstring's
+    # 4e-10 of the scale and 3e-7 of the bound
+    rng = random.Random(seed)
+    tab = _table({n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for n in (10**8, 10**8 + 1)})
+    mvs, bound = _pair_reference(tab)
+    for t_len, mv in zip(_T_LENS, mvs):
+        got, got_bound = dirichlet.exact_mv_integral(tab, t_len)
+        assert abs(got - mv) <= 4e-10 * _scale(tab, t_len, bound)
+        assert abs(got_bound - bound) <= 3e-7 * bound
+
+
 _THREADS_SCRIPT = """
 import random
 from zetacorr import dirichlet, primes
 for count in (50, 700, 2500):
     rng = random.Random(count)
     ns = rng.sample(range(1, 40 * count), count)
-    if count == 700:     # a near run in the middle of a row block
-        ns[-4:] = [10**15 + k for k in range(4)]
     tab = dirichlet.CoeffTable(
         entries={n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns},
-        primes=(), max_omega=0, interval=primes.PrimeInterval(0.5, 2e15))
+        primes=(), max_omega=0, interval=primes.PrimeInterval(0.5, 40.0 * count))
     print(*(x.hex() for t in (100.0, 1e6) for x in dirichlet.exact_mv_integral(tab, t)))
 """
 
@@ -575,7 +593,7 @@ def test_diagonal_sum_refuses_a_non_finite_sigma0(sigma0):
 @pytest.mark.parametrize("t_len", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_mean_value_needs_a_finite_positive_window(t_len):
     with pytest.raises(DomainError):
-        dirichlet.exact_mv_integral(_near_table(_NEAR_TABLES[0]), t_len)
+        dirichlet.exact_mv_integral(_table({1: 1.0, 2: 0.5j, 3: -0.25}), t_len)
 
 
 def test_mean_value_remainder_bound():
@@ -819,19 +837,15 @@ def test_splitting_trivial_cases(table_small):
     assert lhs == 500.0 and rhs == 500.0
 
 
-def test_splitting_single_factor_is_exact(table_small):
-    tab = dirichlet.truncated_exp(_spec(2, 30, 900, 0.8, 2), table_small)
-    lhs, rhs = dirichlet.splitting_check([tab], 1e6)
-    assert lhs == rhs
-
-
 def test_splitting_requires_disjoint_spans(table_small):
     tab1 = dirichlet.truncated_exp(_spec(2, 60, 3600, 1.0, 1), table_small)
     tab2 = dirichlet.truncated_exp(_spec(50, 200, 40_000, 1.0, 1), table_small)
     with pytest.raises(DomainError):
         dirichlet.splitting_check([tab1, tab2], 1e6)
-    with pytest.raises(DomainError):
-        dirichlet.splitting_check([], 1e6)
+    # a product needs two or more factors
+    for tables in ([], [tab1]):
+        with pytest.raises(DomainError):
+            dirichlet.splitting_check(tables, 1e6)
 
 
 def test_splitting_length_budget(table_small):

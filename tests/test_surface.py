@@ -52,3 +52,27 @@ def test_every_public_name_is_read_by_the_program():
             if name not in read and qualified not in ALLOWED:
                 unread.append(qualified)
     assert unread == [], f"public names nothing in the program reads: {unread}"
+
+
+def _object_dtypes(tree):
+    """Lines that ask numpy for a Python-object array: a `dtype=` or an
+    `.astype(...)` that names `object`, "O" or "object"."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        kinds = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            kinds += node.args[:1]
+        for kind in kinds:
+            if any(isinstance(n, ast.Name) and n.id == "object"
+                   or isinstance(n, ast.Constant) and n.value in ("O", "object")
+                   for n in ast.walk(kind)):
+                yield node.lineno
+
+
+def test_no_module_builds_an_object_array():
+    # coefficient-table frequencies are int64, and a table that would
+    # need more is refused, so no array of Python ints is ever formed
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _object_dtypes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [], f"object arrays built at {found}"
