@@ -1,14 +1,23 @@
 """Dirichlet polynomials with explicit integer-indexed coefficients.
 
 Tables keep exact integer frequencies, as int64, with complex
-coefficients; a table or product whose frequencies would reach 2^63 is
-refused.  The drivers' frequencies reach 1.2e7 in `prop34`'s tables and
-11^18 < 2^63 in `lemma33`'s products.  Everything downstream --
-truncated exponentials of prime sums, shifted products, exact mean
-values over a window, diagonal/Euler-product bounds -- works on these
-tables.  Exponentials and products are computed on arrays of
-frequencies and coefficients, one entry per point of the exponent
-lattice of their primes.
+coefficients; a key that is no int64 >= 1, and a table or product whose
+frequencies would reach 2^63, are refused.  The drivers' frequencies
+reach 1.2e7 in `prop34`'s tables and 11^18 < 2^63 in `lemma33`'s
+products.  Everything downstream -- truncated exponentials of prime
+sums, shifted products, exact mean values over a window,
+diagonal/Euler-product bounds -- works on these tables.  Exponentials
+are built on arrays, one entry per point of the exponent lattice of
+their primes.  A product indexes that lattice densely: a key's cell is
+its exponent vector as a mixed-radix number, a digit per prime as wide
+as the factors' top exponents of it sum to, so a pair's cell is the sum
+of its two.  Pairs are added onto their cells `_PAIR_CHUNK` at a time
+in row-major order, rows in ascending frequency, so each coefficient
+sums its pairs in that order in any chunking; only the cells a factor
+reaches are sorted, never the pairs.  A key with a prime outside its
+table's `primes` is refused, and so is a box past `_BOX_MAX` cells.
+Three lemma33 factors, 382 200 pairs into 7 315 of 19^4 cells, take
+6.6 ms on a 2-CPU VM.
 
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
@@ -29,7 +38,9 @@ relative.  No bit depends on OpenBLAS's thread count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +56,7 @@ _MEAN_VALUE_MAX = 10_000
 _NEAR_LOG_EPS = 1e-9        # least log gap of adjacent mean-value frequencies
 _INT64_END = 1 << 63        # frequencies are int64: every one lies below this
 _PAIR_CHUNK = 1 << 16       # coefficient pairs formed at once in a product
+_BOX_MAX = 1 << 22          # cells of a product's exponent box
 _GAP_BLOCK = 1 << 14        # pairs per mean-value row block, to stay in L2
 
 
@@ -124,30 +136,48 @@ def truncated_exp(spec: TruncSpec, table: PrimeTable) -> CoeffTable:
     )
 
 
-def _convolve(a, b):
-    """Product of two tables given as (frequencies, coefficients) arrays.
+def _arrays(entries: dict, what: str) -> tuple:
+    """(frequencies, coefficients) of `entries` as int64 and complex
+    arrays in dict order; DomainError unless each frequency is an
+    integer from 1 to 2^63 - 1."""
+    try:
+        ns = np.fromiter(map(operator.index, entries), np.int64, len(entries))
+    except (TypeError, OverflowError):
+        ns = np.zeros(1, dtype=np.int64)        # refused below
+    if ns.min(initial=1) < 1:
+        raise DomainError(f"{what} needs integer frequencies from 1 to 2^63 - 1")
+    return ns, np.fromiter(entries.values(), np.complex128, len(ns))
 
-    Each pair multiplies frequencies and coefficients, and the pairs
-    are summed per frequency `_PAIR_CHUNK` at a time, in row-major pair
-    order, onto the sums of the chunks before.  More than `_PRODUCT_MAX`
-    frequencies is refused as soon as they appear, and a largest
-    frequency of 2^63 or more at once."""
-    (ns_a, coeffs_a), (ns_b, coeffs_b) = a, b
-    if int(ns_a.max(initial=1)) * int(ns_b.max(initial=1)) >= _INT64_END:
+
+@functools.lru_cache(maxsize=16)
+def _layout(shapes: tuple) -> tuple:
+    """(box, cells): the size of the exponent box of a product of tables
+    of the given (keys, primes) shapes, and each table's cells in it.
+    Raises the refusals of `product_coeffs` but its frequency count.
+    Cached, as the drivers multiply tables of a few shapes."""
+    if math.prod(max(keys, default=1) for keys, _ in shapes) >= _INT64_END:
         raise ResourceError("product table frequencies reach 2^63")
-    ns = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0, dtype=np.complex128)
-    step = max(1, _PAIR_CHUNK // max(1, len(ns_b)))
-    for i in range(0, len(ns_a), step):
-        keys = np.concatenate([ns, (ns_a[i:i + step, None] * ns_b).ravel()])
-        pair = np.concatenate([sums, (coeffs_a[i:i + step, None] * coeffs_b).ravel()])
-        ns, slots = np.unique(keys, return_inverse=True)
-        if len(ns) > _PRODUCT_MAX:
-            raise ResourceError(f"product table exceeds {_PRODUCT_MAX} entries")
-        sums = np.empty(len(ns), dtype=np.complex128)
-        sums.real = np.bincount(slots, pair.real, len(ns))
-        sums.imag = np.bincount(slots, pair.imag, len(ns))
-    return ns, sums
+    radix, exps = {}, []
+    for keys, ps in shapes:
+        ns = np.array(keys, dtype=np.int64)
+        top, whole, e = int(ns.max(initial=1)), np.ones_like(ns), {}
+        for p in sorted({int(p) for p in ps if 1 < p <= top}):
+            e[p], q = np.zeros_like(ns), p
+            while q <= top:     # a key's exponent of p: how many p^j divide it
+                e[p], q = e[p] + (ns % q == 0), q * p
+            whole *= p ** e[p]
+            radix[p] = radix.get(p, 1) + int(e[p].max())
+            if math.prod(radix.values()) > _BOX_MAX:
+                raise ResourceError(f"product exponent box exceeds {_BOX_MAX} cells")
+        if (whole != ns).any():
+            raise DomainError("product table keys must factor over the table's primes")
+        exps.append(e)
+    strides = dict(zip(radix, itertools.accumulate([1, *radix.values()], operator.mul)))
+    cells = [sum((e[p] * strides[p] for p in e), np.zeros(len(keys), dtype=np.int64))
+             for (keys, _), e in zip(shapes, exps)]
+    for at in cells:
+        at.flags.writeable = False      # every caller of a cached layout shares them
+    return math.prod(radix.values()), cells
 
 
 def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
@@ -157,8 +187,9 @@ def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
     multiplies each coefficient c(n) by n^(-i * alpha), which is how a
     factor evaluated at s + i*alpha re-indexes to the common variable.
     A factor given as a TruncSpec is expanded first (requires `table`);
-    spec factors must all share one interval and cutoff.  A table key of
-    2^63 or more is a DomainError; the product's budgets are `_convolve`'s.
+    spec factors must all share one interval and cutoff.  Bad keys are
+    a DomainError (module docstring); a frequency reaching 2^63, a box
+    past `_BOX_MAX` cells or over `_PRODUCT_MAX` frequencies a ResourceError.
     """
     factors = list(factors)
     specs = [f for f, _ in factors if isinstance(f, TruncSpec)]
@@ -178,18 +209,28 @@ def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
     lo = min(t.interval.lo for t, _ in factors)
     hi = max(t.interval.hi for t, _ in factors)
     primes = tuple(sorted({p for t, _ in factors for p in t.primes}))
-    acc = (np.ones(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
-    for tab, alpha in factors:
-        if max(tab.entries, default=1) >= _INT64_END:
-            raise DomainError("table frequencies must lie below 2^63")
-        ns = np.array(list(tab.entries), dtype=np.int64)
-        coeffs = np.array(list(tab.entries.values()), dtype=np.complex128)
+    arrays = [_arrays(t.entries, "product") for t, _ in factors]
+    box, cells = _layout(tuple((tuple(t.entries), tuple(t.primes)) for t, _ in factors))
+    keys, sums = np.zeros(box, dtype=np.int64), np.zeros(box, dtype=np.complex128)
+    freqs, at, acc = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1) + 0j
+    for (_, alpha), (ns, coeffs), at_b in zip(factors, arrays, cells):
         if alpha != 0.0:
-            angle = alpha * _frequency_logs(tab.entries)
+            angle = alpha * _frequency_logs(ns)
             coeffs = coeffs * (np.cos(angle) - 1j * np.sin(angle))
-        acc = _convolve(acc, (ns, coeffs))
+        # pairs go onto their cells, the sum of their two, in row-major order
+        step = max(1, _PAIR_CHUNK // max(1, len(ns)))
+        for i in range(0, len(freqs), step):
+            pairs = (at[i:i + step, None] + at_b).ravel()
+            keys[pairs] = (freqs[i:i + step, None] * ns).ravel()
+            np.add.at(sums, pairs, (acc[i:i + step, None] * coeffs).ravel())
+        at = np.flatnonzero(keys != 0)
+        if len(at) > _PRODUCT_MAX:
+            raise ResourceError(f"product table exceeds {_PRODUCT_MAX} entries")
+        at = at[np.argsort(keys[at])]           # the cells reached, by frequency
+        freqs, acc = keys[at], sums[at]
+        keys[at], sums[at] = 0, 0               # the box is clear for the next factor
     return CoeffTable(
-        entries=dict(zip(acc[0].tolist(), acc[1].tolist())),
+        entries=dict(zip(freqs.tolist(), acc.tolist())),
         primes=primes,
         interval=PrimeInterval(lo, hi),
         max_omega=sum(t.max_omega for t, _ in factors),
@@ -197,21 +238,19 @@ def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
 
 
 def _frequency_logs(ns):
-    # math.log takes arbitrary-size ints; per-entry loop keeps that exact
-    return np.array([math.log(n) for n in ns], dtype=np.float64)
+    # math.log per entry: np.log does not always keep its last bit
+    return np.fromiter(map(math.log, ns.tolist()), np.float64, len(ns))
 
 
 def _frequencies(table: CoeffTable, what: str) -> tuple:
     """(coeffs, logs) in ascending frequency: the coefficients
     (DomainError unless finite) and the logs of the frequencies
-    (DomainError unless ints >= 1)."""
-    ns = sorted(table.entries)
-    if set(map(type, ns)) - {int} or ns and ns[0] < 1:
-        raise DomainError(f"{what} needs integer frequencies >= 1")
-    coeffs = np.array([table.entries[f] for f in ns], dtype=np.complex128)
+    (`_arrays`'s DomainError)."""
+    ns, coeffs = _arrays(table.entries, what)
+    order = np.argsort(ns)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"{what} needs finite coefficients")
-    return coeffs, _frequency_logs(ns)
+    return coeffs[order], _frequency_logs(ns[order])
 
 
 def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:

@@ -694,6 +694,35 @@ def _plot_tool():
     return tool
 
 
+# sha256 of the canonical `verify` payloads of the coefficient-table
+# drivers, (property, trials, seed) -> digest; a change to tables,
+# products or mean values that moves one payload byte shows here
+_VERIFY_SHA256 = {
+    ("lemma33", 5, 1): "9e5661e97db6388cd14ef93e8b601db8b62f77a842e7c845cb9dfc8acf605bc9",
+    ("lemma33", 5, 2): "f659b72365f7e50b96da325220341a53a7279c6104aac6c6f28a47aa02a28ee9",
+    ("lemma33", 5, 3): "cc2cb30ab6e8616c733e334198bf3ed05c3dd057bfe3817c2485bb81922486e5",
+    ("lemma24", 50, 1): "14aa966a76b8813d1cd0fed10c012e72680c5961bf83eb6b33418edbffac139a",
+    ("lemma24", 50, 2): "4ed6648606d655c4ea234bd1164f91bd06b576d6f4b0e3032ec812969c202c7a",
+    ("lemma24", 50, 3): "93cca9d52d881c6c228a7278c07d4a5aeba9aa05f2b3886ae871bac32898a590",
+    ("lemma23", 10, 1): "57eb0421b8222074ce4955d7e52cf6fe9a28bf7f2daf73dbd84fbb0ac6eef073",
+    ("lemma23", 10, 2): "c882b1ac889ad786c481d3018bfb2d0b9d01ad98c2687245dcdd972765fe27cb",
+    ("lemma23", 10, 3): "9a9f9f251b75bce2f62e216d7e1e5e6c86df39203b437729ce5d791cc4b756fe",
+    ("prop34", 50, 1): "6b9f4a25dbbd0262408d0fe20f910b2007a01b4b5cd426cd1aba471e7e103a45",
+    ("prop34", 50, 2): "e1a6f4f09957408fa0777aef9070f8f5aca91ed73e4b550cc0a0fd9f3e8eb8a4",
+    ("prop34", 50, 3): "3055c6286930744a7151ca2be96f2048915bc87030db74a8633ac0a5280d45f1",
+}
+
+
+def test_coefficient_table_payloads_keep_their_digests():
+    got = {}
+    for prop, trials, seed in _VERIFY_SHA256:
+        report = cli.run(cli.ExperimentConfig(
+            kind="verify", parameters={"property": prop, "trials": trials},
+            seed=seed, threads=1))
+        got[prop, trials, seed] = hashlib.sha256(cli.payload_bytes(report)).hexdigest()
+    assert got == _VERIFY_SHA256
+
+
 # a curve CSV as `curve --out` prints it, and the sha256 of the SVG that
 # `curve --plot` drew from the same rows before the plot left the command
 _CURVE_CSV = """delta,moment,prediction,ratio,nsw_F,step_halving_delta

@@ -206,7 +206,7 @@ def test_lattice_tables_match_the_per_entry_reference(table_small, monkeypatch):
     # Each chunk of pairs is summed onto the cells before it, so chunks
     # of 7 pairs give the bits of one chunk.
     rng = random.Random(0x1A7)
-    cases = [[(_spec(2, 60, 3600, 1.0, 1), 0.0), (_spec(60, 100, 10_000, 0.7, 1), 0.0)]]
+    cases = [[(_spec(2, 30, 900, 1.0, 1), 0.0), (_spec(30, 60, 3600, 0.7, 1), 0.0)]]
     for _ in range(6):
         cases.append([(_spec(2, 11, 150, rng.uniform(0, 2), 3), rng.uniform(-4, 4))
                       for _ in range(rng.randint(1, 3))])
@@ -248,8 +248,8 @@ def test_product_coeffs_entry_budget(table_small, monkeypatch):
             dirichlet.product_coeffs(factors, table_small)
 
 
-def _keyed(*ns):
-    return dirichlet.CoeffTable(entries={n: 1.0 + 0.0j for n in ns}, primes=(),
+def _keyed(ps, *ns):
+    return dirichlet.CoeffTable(entries={n: 1.0 + 0.0j for n in ns}, primes=ps,
                                 interval=primes.PrimeInterval(0.5, 2.0 ** 64), max_omega=0)
 
 
@@ -261,13 +261,111 @@ def test_product_coeffs_refuses_frequencies_past_int64(table_small):
     with pytest.raises(ResourceError):
         dirichlet.product_coeffs(factors * 2, table_small)
     # the largest product frequency decides, to the unit
-    top = dirichlet.product_coeffs([(_keyed(1, 1 << 32), 0.0), (_keyed(1, (1 << 31) - 1), 0.0)])
+    mersenne = (1 << 31) - 1
+    top = dirichlet.product_coeffs([(_keyed((2,), 1, 1 << 32), 0.0),
+                                    (_keyed((mersenne,), 1, mersenne), 0.0)])
     assert max(top.entries) == (1 << 63) - (1 << 32)
     with pytest.raises(ResourceError):
-        dirichlet.product_coeffs([(_keyed(1, 1 << 32), 0.0), (_keyed(1, 1 << 31), 0.0)])
+        dirichlet.product_coeffs([(_keyed((2,), 1, 1 << 32), 0.0),
+                                  (_keyed((2,), 1, 1 << 31), 0.0)])
     # a key past int64 in a table built by hand is not a frequency
     with pytest.raises(DomainError):
-        dirichlet.product_coeffs([(_keyed(1, 1 << 63), 0.0)])
+        dirichlet.product_coeffs([(_keyed((2,), 1, 1 << 63), 0.0)])
+
+
+@pytest.mark.parametrize("tables", [
+    [_keyed((2,), 1, 2, 14)], [_keyed((2, 3), 1, 6, 35)], [_keyed((), 1, 2)],
+    [_keyed((2,), 1, 6), _keyed((3,), 1, 3)],
+    [_keyed((2,), 1, 0, 2)], [_keyed((2,), 1, -2)], [_keyed((2,), 1, 2.0)],
+    [_keyed((2,), 1, "2")],
+], ids=["other_prime", "two_others", "no_primes", "another_factors_prime",
+        "zero", "negative", "float", "str"])
+def test_product_coeffs_refuses_keys_off_their_primes(tables):
+    # a key is an int64 >= 1 whose primes are all among its own table's
+    # `primes`, or it has no cell in the exponent box
+    with pytest.raises(DomainError):
+        dirichlet.product_coeffs([(t, 0.0) for t in tables])
+
+
+def test_product_coeffs_refuses_a_box_past_its_budget(table_small, table_mega,
+                                                       monkeypatch):
+    # 24 primes at cap 1 make 2^24 cells
+    tables = [(dirichlet.truncated_exp(s, table_small), 0.0)
+              for s in (_spec(2, 60, 3600, 1.0, 1), _spec(60, 100, 10_000, 0.7, 1))]
+    with pytest.raises(ResourceError):
+        dirichlet.product_coeffs(tables)
+    # a cap-1 table over the 9 591 primes below 1e5 is refused at its
+    # 23rd prime, before an exponent column for each prime is formed
+    with pytest.raises(ResourceError):
+        dirichlet.product_coeffs(
+            [(_spec(2, 100_000, 200_000, 0.5, 1), 0.0)], table_mega)
+    # three lemma33 factors fill a box of 19^4 cells; the budget is exact.
+    # Layouts are cached, so each budget starts from an empty cache
+    factors = [(_spec(2, 11, 200, 1.0, 6), 0.5)] * 3
+    monkeypatch.setattr(dirichlet, "_BOX_MAX", 19 ** 4)
+    dirichlet._layout.cache_clear()
+    assert len(dirichlet.product_coeffs(factors, table_small)) == 7315
+    monkeypatch.setattr(dirichlet, "_BOX_MAX", 19 ** 4 - 1)
+    dirichlet._layout.cache_clear()
+    with pytest.raises(ResourceError):
+        dirichlet.product_coeffs(factors, table_small)
+    dirichlet._layout.cache_clear()
+
+
+def _convolve(a, b):
+    """The product of two tables given as (frequencies, coefficients)
+    arrays, as sorting made it: the pairs summed per frequency
+    `_PAIR_CHUNK` at a time, in row-major pair order, onto the sums of
+    the chunks before, by `np.unique` and `bincount`."""
+    (ns_a, coeffs_a), (ns_b, coeffs_b) = a, b
+    ns = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0, dtype=np.complex128)
+    step = max(1, (1 << 16) // max(1, len(ns_b)))
+    for i in range(0, len(ns_a), step):
+        keys = np.concatenate([ns, (ns_a[i:i + step, None] * ns_b).ravel()])
+        pair = np.concatenate([sums, (coeffs_a[i:i + step, None] * coeffs_b).ravel()])
+        ns, slots = np.unique(keys, return_inverse=True)
+        sums = np.empty(len(ns), dtype=np.complex128)
+        sums.real = np.bincount(slots, pair.real, len(ns))
+        sums.imag = np.bincount(slots, pair.imag, len(ns))
+    return ns, sums
+
+
+def _sorted_product(tables):
+    """(frequencies, coefficients) of the twisted tables' product by `_convolve`."""
+    acc = (np.ones(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
+    for tab, alpha in tables:
+        ns = np.array(list(tab.entries), dtype=np.int64)
+        coeffs = np.array(list(tab.entries.values()), dtype=np.complex128)
+        if alpha != 0.0:
+            angle = alpha * np.array([math.log(n) for n in tab.entries])
+            coeffs = coeffs * (np.cos(angle) - 1j * np.sin(angle))
+        acc = _convolve(acc, (ns, coeffs))
+    return acc
+
+
+def test_box_products_keep_the_bits_of_sorted_products(table_small, monkeypatch):
+    # every cell sums its pairs in the order the sort-based product did,
+    # so frequencies, coefficients (to the bit) and dict order all agree,
+    # in any chunking of the pairs
+    rng = random.Random(0x533)
+    cases = []
+    for m in (1, 2, 3, 3):              # lemma33: (2, 11], cap 6, up to 3 factors
+        cases.append([(_spec(2, 11, 200, rng.uniform(0, 2), 6), rng.uniform(-5, 5))
+                      for _ in range(m)])
+    cases.append([(_spec(2, 11, 200, 0.0, 6), 1.5), (_spec(2, 11, 200, 1.3, 6), -0.7)])
+    for cut, top, cap in ((5, 17, 1), (5, 19, 2), (7, 17, 2), (7, 19, 1)):   # lemma24
+        cases.append([(_spec(2, cut, 64, rng.uniform(0.3, 2), cap), 0.0),
+                      (_spec(cut, top, 64, rng.uniform(0.3, 2), 1), 0.0)])
+    for factors in cases:
+        tables = [(dirichlet.truncated_exp(s, table_small), a) for s, a in factors]
+        ns, coeffs = _sorted_product(tables)
+        for chunk in (1 << 16, 7):
+            monkeypatch.setattr(dirichlet, "_PAIR_CHUNK", chunk)
+            prod = dirichlet.product_coeffs(tables)
+            assert list(prod.entries) == ns.tolist()
+            got = np.array(list(prod.entries.values()), dtype=np.complex128)
+            assert got.view(np.uint64).tolist() == coeffs.view(np.uint64).tolist()
 
 
 def test_product_coeffs_permutation_invariant(table_small):
@@ -569,9 +667,11 @@ def test_mean_value_bits_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("entries", [
     {0: 1.0, 2: 1.0}, {-3: 1.0, 2: 1.0}, {2.5: 1.0, 3: 1.0},
+    {1: 1.0, 1 << 70: 1.0, 3: 1.0}, {1 << 63: 1.0},
     {1: math.nan, 2: 1.0}, {1: complex(0.5, math.inf), 2: 1.0},
     {1: -math.inf, 2: 1.0},
-], ids=["zero", "negative", "float", "nan", "inf_imag", "minus_inf"])
+], ids=["zero", "negative", "float", "past_int64", "int64_end", "nan", "inf_imag",
+        "minus_inf"])
 def test_mean_values_refuse_bad_tables(entries):
     tab = dirichlet.CoeffTable(entries=entries, primes=(), max_omega=0,
                                interval=primes.PrimeInterval(0.5, 4.0))
