@@ -1,23 +1,25 @@
 """Dirichlet polynomials with explicit integer-indexed coefficients.
 
-Tables keep exact integer frequencies, as int64, with complex
-coefficients; a key that is no int64 >= 1, and a table or product whose
-frequencies would reach 2^63, are refused.  The drivers' frequencies
-reach 1.2e7 in `prop34`'s tables and 11^18 < 2^63 in `lemma33`'s
-products.  Everything downstream -- truncated exponentials of prime
-sums, shifted products, exact mean values over a window,
-diagonal/Euler-product bounds -- works on these tables.  Exponentials
-are built on arrays, one entry per point of the exponent lattice of
-their primes.  A product indexes that lattice densely: a key's cell is
-its exponent vector as a mixed-radix number, a digit per prime as wide
-as the factors' top exponents of it sum to, so a pair's cell is the sum
-of its two.  Pairs are added onto their cells `_PAIR_CHUNK` at a time
-in row-major order, rows in ascending frequency, so each coefficient
-sums its pairs in that order in any chunking; only the cells a factor
-reaches are sorted, never the pairs.  A key with a prime outside its
-table's `primes` is refused, and so is a box past `_BOX_MAX` cells.
-Three lemma33 factors, 382 200 pairs into 7 315 of 19^4 cells, take
-6.6 ms on a 2-CPU VM.
+A table is a frozen set of arrays: exact integer frequencies, int64 and
+strictly ascending, with complex coefficients beside them; a frequency
+that is no int64 >= 1, and a table or product whose frequencies would
+reach 2^63, are refused.  The drivers' frequencies reach 1.2e7 in
+`prop34`'s tables and 11^18 < 2^63 in `lemma33`'s products.
+Everything downstream -- truncated exponentials of prime sums, shifted
+products, exact mean values over a window, diagonal/Euler-product
+bounds -- works on these tables.  An exponential enumerates the points
+of the exponent lattice of its primes once, as rows of prime indices,
+and keeps the rows as its `factors`.  A product indexes that lattice
+densely: a frequency's cell is its exponent vector as a mixed-radix
+number, a digit per prime as wide as the degrees of the factors whose
+rows use it sum to, so a pair's cell is the sum of its two.  Pairs are
+added onto their cells `_PAIR_CHUNK` at a time in row-major order, rows
+in ascending frequency, so each coefficient sums its pairs in that
+order in any chunking; only the cells a factor reaches are sorted,
+never the pairs.  Only exponentials enter a product: a table built by
+hand is refused there, and so is a box past `_BOX_MAX` cells.  Three
+lemma33 factors, 382 200 pairs into 7 315 of 19^4 cells, take 6.6 ms
+on a 2-CPU VM.
 
 Mean values over [T, 2T] use the closed form of the oscillatory
 integral, never quadrature; the quadrature route lives in `moments` and
@@ -41,6 +43,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +84,49 @@ class TruncSpec:
             raise DomainError(f"degree cap must be an int >= 0")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoeffTable:
-    """Sparse Dirichlet coefficients: n -> c(n), n a positive integer."""
+    """Sparse Dirichlet coefficients: the complex128 `coeffs` at the
+    int64 frequencies `ns`, strictly ascending.  Tables `truncated_exp`
+    builds, the only ones a product takes, keep `factors`: row i holds
+    the indices into `primes` of the prime factors of ns[i], ascending,
+    with multiplicity, padded with len(primes) to `max_omega` columns."""
 
-    entries: dict
+    ns: np.ndarray
+    coeffs: np.ndarray
     primes: tuple
     interval: PrimeInterval
     max_omega: int
+    factors: np.ndarray | None = None
+
+    @classmethod
+    def from_entries(cls, entries: dict, primes: tuple, interval: PrimeInterval,
+                     max_omega: int) -> CoeffTable:
+        """The table of `entries`, n -> c(n), built by hand; DomainError
+        unless there is an n and each is an integer from 1 to 2^63 - 1."""
+        try:
+            ns = np.fromiter(map(operator.index, entries), np.int64, len(entries))
+        except (TypeError, OverflowError):
+            ns = np.zeros(1, dtype=np.int64)        # refused below
+        if not len(ns) or ns.min() < 1:
+            raise DomainError("a table needs integer frequencies from 1 to 2^63 - 1")
+        order = np.argsort(ns)
+        coeffs = np.fromiter(entries.values(), np.complex128, len(ns))
+        return cls(ns[order], coeffs[order], primes, interval, max_omega)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ns)
+
+    @functools.cached_property
+    def entries(self):
+        """A read-only mapping n -> c(n), in ascending n."""
+        return types.MappingProxyType(dict(zip(self.ns.tolist(), self.coeffs.tolist())))
+
+    def at(self, ns) -> np.ndarray:
+        """c(n) at each n of the int64 array-like `ns`, 0 where the table has no n."""
+        ns = np.asarray(ns, dtype=np.int64)
+        i = np.searchsorted(self.ns, ns).clip(max=len(self.ns) - 1)
+        return np.where(self.ns[i] == ns, self.coeffs[i], 0)
 
 
 def truncated_exp(spec: TruncSpec, table: PrimeTable) -> CoeffTable:
@@ -104,80 +139,30 @@ def truncated_exp(spec: TruncSpec, table: PrimeTable) -> CoeffTable:
     `_TABLE_MAX` entries, or when the largest frequency would reach 2^63.
     """
     ps = [int(p) for p in table.in_interval(spec.interval)]
-    live = [(p, spec.beta * taper_weight(p, spec.x_cutoff)) for p in ps]
-    live = [(p, beta_w) for p, beta_w in live if beta_w != 0]
+    beta_w = [spec.beta * taper_weight(p, spec.x_cutoff) for p in ps]
+    live = [i for i, w in enumerate(beta_w) if w != 0]
     cap = spec.degree_cap
     size = math.comb(len(live) + cap, cap)
     if size > _TABLE_MAX:
         raise ResourceError(f"coefficient table exceeds {_TABLE_MAX} entries")
-    if max((p for p, _ in live), default=1) ** cap >= _INT64_END:
+    if max((ps[i] for i in live), default=1) ** cap >= _INT64_END:
         raise ResourceError("coefficient table frequencies reach 2^63")
-    ns = np.ones(size, dtype=np.int64)
-    degree = np.zeros(size, dtype=np.int64)
-    coeffs = np.ones(size)
-    # each prime extends every entry so far that has room; r factors of
-    # p take the entry's coefficient through c -> c * beta w_p / k for
-    # k = 1..r in turn
-    end = 1
-    for p, beta_w in live:
-        src = np.arange(end)
-        for k in range(1, cap + 1):
-            src = src[degree[src] < cap]
-            new = np.arange(end, end + len(src))
-            degree[new] = degree[src] + 1
-            ns[new] = ns[src] * p
-            coeffs[new] = coeffs[src] * beta_w / k
-            src, end = new, end + len(new)
-    return CoeffTable(
-        entries=dict(zip(ns.tolist(), coeffs.astype(np.complex128).tolist())),
-        primes=tuple(ps),
-        interval=spec.interval,
-        max_omega=cap,
-    )
-
-
-def _arrays(entries: dict, what: str) -> tuple:
-    """(frequencies, coefficients) of `entries` as int64 and complex
-    arrays in dict order; DomainError unless each frequency is an
-    integer from 1 to 2^63 - 1."""
-    try:
-        ns = np.fromiter(map(operator.index, entries), np.int64, len(entries))
-    except (TypeError, OverflowError):
-        ns = np.zeros(1, dtype=np.int64)        # refused below
-    if ns.min(initial=1) < 1:
-        raise DomainError(f"{what} needs integer frequencies from 1 to 2^63 - 1")
-    return ns, np.fromiter(entries.values(), np.complex128, len(ns))
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(shapes: tuple) -> tuple:
-    """(box, cells): the size of the exponent box of a product of tables
-    of the given (keys, primes) shapes, and each table's cells in it.
-    Raises the refusals of `product_coeffs` but its frequency count.
-    Cached, as the drivers multiply tables of a few shapes."""
-    if math.prod(max(keys, default=1) for keys, _ in shapes) >= _INT64_END:
-        raise ResourceError("product table frequencies reach 2^63")
-    radix, exps = {}, []
-    for keys, ps in shapes:
-        ns = np.array(keys, dtype=np.int64)
-        top, whole, e = int(ns.max(initial=1)), np.ones_like(ns), {}
-        for p in sorted({int(p) for p in ps if 1 < p <= top}):
-            e[p], q = np.zeros_like(ns), p
-            while q <= top:     # a key's exponent of p: how many p^j divide it
-                e[p], q = e[p] + (ns % q == 0), q * p
-            whole *= p ** e[p]
-            radix[p] = radix.get(p, 1) + int(e[p].max())
-            if math.prod(radix.values()) > _BOX_MAX:
-                raise ResourceError(f"product exponent box exceeds {_BOX_MAX} cells")
-        if (whole != ns).any():
-            raise DomainError("product table keys must factor over the table's primes")
-        exps.append(e)
-    strides = dict(zip(radix, itertools.accumulate([1, *radix.values()], operator.mul)))
-    cells = [sum((e[p] * strides[p] for p in e), np.zeros(len(keys), dtype=np.int64))
-             for (keys, _), e in zip(shapes, exps)]
-    for at in cells:
-        at.flags.writeable = False      # every caller of a cached layout shares them
-    return math.prod(radix.values()), cells
+    # a row per multiset of at most cap live primes: their indices,
+    # ascending, then the pad len(ps) for each degree left over
+    rows = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement([*live, len(ps)], cap)),
+        np.int64, size * cap).reshape(size, cap)
+    ns = np.array([*ps, 1], dtype=np.int64)[rows].prod(axis=1)
+    # r factors of p take a row's coefficient through c -> c * beta w_p / k
+    # for k = 1..r in turn; a pad step is c * 1.0 / 1
+    weights, k, coeffs = np.array([*beta_w, 1.0])[rows], np.ones(size), np.ones(size)
+    for s in range(cap):
+        if s:
+            k = np.where((rows[:, s] == rows[:, s - 1]) & (rows[:, s] < len(ps)), k + 1, 1)
+        coeffs = coeffs * weights[:, s] / k
+    order = np.argsort(ns)
+    return CoeffTable(ns[order], coeffs[order].astype(np.complex128), tuple(ps),
+                      spec.interval, cap, factors=rows[order])
 
 
 def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
@@ -187,9 +172,9 @@ def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
     multiplies each coefficient c(n) by n^(-i * alpha), which is how a
     factor evaluated at s + i*alpha re-indexes to the common variable.
     A factor given as a TruncSpec is expanded first (requires `table`);
-    spec factors must all share one interval and cutoff.  Bad keys are
-    a DomainError (module docstring); a frequency reaching 2^63, a box
-    past `_BOX_MAX` cells or over `_PRODUCT_MAX` frequencies a ResourceError.
+    spec factors must all share one interval and cutoff.  A table built
+    by hand is a DomainError; a frequency reaching 2^63, a box past
+    `_BOX_MAX` cells or over `_PRODUCT_MAX` frequencies a ResourceError.
     """
     factors = list(factors)
     specs = [f for f, _ in factors if isinstance(f, TruncSpec)]
@@ -200,28 +185,37 @@ def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
                 "shifted-product factors must share interval and cutoff")
     if specs and table is None:
         raise DomainError("expanding spec factors needs a prime table")
-    factors = [
-        (truncated_exp(f, table) if isinstance(f, TruncSpec) else f, a)
-        for f, a in factors
-    ]
+    factors = [(truncated_exp(f, table) if isinstance(f, TruncSpec) else f, a)
+               for f, a in factors]
     if not factors:
         raise DomainError("need at least one factor table")
-    lo = min(t.interval.lo for t, _ in factors)
-    hi = max(t.interval.hi for t, _ in factors)
-    primes = tuple(sorted({p for t, _ in factors for p in t.primes}))
-    arrays = [_arrays(t.entries, "product") for t, _ in factors]
-    box, cells = _layout(tuple((tuple(t.entries), tuple(t.primes)) for t, _ in factors))
+    tables = [t for t, _ in factors]
+    if any(t.factors is None for t in tables):
+        raise DomainError("a product takes only tables built by truncated_exp")
+    if math.prod(int(t.ns[-1]) for t in tables) >= _INT64_END:
+        raise ResourceError("product table frequencies reach 2^63")
+    primes = tuple(sorted({p for t in tables for p in t.primes}))
+    radix = dict.fromkeys(primes, 1)        # 1 + the degrees of the tables using p
+    for t in tables:
+        for i in np.unique(t.factors[t.factors < len(t.primes)]).tolist():
+            radix[t.primes[i]] += t.max_omega
+    box = math.prod(radix.values())
+    if box > _BOX_MAX:
+        raise ResourceError(f"product exponent box exceeds {_BOX_MAX} cells")
+    strides = dict(zip(radix, itertools.accumulate([1, *radix.values()], operator.mul)))
     keys, sums = np.zeros(box, dtype=np.int64), np.zeros(box, dtype=np.complex128)
     freqs, at, acc = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1) + 0j
-    for (_, alpha), (ns, coeffs), at_b in zip(factors, arrays, cells):
+    for t, alpha in factors:
+        at_b = np.array([*map(strides.get, t.primes), 0])[t.factors].sum(axis=1)
+        coeffs = t.coeffs
         if alpha != 0.0:
-            angle = alpha * _frequency_logs(ns)
+            angle = alpha * _frequency_logs(t.ns)
             coeffs = coeffs * (np.cos(angle) - 1j * np.sin(angle))
         # pairs go onto their cells, the sum of their two, in row-major order
-        step = max(1, _PAIR_CHUNK // max(1, len(ns)))
+        step = max(1, _PAIR_CHUNK // len(t))
         for i in range(0, len(freqs), step):
             pairs = (at[i:i + step, None] + at_b).ravel()
-            keys[pairs] = (freqs[i:i + step, None] * ns).ravel()
+            keys[pairs] = (freqs[i:i + step, None] * t.ns).ravel()
             np.add.at(sums, pairs, (acc[i:i + step, None] * coeffs).ravel())
         at = np.flatnonzero(keys != 0)
         if len(at) > _PRODUCT_MAX:
@@ -229,12 +223,9 @@ def product_coeffs(factors, table: PrimeTable | None = None) -> CoeffTable:
         at = at[np.argsort(keys[at])]           # the cells reached, by frequency
         freqs, acc = keys[at], sums[at]
         keys[at], sums[at] = 0, 0               # the box is clear for the next factor
-    return CoeffTable(
-        entries=dict(zip(freqs.tolist(), acc.tolist())),
-        primes=primes,
-        interval=PrimeInterval(lo, hi),
-        max_omega=sum(t.max_omega for t, _ in factors),
-    )
+    return CoeffTable(freqs, acc, primes, PrimeInterval(
+        min(t.interval.lo for t in tables), max(t.interval.hi for t in tables)),
+        sum(t.max_omega for t in tables))
 
 
 def _frequency_logs(ns):
@@ -244,13 +235,10 @@ def _frequency_logs(ns):
 
 def _frequencies(table: CoeffTable, what: str) -> tuple:
     """(coeffs, logs) in ascending frequency: the coefficients
-    (DomainError unless finite) and the logs of the frequencies
-    (`_arrays`'s DomainError)."""
-    ns, coeffs = _arrays(table.entries, what)
-    order = np.argsort(ns)
-    if not np.isfinite(coeffs).all():
+    (DomainError unless finite) and the logs of the frequencies."""
+    if not np.isfinite(table.coeffs).all():
         raise DomainError(f"{what} needs finite coefficients")
-    return coeffs[order], _frequency_logs(ns[order])
+    return table.coeffs, _frequency_logs(table.ns)
 
 
 def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
@@ -273,7 +261,7 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
     """
     if not 0 < t_len < math.inf:
         raise DomainError(f"window base must be positive and finite, got {t_len}")
-    n = len(table.entries)
+    n = len(table)
     if n > _MEAN_VALUE_MAX:
         raise ResourceError(
             f"mean value over {n} frequencies exceeds cap {_MEAN_VALUE_MAX}")
@@ -325,13 +313,14 @@ def prime_power_tail_c2(table: CoeffTable, sigma0: float) -> float:
     Per prime p in the table's support, sums |c(p^r)|^2 p^(-2 r sigma0)
     over r >= 2 and rescales by p^2; returns the max over p.
     """
+    rs = range(2, table.max_omega + 1)
+    # a power past int64 is no frequency of the table, and neither is 0
+    powers = [[p ** r if p ** r < _INT64_END else 0 for r in rs] for p in table.primes]
     worst = 0.0
-    for p in table.primes:
+    for p, cs in zip(table.primes, table.at(powers).tolist()):
         tail = 0.0
-        for r in range(2, table.max_omega + 1):
-            c = table.entries.get(p ** r)
-            if c is not None:
-                tail += abs(c) ** 2 * math.exp(-2.0 * sigma0 * r * math.log(p))
+        for r, c in zip(rs, cs):
+            tail += abs(c) ** 2 * math.exp(-2.0 * sigma0 * r * math.log(p))
         worst = max(worst, p * p * tail)
     return worst
 
@@ -347,9 +336,8 @@ def euler_bound(table: CoeffTable, sigma0: float) -> float:
         raise DomainError(f"product bound needs sigma0 >= 1/2, got {sigma0}")
     c2 = prime_power_tail_c2(table, sigma0)
     acc = KahanAccumulator(0.0)
-    for p in table.primes:
-        cp = abs(table.entries.get(p, 0.0)) ** 2
-        acc.add(math.log1p(cp / p + c2 / (p * p)))
+    for p, c in zip(table.primes, table.at(table.primes).tolist()):
+        acc.add(math.log1p(abs(c) ** 2 / p + c2 / (p * p)))
     return math.exp(acc.total)
 
 
@@ -518,7 +506,7 @@ def splitting_check(tables, t_len: float) -> tuple:
         if lo2 < hi1:
             raise DomainError(
                 f"factor intervals overlap: ({lo1}, {hi1}] and ({lo2}, ...]")
-    length = math.prod(max(t.entries) for t in tables)
+    length = math.prod(int(t.ns[-1]) for t in tables)
     cap = min(1e4, math.sqrt(t_len))
     if length > cap:
         raise ResourceError(

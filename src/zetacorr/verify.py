@@ -68,8 +68,8 @@ def _random_coeff_table(rng):
     entries = {
         n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs
     }
-    return dirichlet.CoeffTable(
-        entries=entries, primes=(), max_omega=0,
+    return dirichlet.CoeffTable.from_entries(
+        entries, primes=(), max_omega=0,
         interval=primes.PrimeInterval(1.0, _COEFF_FREQ_MAX))
 
 
@@ -105,7 +105,7 @@ def lemma24(rng, trials):
             primes.PrimeInterval(cut, top), 64.0, rng.uniform(0.3, 2.0), 1)
         tab1 = dirichlet.truncated_exp(spec1, table)
         tab2 = dirichlet.truncated_exp(spec2, table)
-        length = max(tab1.entries) * max(tab2.entries)
+        length = int(tab1.ns[-1]) * int(tab2.ns[-1])
         lhs, rhs = dirichlet.splitting_check([tab1, tab2], _MV_WINDOW)
         gap = abs(lhs - rhs) / rhs
         allowed = 10.0 * length / _MV_WINDOW
@@ -134,19 +134,17 @@ def lemma33(rng, trials):
             factors.append((spec, a))
         prod = dirichlet.product_coeffs(factors, table)
         beta_star = blocks.beta_star(betas)
-        for prime in prod.primes:
+        at_powers = prod.at([[p ** r for r in range(1, 7)] for p in prod.primes])
+        for prime, cs in zip(prod.primes, at_powers.tolist()):
             expect = dirichlet.prime_power_coeff(
                 prime, 1, alphas, betas, x_cutoff)
-            gap = abs(prod.entries.get(prime, 0j) - expect)
+            gap = abs(cs[0] - expect)
             worst_formula = max(worst_formula, gap)
             if gap > 1e-12:
                 violations += 1
-            f = prime
-            for r in range(1, 7):
-                if r > 1:
-                    f *= prime
+            for r, c in enumerate(cs, 1):
                 cap = beta_star ** r * m ** r / math.factorial(r)
-                if abs(prod.entries.get(f, 0j)) > cap * (1 + 1e-12):
+                if abs(c) > cap * (1 + 1e-12):
                     violations += 1
     return {
         "trials": trials, "violations": violations,
@@ -181,8 +179,8 @@ def prop34(rng, trials):
                     for q in combo:
                         f, c = f * q, c * prime_vals[q]
                     entries[f] = c
-            tab = dirichlet.CoeffTable(
-                entries=entries, primes=tuple(ps),
+            tab = dirichlet.CoeffTable.from_entries(
+                entries, primes=tuple(ps),
                 interval=primes.PrimeInterval(ps[0] - 0.5, ps[-1] + 0.5),
                 max_omega=cap)
         diag = dirichlet.diagonal_sum(tab, sigma0)

@@ -132,6 +132,9 @@ def test_truncated_exp_degree_support(table_small):
     assert abs(tab.entries.get(3 * 5 * 7, 0j)) > 0.0
     assert tab.entries.get(81, 0j) == 0.0  # four factors, cap is 3
     assert tab.entries.get(11, 0j) == 0.0  # outside the interval
+    # the sorted lookup reads the same, 0 past the largest frequency too
+    ns = [1, 2, 27, 3 * 5 * 7, 81, 11, 1 << 62]
+    assert tab.at(ns).tolist() == [tab.entries.get(n, 0j) for n in ns]
 
 
 def test_truncated_exp_entry_budget(table_mega, monkeypatch):
@@ -206,7 +209,12 @@ def test_lattice_tables_match_the_per_entry_reference(table_small, monkeypatch):
     # Each chunk of pairs is summed onto the cells before it, so chunks
     # of 7 pairs give the bits of one chunk.
     rng = random.Random(0x1A7)
-    cases = [[(_spec(2, 30, 900, 1.0, 1), 0.0), (_spec(30, 60, 3600, 0.7, 1), 0.0)]]
+    cases = [[(_spec(2, 30, 900, 1.0, 1), 0.0), (_spec(30, 60, 3600, 0.7, 1), 0.0)],
+             # beta = 0, cap 0, the prime 11 of zero weight at X = 11, and
+             # the one prime 2 of (1.5, 2] up to 2^39 at cap 39
+             [(_spec(2, 11, 150, 0.0, 3), 0.9), (_spec(2, 11, 150, 1.2, 0), -0.3)],
+             [(_spec(2, 11, 11, 1.3, 4), 1.7)],
+             [(_spec(1.5, 2, 3, 1.0, 39), 0.0)]]
     for _ in range(6):
         cases.append([(_spec(2, 11, 150, rng.uniform(0, 2), 3), rng.uniform(-4, 4))
                       for _ in range(rng.randint(1, 3))])
@@ -230,9 +238,28 @@ def test_wide_cap_one_table(table_mega):
     spec = _spec(2, 100_000, 200_000, 0.5, 1)
     tab = dirichlet.truncated_exp(spec, table_mega)
     ps = [int(p) for p in table_mega.in_interval(spec.interval)]
-    assert len(ps) == 9591 and len(tab) == 9592
+    assert len(ps) == 9591 and len(tab) == 9592 and tab.factors.shape == (9592, 1)
     assert tab.entries == {1: 1.0 + 0.0j, **{
         p: 0.5 * primes.taper_weight(p, 200_000.0) + 0.0j for p in ps}}
+
+
+def test_lattice_tables_keep_their_factors(table_small):
+    # frequencies ascend strictly, and each row's factors, indices into
+    # `primes` ascending and padded with len(primes), multiply out to its
+    # frequency
+    rng = random.Random(0xFAC)
+    for _ in range(20):
+        lo = rng.choice([1.5, 2, 3, 7])
+        hi = lo + rng.choice([5, 12, 30, 60])
+        spec = _spec(lo, hi, rng.choice([hi, 2 * hi, 1000]), rng.uniform(0, 2),
+                     rng.randint(0, 4))
+        tab = dirichlet.truncated_exp(spec, table_small)
+        assert (np.diff(tab.ns) > 0).all()
+        assert tab.factors.shape == (len(tab), spec.degree_cap)
+        assert (np.diff(tab.factors, axis=1) >= 0).all()
+        padded = [*tab.primes, 1]
+        assert [math.prod(padded[i] for i in row) for row in tab.factors.tolist()] \
+            == tab.ns.tolist()
 
 
 def test_product_coeffs_entry_budget(table_small, monkeypatch):
@@ -249,7 +276,7 @@ def test_product_coeffs_entry_budget(table_small, monkeypatch):
 
 
 def _keyed(ps, *ns):
-    return dirichlet.CoeffTable(entries={n: 1.0 + 0.0j for n in ns}, primes=ps,
+    return dirichlet.CoeffTable.from_entries(entries={n: 1.0 + 0.0j for n in ns}, primes=ps,
                                 interval=primes.PrimeInterval(0.5, 2.0 ** 64), max_omega=0)
 
 
@@ -260,31 +287,36 @@ def test_product_coeffs_refuses_frequencies_past_int64(table_small):
     assert max(dirichlet.product_coeffs(factors, table_small).entries) == 11 ** 18
     with pytest.raises(ResourceError):
         dirichlet.product_coeffs(factors * 2, table_small)
-    # the largest product frequency decides, to the unit
+    # the largest product frequency decides, to the unit: 2^32 (2^31 - 1)
+    # is an int64, 2^32 2^31 not
     mersenne = (1 << 31) - 1
-    top = dirichlet.product_coeffs([(_keyed((2,), 1, 1 << 32), 0.0),
-                                    (_keyed((mersenne,), 1, mersenne), 0.0)])
-    assert max(top.entries) == (1 << 63) - (1 << 32)
+    two_primes = primes.PrimeTable(mersenne, np.array([2, mersenne], dtype=np.uint64))
+
+    def powers(lo, hi, cap):
+        return dirichlet.truncated_exp(_spec(lo, hi, 2 * mersenne, 1.0, cap), two_primes), 0.0
+
+    top = dirichlet.product_coeffs([powers(1, 2, 32), powers(2, mersenne, 1)])
+    assert top.ns[-1] == (1 << 63) - (1 << 32)
     with pytest.raises(ResourceError):
-        dirichlet.product_coeffs([(_keyed((2,), 1, 1 << 32), 0.0),
-                                  (_keyed((2,), 1, 1 << 31), 0.0)])
+        dirichlet.product_coeffs([powers(1, 2, 32), powers(1, 2, 31)])
     # a key past int64 in a table built by hand is not a frequency
     with pytest.raises(DomainError):
         dirichlet.product_coeffs([(_keyed((2,), 1, 1 << 63), 0.0)])
 
 
 @pytest.mark.parametrize("tables", [
-    [_keyed((2,), 1, 2, 14)], [_keyed((2, 3), 1, 6, 35)], [_keyed((), 1, 2)],
-    [_keyed((2,), 1, 6), _keyed((3,), 1, 3)],
-    [_keyed((2,), 1, 0, 2)], [_keyed((2,), 1, -2)], [_keyed((2,), 1, 2.0)],
-    [_keyed((2,), 1, "2")],
+    [((2,), (1, 2, 14))], [((2, 3), (1, 6, 35))], [((), (1, 2))],
+    [((2,), (1, 6)), ((3,), (1, 3))],
+    [((2,), (1, 0, 2))], [((2,), (1, -2))], [((2,), (1, 2.0))],
+    [((2,), (1, "2"))], [((2,), (1, 2, 4))],
 ], ids=["other_prime", "two_others", "no_primes", "another_factors_prime",
-        "zero", "negative", "float", "str"])
+        "zero", "negative", "float", "str", "hand_built"])
 def test_product_coeffs_refuses_keys_off_their_primes(tables):
-    # a key is an int64 >= 1 whose primes are all among its own table's
-    # `primes`, or it has no cell in the exponent box
+    # a product takes only the tables `truncated_exp` builds, which keep
+    # their keys' factors: a key that is no int64 >= 1 is refused as its
+    # table is built, and any table built by hand by the product
     with pytest.raises(DomainError):
-        dirichlet.product_coeffs([(t, 0.0) for t in tables])
+        dirichlet.product_coeffs([(_keyed(ps, *ns), 0.0) for ps, ns in tables])
 
 
 def test_product_coeffs_refuses_a_box_past_its_budget(table_small, table_mega,
@@ -294,22 +326,18 @@ def test_product_coeffs_refuses_a_box_past_its_budget(table_small, table_mega,
               for s in (_spec(2, 60, 3600, 1.0, 1), _spec(60, 100, 10_000, 0.7, 1))]
     with pytest.raises(ResourceError):
         dirichlet.product_coeffs(tables)
-    # a cap-1 table over the 9 591 primes below 1e5 is refused at its
-    # 23rd prime, before an exponent column for each prime is formed
+    # a cap-1 table over the 9 591 primes below 1e5 is refused, its
+    # factors one column wide
     with pytest.raises(ResourceError):
         dirichlet.product_coeffs(
             [(_spec(2, 100_000, 200_000, 0.5, 1), 0.0)], table_mega)
-    # three lemma33 factors fill a box of 19^4 cells; the budget is exact.
-    # Layouts are cached, so each budget starts from an empty cache
+    # three lemma33 factors fill a box of 19^4 cells; the budget is exact
     factors = [(_spec(2, 11, 200, 1.0, 6), 0.5)] * 3
     monkeypatch.setattr(dirichlet, "_BOX_MAX", 19 ** 4)
-    dirichlet._layout.cache_clear()
     assert len(dirichlet.product_coeffs(factors, table_small)) == 7315
     monkeypatch.setattr(dirichlet, "_BOX_MAX", 19 ** 4 - 1)
-    dirichlet._layout.cache_clear()
     with pytest.raises(ResourceError):
         dirichlet.product_coeffs(factors, table_small)
-    dirichlet._layout.cache_clear()
 
 
 def _convolve(a, b):
@@ -390,7 +418,7 @@ def test_product_coeffs_requires_shared_window(table_small):
 
 
 def test_mean_value_single_term():
-    tab = dirichlet.CoeffTable(
+    tab = dirichlet.CoeffTable.from_entries(
         entries={7: 0.5 + 0.25j}, primes=(7,),
         interval=primes.PrimeInterval(2.0, 7.0), max_omega=1)
     t_len = 1234.0
@@ -419,7 +447,7 @@ def test_mean_value_against_quadrature():
     entries = {1: 1.0 + 0.0j, 2: 1.0 + 0.0j}
     t_len = 1000.0
     got = dirichlet.exact_mv_integral(
-        dirichlet.CoeffTable(
+        dirichlet.CoeffTable.from_entries(
             entries=entries, primes=(2,),
             interval=primes.PrimeInterval(1.0, 2.0), max_omega=1),
         t_len)[0]
@@ -434,7 +462,7 @@ def test_mean_value_mixed_table_against_quadrature():
         for n in (1, 2, 3, 4, 6, 9, 12, 35, 36, 100)
     }
     t_len = 500.0
-    tab = dirichlet.CoeffTable(
+    tab = dirichlet.CoeffTable.from_entries(
         entries=entries, primes=(),
         interval=primes.PrimeInterval(1.0, 100.0), max_omega=0)
     got = dirichlet.exact_mv_integral(tab, t_len)[0]
@@ -454,7 +482,7 @@ _NEAR_TABLES = (
 
 def _table(entries):
     ns = sorted(entries)
-    return dirichlet.CoeffTable(
+    return dirichlet.CoeffTable.from_entries(
         entries={n: complex(c) for n, c in entries.items()}, primes=(),
         interval=primes.PrimeInterval(0.5, 2.0 * ns[-1]), max_omega=0)
 
@@ -561,7 +589,7 @@ def test_block_kernels_match_the_per_row_loop(count, monkeypatch):
     rng = random.Random(count)
     entries = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for n in rng.sample(range(1, 10_001), count)}
-    tab = dirichlet.CoeffTable(entries=entries, primes=(), max_omega=0,
+    tab = dirichlet.CoeffTable.from_entries(entries=entries, primes=(), max_omega=0,
                                interval=primes.PrimeInterval(1.0, 10_000.0))
     bound = _per_row_bound(tab)
     values = []
@@ -605,7 +633,7 @@ def _pair_reference(tab):
 
 
 @pytest.mark.parametrize("tab", [
-    *(dirichlet.CoeffTable(
+    *(dirichlet.CoeffTable.from_entries(
         entries={n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                  for n in rng.sample(range(1, 10_001), count)},
         primes=(), max_omega=0, interval=primes.PrimeInterval(1.0, 10_000.0))
@@ -645,7 +673,7 @@ from zetacorr import dirichlet, primes
 for count in (50, 700, 2500):
     rng = random.Random(count)
     ns = rng.sample(range(1, 40 * count), count)
-    tab = dirichlet.CoeffTable(
+    tab = dirichlet.CoeffTable.from_entries(
         entries={n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in ns},
         primes=(), max_omega=0, interval=primes.PrimeInterval(0.5, 40.0 * count))
     print(*(x.hex() for t in (100.0, 1e6) for x in dirichlet.exact_mv_integral(tab, t)))
@@ -673,8 +701,17 @@ def test_mean_value_bits_do_not_depend_on_blas_threads():
 ], ids=["zero", "negative", "float", "past_int64", "int64_end", "nan", "inf_imag",
         "minus_inf"])
 def test_mean_values_refuse_bad_tables(entries):
-    tab = dirichlet.CoeffTable(entries=entries, primes=(), max_omega=0,
-                               interval=primes.PrimeInterval(0.5, 4.0))
+    # a key that is no int64 >= 1 is refused as its table is built, a
+    # coefficient that is not finite by each mean value
+    def build():
+        return dirichlet.CoeffTable.from_entries(
+            entries, primes=(), max_omega=0, interval=primes.PrimeInterval(0.5, 4.0))
+
+    if any(type(n) is not int or not 0 < n < 1 << 63 for n in entries):
+        with pytest.raises(DomainError):
+            build()
+        return
+    tab = build()
     for call in (lambda: dirichlet.exact_mv_integral(tab, 100.0),
                  lambda: dirichlet.diagonal_sum(tab, 0.5)):
         with pytest.raises(DomainError):
@@ -684,7 +721,7 @@ def test_mean_values_refuse_bad_tables(entries):
 @pytest.mark.parametrize("sigma0", [math.nan, math.inf, -math.inf, -600.0])
 def test_diagonal_sum_refuses_a_non_finite_sigma0(sigma0):
     # at -600 the finite sigma0 overflows the term 2^1200
-    tab = dirichlet.CoeffTable(entries={1: 1.0, 2: 0.5}, primes=(), max_omega=0,
+    tab = dirichlet.CoeffTable.from_entries(entries={1: 1.0, 2: 0.5}, primes=(), max_omega=0,
                                interval=primes.PrimeInterval(0.5, 4.0))
     with pytest.raises(DomainError):
         dirichlet.diagonal_sum(tab, sigma0)
@@ -705,7 +742,7 @@ def test_mean_value_remainder_bound():
         entries = {
             n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in freqs
         }
-        tab = dirichlet.CoeffTable(
+        tab = dirichlet.CoeffTable.from_entries(
             entries=entries, primes=(),
             interval=primes.PrimeInterval(1.0, 2000.0), max_omega=0)
         mv, bound = dirichlet.exact_mv_integral(tab, t_len)
@@ -715,7 +752,7 @@ def test_mean_value_remainder_bound():
 
 def test_mean_value_caps_table_size():
     entries = {n: 1.0 + 0.0j for n in range(1, 10_003)}
-    tab = dirichlet.CoeffTable(
+    tab = dirichlet.CoeffTable.from_entries(
         entries=entries, primes=(),
         interval=primes.PrimeInterval(1.0, 11_000.0), max_omega=0)
     with pytest.raises(ResourceError):
@@ -748,7 +785,7 @@ def test_euler_bound_log_linearization(table_small):
     entries = {1: 1.0 + 0.0j}
     for p in ps:
         entries[p] = 2.0 * primes.taper_weight(p, x_cutoff)
-    tab = dirichlet.CoeffTable(
+    tab = dirichlet.CoeffTable.from_entries(
         entries=entries, primes=tuple(ps),
         interval=primes.PrimeInterval(2.0, 1000.0), max_omega=1)
     bound = dirichlet.euler_bound(tab, 0.5)
@@ -903,23 +940,13 @@ def test_inverse_bound_n_value_matches_ascending_series():
         assert dirichlet.lemma22_check(*draw, want), draw
 
 
-def _sparse_factor(rng, interval, freqs):
-    entries = {1: 1.0 + 0.0j}
-    for n in freqs:
-        entries[n] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return dirichlet.CoeffTable(
-        entries=entries, primes=tuple(freqs), interval=interval,
-        max_omega=1)
-
-
 def test_splitting_two_blocks(table_small):
-    # random factors over (2,50] and (50,200] with product length
-    # 5 * 199 = 995 inside the min(1e4, sqrt(T)) budget
+    # factors over (2, 5] and (193, 199], their primes to degree 1, with
+    # product length 5 * 199 = 995 inside the min(1e4, sqrt(T)) budget
     rng = random.Random(0x24)
     t_len = 1e6
-    tab1 = _sparse_factor(rng, primes.PrimeInterval(2.0, 50.0), [3, 5])
-    tab2 = _sparse_factor(
-        rng, primes.PrimeInterval(50.0, 200.0), [53, 101, 199])
+    tab1, tab2 = (dirichlet.truncated_exp(_spec(lo, hi, 400, rng.uniform(0.3, 2), 1),
+                                          table_small) for lo, hi in ((2, 5), (193, 199)))
     lhs, rhs = dirichlet.splitting_check([tab1, tab2], t_len)
     length = max(tab1.entries) * max(tab2.entries)
     assert length == 995
@@ -927,12 +954,9 @@ def test_splitting_two_blocks(table_small):
 
 
 def test_splitting_trivial_cases(table_small):
-    one = dirichlet.CoeffTable(
-        entries={1: 1.0 + 0.0j}, primes=(),
-        interval=primes.PrimeInterval(2.0, 10.0), max_omega=0)
-    other = dirichlet.CoeffTable(
-        entries={1: 1.0 + 0.0j}, primes=(),
-        interval=primes.PrimeInterval(10.0, 20.0), max_omega=0)
+    # cap-0 factors are the constant 1
+    one, other = (dirichlet.truncated_exp(_spec(lo, hi, 400, 1.0, 0), table_small)
+                  for lo, hi in ((2, 10), (10, 20)))
     lhs, rhs = dirichlet.splitting_check([one, other], 500.0)
     assert lhs == 500.0 and rhs == 500.0
 
