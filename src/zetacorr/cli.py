@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import datetime
+import inspect
 import json
 import math
 import os
@@ -356,16 +357,17 @@ def read_config(rows, values: dict, what: str) -> dict:
 
 
 def _handle_sample(config: ExperimentConfig, f: dict):
-    grid = zeta.sample_critical_line(
+    # the grid is sampled chunk by chunk as `_write_all` writes the file
+    count, parts = zeta.sample_cache(
         f["t0"], f["t1"], f["step"],
         correction_terms=f["rs_terms"],
         workers=config.threads,
     )
     results = {
         "t0": f["t0"], "t1": f["t1"], "step": f["step"],
-        "rs_terms": f["rs_terms"], "count": grid.count,
+        "rs_terms": f["rs_terms"], "count": count,
     }
-    return results, [], [], [(f["out"], zeta.cache_bytes(grid))]
+    return results, [], [], [(f["out"], parts)]
 
 
 def _handle_classify(config: ExperimentConfig, f: dict):
@@ -514,28 +516,35 @@ def run(config: ExperimentConfig) -> RunReport:
         "cache_versions": cache_versions,
         "warnings": list(warnings),
     })
+    try:
+        canonical_json(payload)
+    except ValueError as exc:       # an infinite or NaN result
+        raise DomainError(f"{config.kind} result is out of range: {exc}") from None
     meta = {
-        "wall_time_s": time.monotonic() - started,
         "timestamp_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
         "threads": config.threads,
     }
     report = RunReport(payload=payload, meta=meta)
-    try:
-        text = report.to_json()
-    except ValueError as exc:       # an infinite or NaN result
-        raise DomainError(f"{config.kind} result is out of range: {exc}") from None
-    if flags["report"]:
-        artifacts = [*artifacts, (flags["report"], text)]
-    _write_all(artifacts)
+
+    def report_parts():
+        # timed once the outputs before it, and any sampling they do, are written
+        meta["wall_time_s"] = time.monotonic() - started
+        yield report.to_json().encode("utf-8")
+
+    _write_all([*artifacts, (flags["report"], report_parts())] if flags["report"]
+               else artifacts)
+    meta.setdefault("wall_time_s", time.monotonic() - started)
     return report
 
 
 def _write_all(outputs) -> None:
-    """Write each (path, str or sequence of bytes-like parts) output to a
+    """Write each (path, str or iterable of bytes-like parts) output to a
     temp file beside its target, then, once every temp file is written,
-    move each onto its target.  An OSError removes the temp files left and
-    becomes a ConfigError, so an unwritable path leaves no output behind."""
+    move each onto its target.  Any exception, also one raised by a parts
+    generator, removes the temp files left and closes every generator, so
+    a failed run leaves no output behind; an OSError becomes a
+    ConfigError."""
     temps = []
     try:
         for i, (path, content) in enumerate(outputs):
@@ -549,11 +558,16 @@ def _write_all(outputs) -> None:
                     fh.write(part)
         for (path, _), tmp in zip(outputs, temps):
             os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
+        for _, content in outputs:
+            if inspect.isgenerator(content):
+                content.close()
         for tmp in temps:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        raise ConfigError(f"cannot write outputs: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write outputs: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,13 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
     Im(c_i (n_i^(-2iT) (K b)_i - n_i^(-iT) (K d)_i)),
     b = conj(c) n^(2iT), d = conj(c) n^(iT): one product each a block.
     """
+    bound = KahanAccumulator(0.0)
+    return _mean_square(table, t_len, bound), bound.total
+
+
+def _mean_square(table: CoeffTable, t_len: float, bound=None) -> float:
+    """`exact_mv_integral`'s integral; its bound rows go to the
+    accumulator `bound`, and are not formed without one."""
     if not 0 < t_len < math.inf:
         raise DomainError(f"window base must be positive and finite, got {t_len}")
     n = len(table)
@@ -278,21 +285,22 @@ def exact_mv_integral(table: CoeffTable, t_len: float) -> tuple:
     bd = (np.stack([v, u], axis=1) * np.conj(a)[:, None]).view(np.float64)
     step = max(1, _GAP_BLOCK // max(1, n))
     buf, abs_buf = np.empty((2, min(step, n), n))
-    acc, bound = KahanAccumulator(0.0), KahanAccumulator(0.0)
+    acc = KahanAccumulator(0.0)
     for start in range(0, n, step):
         stop = min(start + step, n)
         inv = np.subtract(logs, logs[start:stop, None], out=buf[:stop - start])
         inv.reshape(-1)[start::n + 1] = math.inf     # whose reciprocal is 0
         np.divide(1.0, inv, out=inv)
-        k_abs = np.abs(inv, out=abs_buf[:stop - start])
-        for row in (2.0 * mags[start:stop] * (k_abs @ mags)).tolist():
-            bound.add(row)
+        if bound is not None:
+            k_abs = np.abs(inv, out=abs_buf[:stop - start])
+            for row in (2.0 * mags[start:stop] * (k_abs @ mags)).tolist():
+                bound.add(row)
         kb, kd = np.matmul(inv, bd).view(np.complex128).T
         terms = (a[start:stop] * (np.conj(v[start:stop]) * kb
                                   - np.conj(u[start:stop]) * kd)).imag
         for term in terms.tolist():
             acc.add(term)
-    return float(diag + acc.total), bound.total
+    return float(diag + acc.total)
 
 
 def diagonal_sum(table: CoeffTable, sigma0: float) -> float:
@@ -512,8 +520,8 @@ def splitting_check(tables, t_len: float) -> tuple:
         raise ResourceError(
             f"product length {length} exceeds min(1e4, sqrt T) = {cap}")
     product = product_coeffs([(t, 0.0) for t in tables])
-    lhs = exact_mv_integral(product, t_len)[0]
+    lhs = _mean_square(product, t_len)
     rhs = float(t_len)
     for t in tables:
-        rhs *= exact_mv_integral(t, t_len)[0] / float(t_len)
+        rhs *= _mean_square(t, t_len) / float(t_len)
     return lhs, rhs

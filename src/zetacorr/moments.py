@@ -16,7 +16,9 @@ of integrand values, formed in cache, adds its parity sums and end
 corrections to each rule's Kahan sum: the pass keeps a block and sums.
 
 `moment_rows` owns a run's grid: it samples the span its shifts need
-on the lattice from T, or reads and checks a `ZGRD` cache.
+on the lattice from T, or reads and checks a `ZGRD` cache.  One row
+streams the cache through its pass, a window of a block plus the span
+of its shifts at a time; several rows hold the grid once.
 """
 
 from __future__ import annotations
@@ -104,12 +106,12 @@ def _shift_groups(grid: ZetaGrid, t_height: float, alpha, beta):
     return sorted(groups.items())
 
 
-def _products(moduli, groups, i0: int, i1: int) -> np.ndarray:
-    """prod moduli[base + i]^(2*beta) for i = i0..i1-1, groups in order."""
+def _products(window, groups, i0: int, i1: int) -> np.ndarray:
+    """prod window[base + i]^(2*beta) for i = i0..i1-1, groups in order."""
     (base, b), *rest = groups
-    out = np.power(moduli[base + i0:base + i1], 2.0 * b)
+    out = np.power(window[base + i0:base + i1], 2.0 * b)
     for base, b in rest:
-        out *= np.power(moduli[base + i0:base + i1], 2.0 * b)
+        out *= np.power(window[base + i0:base + i1], 2.0 * b)
     return out
 
 
@@ -141,20 +143,30 @@ def _reach(rules) -> int:
     return max(r * (n + (partial > 0.0)) for r, _, n, partial, _ in rules)
 
 
-def _simpson_pass(moduli, groups, rules) -> tuple:
-    """The sum of each rule over prod moduli[base + i]^(2*beta), where
+def _simpson_pass(grid, groups, rules) -> tuple:
+    """The sum of each rule over prod grid[base + i]^(2*beta), where
     rule r samples the fine nodes i = 0, r, 2r, ...: one product per
     fine node, formed in blocks of _BLOCK nodes from node 0.  Each block
     adds step * (2/3 * sum at the rule's even nodes + 4/3 * sum at its
     odd ones + its end corrections) to the rule's Kahan sum, each sum one
     np.add.reduce over a strided view; the partial end cell comes last.
-    _BLOCK fixes every sum order, and the pass keeps only a block.
+    _BLOCK fixes every sum order.  A block's samples come from one
+    `grid.window`, the block plus the span of the shifts, moving forward;
+    the last block's reaches on to the partial cells' nodes, which lie
+    from its start (the block starts are even) to two nodes past it.  So
+    the pass keeps a block, and a cache streams through it.
     """
     top = max(r * n_steps for r, _, n_steps, _, _ in rules)
+    tails = [i for r, _, n, partial, _ in rules if partial > 0.0
+             for i in (r * n, r * n + r)]
+    lo, span = groups[0][0], groups[-1][0] - groups[0][0]
+    groups = [(base - lo, b) for base, b in groups]
     accs = [KahanAccumulator() for _ in rules]
     for s in range(0, top + 1, _BLOCK):
         e = min(s + _BLOCK, top + 1)
-        vals = _products(moduli, groups, s, e)
+        w1 = e if e <= top else max([e - 1, *tails]) + 1
+        window = grid.window(lo + s, lo + span + w1)
+        vals = _products(window, groups, 0, e - s)
         # _BLOCK is even, so rule r's first node in the block is node s
         for (r, step, n_steps, _, ends), acc in zip(rules, accs):
             k0, k1 = s // r, min((e - 1) // r, n_steps) + 1
@@ -170,7 +182,7 @@ def _simpson_pass(moduli, groups, rules) -> tuple:
             acc.add(total * step)
     for (r, step, n_steps, partial, _), acc in zip(rules, accs):
         if partial > 0.0:
-            f_lo, f_hi = (float(_products(moduli, groups, i, i + 1)[0])
+            f_lo, f_hi = (float(_products(window, groups, i - s, i - s + 1)[0])
                           for i in (r * n_steps, r * n_steps + r))
             f_end = f_lo + (partial / step) * (f_hi - f_lo)
             acc.add(partial * (f_lo + f_end) / 2.0)
@@ -204,7 +216,7 @@ def shifted_moment(spec: ShiftSpec, grid: ZetaGrid) -> tuple:
     if not groups:
         # all exponents zero: the integrand is identically 1
         return t_len, t_len
-    return _simpson_pass(grid.values, groups, rules)
+    return _simpson_pass(grid, groups, rules)
 
 
 def moment_window(t_height: float, alpha, step: float) -> tuple:
@@ -297,7 +309,10 @@ def moment_rows(specs, step: float, rs_terms: int, workers: int, cache=None):
     grid at step/2 is sampled over the specs' `moment_window` on the
     lattice from T, or read from the `ZGRD` file `cache`, whose step and
     depth must match; one short of a node the quadrature reads is a
-    CacheFormatError naming it."""
+    CacheFormatError naming it.  One row streams the cache through its
+    quadrature; several read it once and hold it.  Either way the rest
+    of the file is read and its checksum compared before the rows are
+    returned."""
     t_height = specs[0].t_height
     predictions = [predict_bound(spec) for spec in specs]
     fine_step = step / 2.0
@@ -306,9 +321,8 @@ def moment_rows(specs, step: float, rs_terms: int, workers: int, cache=None):
             t_height, [a for spec in specs for a in spec.alpha], step)
         grid = sample_critical_line(t_lo, t_hi, fine_step, anchor=t_height,
                                     correction_terms=rs_terms, workers=workers)
-        versions = []
-    else:
-        grid = cache_read(cache)
+        return (*_reports(specs, predictions, grid), [])
+    with cache_read(cache) as grid:
         if abs(grid.step - fine_step) > 1e-12 * fine_step:
             raise CacheFormatError(
                 f"cache step {grid.step} does not match config step/2 = "
@@ -316,22 +330,27 @@ def moment_rows(specs, step: float, rs_terms: int, workers: int, cache=None):
         if grid.correction_terms != rs_terms:
             raise CacheFormatError(f"cache RS depth {grid.correction_terms} does "
                                    f"not match config rs_terms = {rs_terms}")
-        versions = [{
-            "path": str(cache), "version": CACHE_VERSION, "count": grid.count,
-            "step": grid.step, "rs_terms": grid.correction_terms,
-        }]
+        if len(specs) > 1:
+            grid.window(0, grid.count)      # held, for every row to read
+        try:
+            rows, warnings = _reports(specs, predictions, grid)
+        except CoverageError as exc:
+            raise CacheFormatError(f"cache {cache} does not hold every node the "
+                                   f"quadrature reads: {exc}") from None
+        grid.check()
+    return rows, warnings, [{
+        "path": str(cache), "version": CACHE_VERSION, "count": grid.count,
+        "step": grid.step, "rs_terms": grid.correction_terms,
+    }]
+
+
+def _reports(specs, predictions, grid) -> tuple:
     rows, warnings = [], []
-    try:
-        for spec, prediction in zip(specs, predictions):
-            results, warns = moment_report(spec, grid, prediction)
-            rows.append(results)
-            warnings += warns
-    except CoverageError as exc:
-        if cache is None:
-            raise
-        raise CacheFormatError(f"cache {cache} does not hold every node the "
-                               f"quadrature reads: {exc}") from None
-    return rows, list(dict.fromkeys(warnings)), versions
+    for spec, prediction in zip(specs, predictions):
+        results, warns = moment_report(spec, grid, prediction)
+        rows.append(results)
+        warnings += warns
+    return rows, list(dict.fromkeys(warnings))
 
 
 def lemma21_rhs(

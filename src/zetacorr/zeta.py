@@ -3,6 +3,16 @@ real-valued evaluator on the critical line, grid sampling of |zeta|,
 and the `ZGRD` cache of such a grid, which records its Riemann-Siegel
 depth.
 
+Neither side of the cache holds the grid.  `sample_cache` hands the
+file over in parts, sampling each chunk as it is written and folding
+the CRC32 over it.  `cache_read` checks the 40-byte head (magic,
+version, flags, the size against the count, the geometry and the
+depth) before any sample; its `CacheGrid` then reads the samples
+forward in blocks, with plain reads and never a memory map, so a file
+cut short mid-run is a CacheFormatError and not a SIGBUS.  The checksum
+is compared once the file's last sample is read: `moments.moment_rows`
+reads the rest of the file before it returns.
+
 Two independent routes are deliberately kept separate:
 
   * `zeta_euler_maclaurin` sums n^(-s) directly with tail corrections
@@ -31,7 +41,10 @@ tested claim.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
+import itertools
 import math
 import os
 import struct
@@ -68,6 +81,7 @@ _HALO = 32                # taps per side of the band-limited interpolant, and
 _OVERSAMPLE = 3           # coarse nodes per Nyquist spacing of Z's band
 _Q_MAX = 256              # widest coarse spacing, in steps: the weights stay 128 kB
 _WINDOW_ROWS = 1024       # coarse windows gathered per interpolation product
+_READ_BLOCK = 1 << 14     # samples per read of a cache's samples that no window asks for
 _EM_MAX_K = 28            # tail-correction orders a pass may add
 _EM_TAIL = 5e-13          # the tail bound a pass must meet
 _EM_IMAG_MAX = 1.0e5
@@ -408,6 +422,10 @@ class ZetaGrid:
     def t_at(self, index: int) -> float:
         return self.t_start + index * self.step
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1."""
+        return self.values[lo:hi]
+
     def index_of(self, t: float) -> int:
         """Index of the grid node that t names (`lattice_bracket`)."""
         k, hi = lattice_bracket((t - self.t_start) / self.step)
@@ -452,9 +470,10 @@ def sample_critical_line(
     `lattice_bracket`'s rule.  Chunk c, the nodes c 2^16 <= k < (c + 1) 2^16, is
     always formed whole, from its own grid and however much of it the
     window uses, so a sample depends only on the anchor, step, depth and
-    k.  Up to `workers` threads fill the chunks in place, and OpenBLAS
-    runs at one thread while they do (`sums.one_blas_thread`; the count
-    before is restored, also when a chunk raises).
+    k.  Up to `workers` threads fill the chunks in place, at most
+    workers + 1 at a time (`_sampler`), and OpenBLAS runs at one thread
+    while they do (`sums.one_blas_thread`; the count before is restored,
+    also when a chunk raises).
 
     A sample is |Z| at the real node anchor + k step.  `_coarse_factor`
     picks one of two ways for chunk c, from the anchor, step, depth and
@@ -489,6 +508,22 @@ def sample_critical_line(
         interpolated:  8.2e-11  4.4e-10  8.1e-9  1.4e-7  9.9e-7
         direct:        2.1e-10  7.9e-10  1.6e-8  1.7e-7  2.0e-6
     """
+    t_first, count, chunks = _sampler(t_start, t_stop, step, anchor,
+                                      correction_terms, workers)
+    values = np.empty(count, dtype=np.float64)
+    for _ in chunks(values):        # each chunk lands in `values`
+        pass
+    return ZetaGrid(t_first, float(step), values, correction_terms)
+
+
+def _sampler(t_start, t_stop, step, anchor, correction_terms, workers) -> tuple:
+    """(t_first, count, chunks) of `sample_critical_line`'s window, its
+    arguments checked: the generator `chunks(out=None)` yields |Z| on the
+    window's nodes, one array per lattice chunk the window meets, in
+    order, each in its place in `out` when given.  Up to `workers`
+    threads form them, at most workers + 1 chunks ahead of the consumer,
+    under `one_blas_thread` from the first chunk asked for until the
+    generator finishes, is closed or raises."""
     if not (T_MIN <= t_start <= t_stop <= T_MAX):
         raise DomainError(
             f"need {T_MIN} <= t_start <= t_stop <= {T_MAX}, "
@@ -504,10 +539,9 @@ def sample_critical_line(
     if count < 1:
         raise DomainError(f"no lattice node from {anchor} in [{t_start}, {t_stop}]")
     _check_depth(correction_terms)
-    values = np.empty(count, dtype=np.float64)
 
-    def fill(c: int) -> None:
-        k0 = c * _GRID_CHUNK - first      # the chunk's node 0 in `values`
+    def chunk(c: int, out) -> np.ndarray:
+        k0 = c * _GRID_CHUNK - first      # the chunk's node 0 in the window
         lo, stop = max(-k0, 0), min(count - k0, _GRID_CHUNK)
         q = _coarse_factor(anchor, step, c)
         if q:
@@ -516,56 +550,173 @@ def sample_critical_line(
             start, shift = lattice_node(anchor, step, c * _GRID_CHUNK)
             z = _z_on_grid(UniformGrid(start, step, _GRID_CHUNK), shift, lo,
                            stop, correction_terms)
-        values[k0 + lo:k0 + stop] = np.abs(z)
+        return np.abs(z, out=z if out is None else out[k0 + lo:k0 + stop])
 
-    chunks = range(first // _GRID_CHUNK, (first + count - 1) // _GRID_CHUNK + 1)
-    with one_blas_thread(), ThreadPoolExecutor(
-            max_workers=min(workers, len(chunks))) as pool:
-        list(pool.map(fill, chunks))      # list() re-raises a task's error
-    return ZetaGrid(t_first, float(step), values, correction_terms)
+    def chunks(out=None):
+        cs = range(first // _GRID_CHUNK, (first + count - 1) // _GRID_CHUNK + 1)
+        with one_blas_thread(), ThreadPoolExecutor(
+                max_workers=min(workers, len(cs))) as pool:
+            todo = iter(cs)
+            ahead = collections.deque(
+                pool.submit(chunk, c, out) for c in itertools.islice(todo, workers + 1))
+            try:
+                while ahead:
+                    z = ahead.popleft().result()      # re-raises a chunk's error
+                    ahead.extend(pool.submit(chunk, c, out)
+                                 for c in itertools.islice(todo, 1))
+                    yield z
+            finally:
+                for future in ahead:
+                    future.cancel()
+
+    return t_first, count, chunks
 
 
-def cache_bytes(grid: ZetaGrid) -> tuple:
-    """The grid as a `ZGRD` cache file in three parts to write in order: the
-    header, the moduli (the grid's own buffer, not a copy) and the checksum."""
+def sample_cache(t_start: float, t_stop: float, step: float, *,
+                 correction_terms: int, workers: int = 1) -> tuple:
+    """(count, parts): `sample_critical_line`'s grid of [t_start, t_stop]
+    as a `ZGRD` cache file, in parts to write in order.  The arguments
+    are checked now; the grid is sampled as the parts are taken: the
+    header, each chunk's moduli as `_sampler` yields it, and the
+    checksum folded over them.  No part holds more than a chunk, and
+    closing `parts` stops the sampling."""
+    t_first, count, chunks = _sampler(t_start, t_stop, step, None,
+                                      correction_terms, workers)
     head = _PREFIX.pack(_GRID_MAGIC, CACHE_VERSION) + _HEADER.pack(
-        _FLAGS, grid.correction_terms, grid.t_start, grid.step, grid.count)
-    data = np.ascontiguousarray(grid.values, dtype="<f8")
-    return head, data, _CRC.pack(zlib.crc32(data, zlib.crc32(head)))
+        _FLAGS, correction_terms, t_first, float(step), count)
+
+    def parts():
+        with contextlib.closing(chunks()) as blocks:
+            crc = zlib.crc32(head)
+            yield head
+            for z in blocks:
+                data = np.ascontiguousarray(z, dtype="<f8")
+                crc = zlib.crc32(data, crc)
+                yield data
+            yield _CRC.pack(crc)
+
+    return count, parts()
 
 
-def cache_read(path) -> ZetaGrid:
-    """A grid from a `ZGRD` cache file.  Checks the magic, the version and
-    the flags of its head, then the file's size against the head's sample
-    count, before it reads a sample; then the checksum, the geometry and
-    the RS depth."""
+class CacheGrid(ZetaGrid):
+    """The grid of an open `ZGRD` file, made by `cache_read`, which
+    checks its 40-byte head first.  Its samples come through one forward
+    reader, which folds the checksum over every byte it reads:
+
+      * `window(lo, hi)`: samples lo..hi-1, read-only, valid until the
+        next call.  Unread samples below lo are read _READ_BLOCK at a
+        time and dropped, and a call that reads may drop the samples
+        below its lo, so no later window may start below that.
+      * `values`: every sample, read now unless held, and the checksum
+        compared.
+      * `check()`: reads the samples not yet read, _READ_BLOCK at a
+        time, and compares the checksum.
+
+    A file that ends early or fails its checksum is a CacheFormatError,
+    one that cannot be read a ConfigError.  As a context manager it
+    closes the file."""
+
+    def __init__(self, path, fh):
+        self._path, self._fh = path, fh
+        head = bytearray(_PREFIX.size + _HEADER.size)
+        head = bytes(head[:self._take(head)])
+        if len(head) < _PREFIX.size or head[:4] != _GRID_MAGIC:
+            raise CacheFormatError(f"{path}: not a ZGRD cache")
+        version = _PREFIX.unpack_from(head)[1]
+        if version != CACHE_VERSION:
+            raise CacheFormatError(f"{path}: unsupported version {version}")
+        if len(head) < _PREFIX.size + _HEADER.size:
+            raise CacheFormatError(f"{path}: truncated header")
+        flags, terms, t_start, step, count = _HEADER.unpack_from(head, _PREFIX.size)
+        if flags != _FLAGS:
+            raise CacheFormatError(
+                f"{path}: flags {flags}, not {_FLAGS}: complex grids and other "
+                "non-modulus grids are not read; sample the grid again")
+        length = os.fstat(fh.fileno()).st_size - len(head) - _CRC.size
+        if length != 8 * count:
+            raise CacheFormatError(f"{path}: payload length {length} != 8 * {count}")
+        if step <= 0 or not math.isfinite(t_start) or not math.isfinite(step):
+            raise CacheFormatError(f"{path}: bad grid geometry")
+        if terms > MAX_CORRECTION_TERMS:
+            raise CacheFormatError(f"{path}: RS depth {terms} above {MAX_CORRECTION_TERMS}")
+        self.t_start, self.step, self.correction_terms = t_start, step, terms
+        self._count, self._crc, self._checked = count, zlib.crc32(head), False
+        self._buf = np.empty(0, dtype="<f8")
+        self._base = self._end = 0     # _buf[0] is sample _base; _end are read
+
+    __repr__ = object.__repr__      # the dataclass's would read every sample
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    @property
+    def values(self) -> np.ndarray:
+        out = self.window(0, self._count)
+        self.check()
+        return out
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        if lo < self._base:
+            raise ValueError(f"samples below {self._base} are dropped")
+        for k in range(self._end, lo, _READ_BLOCK):     # read, then dropped
+            self.window(k, min(k + _READ_BLOCK, lo))
+        if hi > self._end:
+            if hi - self._base > self._buf.size:
+                # move what is held of [lo, hi) to the front of a buffer
+                # with room for twice the window, up to the grid's end
+                held = self._buf[lo - self._base:self._end - self._base]
+                room = min(2 * (hi - lo), self._count - lo)
+                buf = self._buf if room <= self._buf.size else np.empty(room, "<f8")
+                buf[:held.size] = held
+                self._buf, self._base = buf, lo
+            self._read(self._buf[self._end - self._base:hi - self._base])
+            self._end = hi
+        out = self._buf[lo - self._base:hi - self._base]
+        out.flags.writeable = False
+        return out
+
+    def check(self) -> None:
+        if self._checked:
+            return
+        for k in range(self._end, self._count, _READ_BLOCK):
+            self.window(k, min(k + _READ_BLOCK, self._count))
+        tail = bytearray(_CRC.size)
+        if tail[:self._take(tail)] != _CRC.pack(self._crc):
+            raise CacheFormatError(f"{self._path}: checksum mismatch")
+        self._checked = True
+
+    def _read(self, out: np.ndarray) -> None:
+        if self._take(memoryview(out).cast("B")) != out.nbytes:
+            raise CacheFormatError(f"{self._path}: file ends before sample "
+                                   f"{self._count} of its head")
+        self._crc = zlib.crc32(out, self._crc)
+
+    def _take(self, out) -> int:
+        try:
+            return self._fh.readinto(out)
+        except OSError as exc:
+            raise ConfigError(f"cannot read cache {self._path}: {exc}") from exc
+
+
+def cache_read(path) -> CacheGrid:
+    """The grid of a `ZGRD` cache file.  Its head's magic, version and
+    flags, the file's size against the head's sample count, the geometry
+    and the RS depth are checked before any sample is read; the samples
+    and the checksum come later, through the `CacheGrid`."""
     try:
-        with open(path, "rb") as fh:
-            head = fh.read(_PREFIX.size + _HEADER.size)
-            if len(head) < _PREFIX.size or head[:4] != _GRID_MAGIC:
-                raise CacheFormatError(f"{path}: not a ZGRD cache")
-            version = _PREFIX.unpack_from(head)[1]
-            if version != CACHE_VERSION:
-                raise CacheFormatError(f"{path}: unsupported version {version}")
-            if len(head) < _PREFIX.size + _HEADER.size:
-                raise CacheFormatError(f"{path}: truncated header")
-            flags, terms, t_start, step, count = _HEADER.unpack_from(head, _PREFIX.size)
-            if flags != _FLAGS:
-                raise CacheFormatError(
-                    f"{path}: flags {flags}, not {_FLAGS}: complex grids and other "
-                    "non-modulus grids are not read; sample the grid again")
-            length = os.fstat(fh.fileno()).st_size - len(head) - _CRC.size
-            if length != 8 * count:
-                raise CacheFormatError(f"{path}: payload length {length} != 8 * {count}")
-            body = fh.read(length + _CRC.size)
+        fh = open(path, "rb")
     except OSError as exc:      # a missing file or a directory, say
         raise ConfigError(f"cannot read cache {path}: {exc}") from exc
-    if body[length:] != _CRC.pack(zlib.crc32(memoryview(body)[:length], zlib.crc32(head))):
-        raise CacheFormatError(f"{path}: checksum mismatch")
-    if step <= 0 or not math.isfinite(t_start) or not math.isfinite(step):
-        raise CacheFormatError(f"{path}: bad grid geometry")
-    if terms > MAX_CORRECTION_TERMS:
-        raise CacheFormatError(f"{path}: RS depth {terms} above {MAX_CORRECTION_TERMS}")
-    values = np.frombuffer(body, dtype="<f8", count=count)
-    return ZetaGrid(t_start=t_start, step=step, values=values,
-                    correction_terms=terms)
+    try:
+        return CacheGrid(path, fh)
+    except BaseException:
+        fh.close()
+        raise

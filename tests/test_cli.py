@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 import zlib
 
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetacorr import cli, moments, verify, zeta
-from zetacorr.errors import ConfigError
+from zetacorr.errors import ConfigError, DomainError, ResourceError
 
 
 def _write_json(path, obj):
@@ -516,8 +518,8 @@ def test_output_naming_another_file_exits_2(tmp_path, monkeypatch, capsys,
     _write_json(tmp_path / "m.json", _VALID_CONFIGS["moment"])
     _write_json(tmp_path / "c.json", {**_VALID_CONFIGS["curve"], "step": 0.025})
     _write_json(tmp_path / "k.json", _CLASSIFY_CONFIG)
-    (tmp_path / "g.zgrd").write_bytes(b"".join(zeta.cache_bytes(
-        zeta.sample_critical_line(98.0, 204.2, 0.0125, correction_terms=4))))
+    (tmp_path / "g.zgrd").write_bytes(b"".join(
+        zeta.sample_cache(98.0, 204.2, 0.0125, correction_terms=4)[1]))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     rc = cli.main([kind, *args])
     captured = capsys.readouterr()
@@ -613,9 +615,9 @@ def test_sample_then_cached_moment(tmp_path, capsys):
                    "--out", str(cache)])
     assert rc == 0
     capsys.readouterr()
-    grid = zeta.cache_read(str(cache))
-    assert grid.step == 0.0125
-    assert grid.correction_terms == 6
+    with zeta.cache_read(str(cache)) as grid:
+        assert grid.step == 0.0125
+        assert grid.correction_terms == 6
 
     cfg = _write_json(tmp_path / "m.json",
                       {"T": 100.0, "alpha": [0.0], "beta": [1.0],
@@ -1433,3 +1435,191 @@ def test_mutated_command_lines_exit_cleanly(case):
         assert "Traceback" not in err.getvalue()
         if rc:
             assert sorted(str(p) for p in tmp.iterdir()) == inputs
+
+
+# ---------------------------------------------------------------------------
+# streamed caches: writing while sampling, reading while integrating
+
+
+def test_write_all_cleans_up_after_any_exception(tmp_path):
+    # a parts generator that raises after the header: its error, not a
+    # ConfigError, and no temp file left
+    def failing():
+        yield b"ZGRD"
+        raise DomainError("failed mid-write")
+
+    with pytest.raises(DomainError, match="mid-write"):
+        cli._write_all([(str(tmp_path / "a"), failing())])
+    assert list(tmp_path.iterdir()) == []
+    # a part that cannot be written abandons its generator mid-write, and
+    # the next output's generator before it starts: both are closed
+    left = []
+
+    def parts(tag, *items):
+        try:
+            yield from items
+        finally:
+            left.append(tag)
+
+    first, second = parts("first", b"ok", object()), parts("second", b"ok")
+    with pytest.raises(TypeError):
+        cli._write_all([(str(tmp_path / "a"), first), (str(tmp_path / "b"), second)])
+    assert left == ["first"] and list(tmp_path.iterdir()) == []
+    assert inspect.getgeneratorstate(second) == inspect.GEN_CLOSED
+
+
+def test_sample_failing_midway_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # chunk 0 is written before chunk 1 fails: exit 5, and neither the
+    # cache, nor its temp file, nor the report is left
+    monkeypatch.chdir(tmp_path)
+    z_on_grid, calls = zeta._z_on_grid, []
+
+    def second_fails(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ResourceError("chunk 1 failed")
+        return z_on_grid(*args)
+
+    monkeypatch.setattr(zeta, "_z_on_grid", second_fails)
+    rc = cli.main(["sample", "--t0", "200", "--t1", "1000", "--step", "0.01",
+                   "--threads", "1", "--out", "g.zgrd", "--report", "r.json"])
+    assert rc == 5 and "chunk 1 failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_wall_time_includes_the_sampling(tmp_path, monkeypatch, capsys):
+    # the grid is sampled while the cache is written, after the payload
+    monkeypatch.chdir(tmp_path)
+    z_on_grid = zeta._z_on_grid
+
+    def slow(*args):
+        time.sleep(0.3)
+        return z_on_grid(*args)
+
+    monkeypatch.setattr(zeta, "_z_on_grid", slow)
+    assert cli.main(["sample", "--t0", "200", "--t1", "260", "--step", "0.01",
+                     "--out", "g.zgrd", "--report", "r.json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["meta"]["wall_time_s"] >= 0.3
+    assert (tmp_path / "r.json").read_text() == out
+
+
+@pytest.fixture(scope="module")
+def long_cache(tmp_path_factory):
+    """A 72 081-node cache at step 0.0125 from 399, read by T = 400 moments
+    over [400, 800]: two quadrature blocks, then 40 000 nodes of tail."""
+    path = tmp_path_factory.mktemp("long") / "g.zgrd"
+    path.write_bytes(b"".join(zeta.sample_cache(
+        399.0, 1300.0, 0.0125, correction_terms=4)[1]))
+    return path
+
+
+def _moment_at_400(tmp_path, cache, beta=(1.0,), alpha=(0.0,)):
+    cfg = _write_json(tmp_path / "m.json", {"T": 400.0, "alpha": list(alpha),
+                                            "beta": list(beta), "step": 0.025})
+    return cli.main(["moment", "--config", cfg, "--cache", str(cache),
+                     "--report", str(tmp_path / "r.json")])
+
+
+def test_streamed_cache_checksum_guards_every_block(tmp_path, long_cache, capsys):
+    blob = long_cache.read_bytes()
+    count = (len(blob) - 44) // 8
+    bad = tmp_path / "bad.zgrd"
+    curve = _write_json(tmp_path / "c.json", {"T": 400.0, "beta": 1.0, "step": 0.025,
+                                              "deltas": [0.0, 2.5]})
+    runs = {"moment": lambda: _moment_at_400(tmp_path, bad),
+            "flat": lambda: _moment_at_400(tmp_path, bad, beta=(0.0, 0.0),
+                                           alpha=(1.0, 2.0)),
+            "curve": lambda: cli.main(["curve", "--config", curve, "--cache", str(bad),
+                                       "--out", str(tmp_path / "c.csv"),
+                                       "--report", str(tmp_path / "r.json")])}
+    bad.write_bytes(blob)
+    assert [run() for run in runs.values()] == [0, 0, 0]
+    capsys.readouterr()
+    for name in ("r.json", "c.csv"):
+        (tmp_path / name).unlink()
+    # the first sample, one in the second quadrature block, and the last
+    # sample, in the tail past the quadrature's last node
+    for node in (0, 20_000, count - 1):
+        flipped = bytearray(blob)
+        flipped[40 + 8 * node + 3] ^= 0x10
+        bad.write_bytes(bytes(flipped))
+        for kind, run in runs.items():
+            assert run() == 3, (node, kind)
+            assert "checksum mismatch" in capsys.readouterr().err, (node, kind)
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "bad.zgrd", "c.json", "m.json"]
+
+
+def test_cache_truncated_after_its_head_check_exits_3(tmp_path, long_cache,
+                                                      monkeypatch, capsys):
+    # the file is cut after cache_read passed its size: the reader finds
+    # the end early and exits 3, with no report (nothing is memory-mapped)
+    cache = tmp_path / "g.zgrd"
+    cache.write_bytes(long_cache.read_bytes())
+    cache_read = zeta.cache_read
+
+    def then_truncate(path):
+        grid = cache_read(path)
+        os.truncate(path, os.path.getsize(path) // 2)
+        return grid
+
+    monkeypatch.setattr(moments, "cache_read", then_truncate)
+    assert _moment_at_400(tmp_path, cache) == 3
+    assert "file ends before sample" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_streamed_cache_is_read_in_bounded_blocks(tmp_path, long_cache,
+                                                  monkeypatch, capsys):
+    # a one-row moment reads the file once, front to back, in reads of at
+    # most a quadrature block and a few nodes: the tail past its last node
+    # too, in _READ_BLOCK pieces
+    sizes = []
+
+    class Spy(io.BufferedReader):
+        def readinto(self, b):
+            sizes.append(memoryview(b).nbytes)
+            return super().readinto(b)
+
+    monkeypatch.setattr(zeta, "open", lambda path, mode: Spy(io.FileIO(path, mode)),
+                        raising=False)
+    assert _moment_at_400(tmp_path, long_cache, beta=(1.0, 0.5), alpha=(0.0, 1.0)) == 0
+    size = long_cache.stat().st_size
+    assert sum(sizes) == size and sizes[0] == 40 and sizes[-1] == 4
+    # the shifts 0 and 1 are 80 nodes apart
+    assert max(sizes) <= 8 * (moments._BLOCK + 80) < size // 4
+    tail = 8 * (72_081 - (80 + 80 + 32_000 + 1))    # past the last node read
+    assert sizes[-4:-1] == [8 * zeta._READ_BLOCK, 8 * zeta._READ_BLOCK,
+                            tail - 16 * zeta._READ_BLOCK]
+
+
+def test_streamed_cache_and_sample_hold_no_grid(tmp_path):
+    # the peak RSS of `moment --cache` over a 2M-node (16 MB) grid and of
+    # `sample --out` of one, each over `predict` of the same config, in
+    # fresh processes.  Measured on a 2-CPU Linux host: moment +0.3-0.6
+    # MB and sample +5.8-6.3 MB at two threads, against +15.4 and +18.4
+    # MB while each held the grid.
+    tool = pathlib.Path(__file__).parents[1] / "tools" / "peak_rss.py"
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    _write_json(tmp_path / "p.json", {"T": 20000.0, "alpha": [1.5, -3.2],
+                                      "beta": [0.75, 1.0]})
+    _write_json(tmp_path / "m.json", {"T": 20000.0, "alpha": [1.5, -3.2],
+                                      "beta": [0.75, 1.0], "step": 0.02})
+
+    def peak_mb(*argv):
+        done = subprocess.run([sys.executable, str(tool), *argv, "--threads", "2"],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=300)
+        result = json.loads(done.stderr.strip().splitlines()[-1])
+        assert result["exit"] == done.returncode == 0, done.stderr
+        return result["maxrss_mb"]
+
+    base = peak_mb("predict", "--config", "p.json")
+    sample = peak_mb("sample", "--t0", "19990", "--t1", "40010", "--step", "0.01",
+                     "--out", "g.zgrd")
+    assert (tmp_path / "g.zgrd").stat().st_size == 40 + 8 * 2_002_001 + 4
+    moment = peak_mb("moment", "--config", "m.json", "--cache", "g.zgrd")
+    assert sample - base < 8.0 and moment - base < 4.0, (base, sample, moment)

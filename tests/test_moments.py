@@ -334,6 +334,36 @@ def test_the_pass_holds_a_few_product_blocks():
     assert max(peaks) <= 4 * moments._BLOCK * 8
 
 
+def test_a_streamed_cache_gives_the_held_grids_bits(tmp_path):
+    # one row streams the cache through its pass, several hold it once;
+    # both give the bits of the grid held as an array.  Shifts at +-T/2
+    # at T = 100 (a window as wide as the grid), an odd interval count
+    # (100.025), a last block of one node (204.8 is 2^14 fine steps), two
+    # blocks under a shift span wider than a block (250), three blocks,
+    # whose reader moves what it holds to make room (500), and on a grid
+    # off the step lattice partial cells (100.003, 204.803)
+    cases = {49.5: [ShiftSpec((-50.0, 50.0), (1.0, 0.5), 100.0),
+                    ShiftSpec((0.0, 3.3), (1.0, 1.0), 100.025),
+                    ShiftSpec((0.2,), (0.75,), 204.8),
+                    ShiftSpec((-125.0, 3.0, 125.0), (0.5, 1.25, 1.0), 250.0),
+                    ShiftSpec((-125.0, 125.0), (0.0, 0.0), 250.0),
+                    ShiftSpec((-3.0, 7.0), (1.0, 0.5), 500.0)],
+             49.503: [ShiftSpec((-1.7,), (1.5,), 100.003),
+                      ShiftSpec((0.2, -9.0), (0.75, 2.0), 204.803)]}
+    for t0, specs in cases.items():
+        path = tmp_path / "g.zgrd"
+        path.write_bytes(b"".join(zeta.sample_cache(t0, 1010.0, 0.0125,
+                                                    correction_terms=4)[1]))
+        with zeta.cache_read(path) as cached:
+            held = zeta.ZetaGrid(cached.t_start, cached.step, cached.values.copy(), 4)
+        for spec in specs:
+            want, _ = moments.moment_report(spec, held, moments.predict_bound(spec))
+            (got,), _, _ = moments.moment_rows([spec], 0.025, 4, 1, cache=path)
+            assert repr(got) == repr(want), spec
+            rows, _, _ = moments.moment_rows([spec, spec], 0.025, 4, 1, cache=path)
+            assert repr(rows) == repr([want, want]), spec
+
+
 def test_prediction_closed_form_single_shift():
     spec = ShiftSpec(alpha=(0.0,), beta=(1.0,), t_height=100.0)
     expect = 100.0 * math.log(100.0)

@@ -1,5 +1,6 @@
 """Critical-line evaluators, the one-line helper, and grid caches."""
 
+import concurrent.futures
 import importlib.util
 import inspect
 import io
@@ -10,6 +11,7 @@ import struct
 import sys
 import threading
 import warnings
+import zlib
 from fractions import Fraction
 
 import mpmath
@@ -518,10 +520,49 @@ def test_sample_bytes_match_across_threads(tmp_path, monkeypatch):
                          "--step", "0.02", "--threads", str(threads),
                          "--out", f"g{threads}.zgrd"]) == 0
         blobs.add((tmp_path / f"g{threads}.zgrd").read_bytes())
-    grid = zeta.cache_read(tmp_path / "g1.zgrd")
-    assert grid.count == 196_608 and len(blobs) == 1
+    with zeta.cache_read(tmp_path / "g1.zgrd") as grid:
+        assert grid.count == 196_608 and len(blobs) == 1
     cut = np.floor(np.sqrt(grid.t_at(grid.count - 1) / (2.0 * math.pi)))
     assert (np.floor(np.sqrt(grid.t_start / (2.0 * math.pi))), cut) == (56, 61)
+
+
+def test_streamed_sample_file_matches_the_held_grid(tmp_path, monkeypatch):
+    # `sample` writes each chunk as it is sampled; its file is the held
+    # grid's, packed from the layout, at one and two threads: three chunks
+    # ending mid-chunk, and a single node
+    monkeypatch.chdir(tmp_path)
+    for t0, t1, step in ((20000.0, 23932.14, 0.02), (100.0, 100.0, 0.01)):
+        for threads in (1, 2):
+            assert cli.main(["sample", "--t0", repr(t0), "--t1", repr(t1),
+                             "--step", repr(step), "--threads", str(threads),
+                             "--out", "g.zgrd"]) == 0
+            grid = zeta.sample_critical_line(t0, t1, step, correction_terms=4,
+                                             workers=threads)
+            assert (tmp_path / "g.zgrd").read_bytes() == b"".join(_zgrd_parts(grid))
+    # a window from mid-chunk, as a moment's below its anchor: the chunks
+    # in their own arrays are the grid's bytes, cut at the chunk ends
+    for workers in (1, 2):
+        grid = zeta.sample_critical_line(19_000.0, 20_700.0, 0.02, anchor=20_000.0,
+                                         correction_terms=4, workers=workers)
+        _, count, chunks = zeta._sampler(19_000.0, 20_700.0, 0.02, 20_000.0, 4, workers)
+        parts = list(chunks())
+        assert [p.size for p in parts] == [50_000, 35_001]       # chunks -1 and 0
+        assert b"".join(p.tobytes() for p in parts) == grid.values.tobytes()
+        assert count == grid.count
+
+
+def test_sample_cache_samples_as_it_is_read_and_stops_when_closed(
+        blas_threads, monkeypatch):
+    get, seen = blas_threads, []
+    _recording_chunks(monkeypatch, get, seen)
+    count, parts = zeta.sample_cache(200.0, 2000.0, 0.01, correction_terms=2,
+                                     workers=1)
+    assert count == 180_001 and seen == []       # checked, nothing sampled
+    head = next(parts)
+    assert len(head) == 40 and seen == []
+    assert next(parts).nbytes == 8 * 65_536 and get() == 1
+    parts.close()
+    assert get() == 2 and len(seen) <= 3         # at most workers + 1 ahead
 
 
 def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
@@ -548,8 +589,10 @@ def test_grid_workers_are_threads_sized_by_chunks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(zeta, "ThreadPoolExecutor", InlinePool)
     zeta.sample_critical_line(200.0, 260.0, 0.01, correction_terms=2, workers=10 ** 6)
@@ -695,14 +738,26 @@ def test_grid_range_validation():
                                       workers=workers)
 
 
+def _zgrd_parts(grid):
+    """A held grid's `ZGRD` v2 file, packed from the documented layout:
+    the head, the float64 moduli and the CRC32 of every byte before it."""
+    head = b"ZGRD" + struct.pack("<IIIddQ", 2, 1, grid.correction_terms,
+                                 grid.t_start, grid.step, grid.count)
+    data = grid.values.astype("<f8")
+    return head, data, struct.pack("<I", zlib.crc32(head + data.tobytes()))
+
+
 def _read_bytes(path, blob):
+    # the head is checked on opening; the samples and the checksum when read
     path.write_bytes(blob)
-    return zeta.cache_read(path)
+    with zeta.cache_read(path) as grid:
+        assert grid.values.size == grid.count
+    return grid
 
 
 def test_grid_cache_round_trip(tmp_path):
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=3)
-    back = _read_bytes(tmp_path / "g.zgrd", b"".join(zeta.cache_bytes(grid)))
+    back = _read_bytes(tmp_path / "g.zgrd", b"".join(_zgrd_parts(grid)))
     assert back.t_start == grid.t_start
     assert back.step == grid.step
     assert back.correction_terms == 3
@@ -712,7 +767,7 @@ def test_grid_cache_round_trip(tmp_path):
 
 def test_grid_cache_rejects_corruption(tmp_path):
     grid = zeta.sample_critical_line(30.0, 31.0, 0.05, correction_terms=2)
-    blob = b"".join(zeta.cache_bytes(grid))
+    blob = b"".join(_zgrd_parts(grid))
     path = tmp_path / "g.zgrd"
     with pytest.raises(CacheFormatError):
         _read_bytes(path, blob[: len(blob) // 2])
@@ -735,7 +790,8 @@ def test_grid_cache_rejects_corruption(tmp_path):
 def test_cache_read_checks_the_head_before_any_sample(tmp_path, monkeypatch):
     # 64 MB sparse files: one of zeros, as /dev/zero reads, and one with a
     # grid's head whose count disagrees with the size; each is refused
-    # after the 40-byte head alone, while a good grid takes one more read
+    # after the 40-byte head alone.  A good grid reads nothing past its
+    # head until its samples are asked for, then them and the checksum.
     asked = []
 
     class Spy(io.BufferedReader):
@@ -743,9 +799,13 @@ def test_cache_read_checks_the_head_before_any_sample(tmp_path, monkeypatch):
             asked.append(size)
             return super().read(size)
 
+        def readinto(self, b):
+            asked.append(memoryview(b).nbytes)
+            return super().readinto(b)
+
     monkeypatch.setattr(zeta, "open", lambda path, mode: Spy(io.FileIO(path, mode)),
                         raising=False)
-    head, data, crc = zeta.cache_bytes(
+    head, data, crc = _zgrd_parts(
         zeta.sample_critical_line(30.0, 30.3, 0.05, correction_terms=3))
     for blob, message in ((b"", "not a ZGRD cache"), (head, "payload length")):
         path = tmp_path / "sparse.zgrd"
@@ -756,13 +816,16 @@ def test_cache_read_checks_the_head_before_any_sample(tmp_path, monkeypatch):
         with pytest.raises(CacheFormatError, match=message):
             zeta.cache_read(path)
         assert asked == [len(head)]
+    path = tmp_path / "g.zgrd"
+    path.write_bytes(head + data.tobytes() + crc)
     asked.clear()
-    grid = _read_bytes(tmp_path / "g.zgrd", head + data.tobytes() + crc)
-    assert asked == [len(head), data.nbytes + len(crc)]
-    assert grid.values.tobytes() == data.tobytes()
+    with zeta.cache_read(path) as grid:
+        assert asked == [len(head)]
+        assert grid.values.tobytes() == data.tobytes()
+    assert asked == [len(head), data.nbytes, len(crc)]
 
 
-_BLOB = b"".join(zeta.cache_bytes(
+_BLOB = b"".join(_zgrd_parts(
     zeta.sample_critical_line(30.0, 30.3, 0.05, correction_terms=3)))
 
 
